@@ -1,10 +1,16 @@
 """Numerical positivity oracle.
 
 Eigenvalues of symmetric tridiagonal matrices are found by Sturm-sequence
-bisection, which certifies how many eigenvalues lie below any pivot; dense
-symmetric matrices are first reduced to tridiagonal form by Householder
-reflections.  Leading principal minors come from Gaussian elimination, in
-exact rational arithmetic when the input entries are rationals.
+bisection, which certifies how many eigenvalues lie below any pivot.  One
+LDL^T inertia kernel counts the eigenvalues below many shifts at once, so
+all requested brackets are bisected together.  Other symmetric matrices are
+first reduced to tridiagonal form by Householder reflections.
+
+Leading principal minors come from the three-term continuant for band input
+(a pentadiagonal matrix with zero first off-diagonal multiplies the
+continuants of its odd and even blocks) and from one elimination pass for
+dense input, as prefix products of the pivots.  Rational input gets exact
+minors.
 
 This module is deliberately independent of the chain-sequence criteria in
 ``chainseq``: the two are validated against each other.
@@ -13,6 +19,7 @@ This module is deliberately independent of the chain-sequence criteria in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,15 +53,23 @@ DEFAULT_TOL = 1e-10
 # arithmetic cost is no longer worth the certainty.
 EXACT_MINOR_LIMIT = 12
 
+# The Sturm count of an order-n matrix is exact for a matrix within about
+# n * eps * max-norm of the input, so no classification threshold is set
+# below STURM_BACKWARD_C * n * eps (relative to max(1, scale)).
+STURM_BACKWARD_C = 4.0
+
+# Largest number of pivots one Sturm-count call holds in memory at once.
+_NEGCOUNT_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class PositivityVerdict:
     """Classification of a symmetric matrix with a numeric certificate.
 
     classification is PD when the smallest eigenvalue clears
-    +tol*max(1, scale), INDEFINITE when it clears the same margin below
-    zero, and PSD_BOUNDARY in between; scale is the max-norm of the matrix
-    and certificate holds the leading principal minors.
+    +thr = max(tol, STURM_BACKWARD_C * n * eps) * max(1, scale), INDEFINITE
+    when it clears -thr, and PSD_BOUNDARY in between; scale is the max-norm
+    of the matrix and certificate holds the leading principal minors.
     """
 
     classification: str
@@ -67,15 +82,36 @@ class PositivityVerdict:
         return self.classification in (PD, PSD_BOUNDARY)
 
 
-def _negcount(diag: np.ndarray, off2: np.ndarray, x: float, pivmin: float) -> int:
-    """Number of eigenvalues below x, by the Sturm sequence of T - xI."""
+def _negcounts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray, pivmin: float) -> np.ndarray:
+    """Number of eigenvalues below each shift x: the negative LDL^T pivots
+    q_i = (d_i - x) - off2_{i-1} / q_{i-1} of T - xI, with any pivot
+    smaller than pivmin in magnitude replaced by -pivmin."""
+    n = diag.shape[0]
+    if n * shifts.shape[0] > _NEGCOUNT_BLOCK:
+        parts = np.array_split(shifts, -(-n * shifts.shape[0] // _NEGCOUNT_BLOCK))
+        return np.concatenate([_negcounts(diag, off2, s, pivmin) for s in parts])
+    q = np.subtract.outer(diag, shifts)
+    rows, e2s = list(q), off2.tolist()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for prev, row, e2 in zip(rows, rows[1:], e2s):
+            row -= e2 / prev
+    if (np.abs(q) < pivmin).any():
+        # rare: some pivot needs the substitution, so redo row by row with it
+        q = np.subtract.outer(diag, shifts)
+        rows = list(q)
+        for i, row in enumerate(rows):
+            if i:
+                row -= e2s[i - 1] / rows[i - 1]
+            row[np.abs(row) < pivmin] = -pivmin
+    return np.count_nonzero(q < 0.0, axis=0)
+
+
+def _negcount(diag: list, off2: list, x: float, pivmin: float) -> int:
+    """_negcounts for one shift, over Python floats; off2 starts with 0.0."""
     count = 0
     q = 1.0
-    for i in range(diag.shape[0]):
-        if i == 0:
-            q = diag[0] - x
-        else:
-            q = diag[i] - x - off2[i - 1] / q
+    for d, e2 in zip(diag, off2):
+        q = d - x - e2 / q
         if abs(q) < pivmin:
             q = -pivmin
         if q < 0.0:
@@ -86,7 +122,8 @@ def _negcount(diag: np.ndarray, off2: np.ndarray, x: float, pivmin: float) -> in
 def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) -> list[float]:
     """Bisect the requested eigenvalues (0-based, ascending) of the
     tridiagonal matrix to brackets of the given width, using Gershgorin
-    bounds as the initial bracket."""
+    bounds as the initial bracket.  All brackets advance together; each
+    stops early if float resolution is reached before the width."""
     n = diag.shape[0]
     if n == 1:
         return [float(diag[0]) for _ in indices]
@@ -100,30 +137,32 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
     pad = width + 1e-14 * max(abs(lo), abs(hi), 1.0)
     lo -= pad
     hi += pad
-    out = []
-    for k in indices:
+    if len(indices) == 1:
+        (k,) = indices
+        d, e2 = diag.tolist(), [0.0] + off2.tolist()
         a, b = lo, hi
         while b - a > width:
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
-                break  # float resolution reached before the requested width
-            if _negcount(diag, off2, mid, pivmin) <= k:
+                break
+            if _negcount(d, e2, mid, pivmin) <= k:
                 a = mid
             else:
                 b = mid
-        out.append(0.5 * (a + b))
-    return out
-
-
-def sym_tridiag_eigenvalues(t: BandSymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending, each
-    bracketed by Sturm bisection to width <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
-        raise ValueError("expected a tridiagonal BandSymMatrix")
-    vals = _tridiag_bisect(t.main_diag, t.off_diags[0], float(tol), range(t.order))
-    return np.array(sorted(vals))
+        return [0.5 * (a + b)]
+    ks = np.asarray(indices)
+    a = np.full(ks.shape, lo)
+    b = np.full(ks.shape, hi)
+    live = np.flatnonzero(b - a > width)
+    while live.size:
+        mid = 0.5 * (a[live] + b[live])
+        resolved = (mid > a[live]) & (mid < b[live])
+        live, mid = live[resolved], mid[resolved]
+        below = _negcounts(diag, off2, mid, pivmin) <= ks[live]
+        a[live[below]] = mid[below]
+        b[live[~below]] = mid[~below]
+        live = live[b[live] - a[live] > width]
+    return (0.5 * (a + b)).tolist()
 
 
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,50 +199,139 @@ def _as_symmetric_dense(a) -> np.ndarray:
     return dense
 
 
+def _max_abs(*arrays: np.ndarray) -> float:
+    return max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
+
+
+def _tridiagonal_form(a) -> tuple[np.ndarray, np.ndarray, float]:
+    """Diagonal and off-diagonal of a tridiagonal matrix with the spectrum
+    of a, and the max-norm of a.  Tridiagonal input is used as it is."""
+    if isinstance(a, BandSymMatrix) and a.bandwidth == 1:
+        return a.main_diag, a.off_diags[0], _max_abs(a.main_diag, a.off_diags[0])
+    dense = _as_symmetric_dense(a)
+    scale = float(np.abs(dense).max()) if dense.size else 0.0
+    return (*_householder_tridiagonalize(dense), scale)
+
+
+def sym_tridiag_eigenvalues(t: BandSymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """All eigenvalues of a symmetric tridiagonal matrix, ascending, each
+    bracketed by Sturm bisection to width <= tol."""
+    if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
+        raise ValueError("expected a tridiagonal BandSymMatrix")
+    return sym_eigenvalues(t, tol)
+
+
 def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a symmetric matrix (band or dense), ascending;
     brackets of width <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(a, BandSymMatrix) and a.bandwidth == 1:
-        return sym_tridiag_eigenvalues(a, tol)
-    dense = _as_symmetric_dense(a)
-    diag, off = _householder_tridiagonalize(dense)
-    vals = _tridiag_bisect(diag, off, float(tol), range(dense.shape[0]))
-    return np.array(sorted(vals))
+    diag, off, _ = _tridiagonal_form(a)
+    return np.sort(_tridiag_bisect(diag, off, float(tol), range(diag.shape[0])))
 
 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue to absolute accuracy tol * max(1, max-norm)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(a, BandSymMatrix) and a.bandwidth == 1:
-        scale = max(1.0, float(np.abs(a.dense()).max()))
-        return _tridiag_bisect(a.main_diag, a.off_diags[0], tol * scale, [0])[0]
-    dense = _as_symmetric_dense(a)
-    scale = max(1.0, float(np.abs(dense).max()) if dense.size else 0.0)
-    diag, off = _householder_tridiagonalize(dense)
-    return _tridiag_bisect(diag, off, tol * scale, [0])[0]
+    diag, off, scale = _tridiagonal_form(a)
+    return _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]
 
 
 def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     """Classify a symmetric matrix as PD, PSD_BOUNDARY, or INDEFINITE.
 
     Deterministic for fixed input and tol: the verdict compares the
-    bisected smallest eigenvalue against +-tol*max(1, max-norm).
+    bisected smallest eigenvalue against +-thr, where thr is
+    max(tol, STURM_BACKWARD_C * n * eps) * max(1, max-norm); a tol below
+    the Sturm count's backward error cannot decide a sign.
     """
-    dense = _as_symmetric_dense(a)
-    scale = float(np.abs(dense).max())
-    lam = min_eigenvalue(a, tol)
-    thr = tol * max(1.0, scale)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    diag, off, scale = _tridiagonal_form(a)
+    lam = _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]
+    thr = max(tol, STURM_BACKWARD_C * diag.shape[0] * sys.float_info.epsilon) * max(1.0, scale)
     if lam > thr:
         cls = PD
     elif lam < -thr:
         cls = INDEFINITE
     else:
         cls = PSD_BOUNDARY
-    minors = tuple(float(d) for d in leading_principal_minors(dense))
-    return PositivityVerdict(cls, lam, scale, minors)
+    return PositivityVerdict(cls, lam, scale, tuple(_float_minors(a)))
+
+
+def _continuant(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, int]]:
+    """Leading minors of the symmetric tridiagonal matrix (diag, off) by the
+    three-term continuant f_k = d_k f_{k-1} - e_{k-1}^2 f_{k-2}, each as a
+    pair (m, e) meaning m * 2**e.
+
+    The entries are scaled by a power of two to at most 1 and the running
+    pair is renormalized at every step.  Both are exact, so no step
+    overflows: a plain continuant turns an overflowed tail into
+    inf - inf = NaN."""
+    t = math.frexp(_max_abs(diag, off))[1]
+    f1, f2, e, out = 1.0, 0.0, 0, []
+    for d, o in zip(np.ldexp(diag, -t).tolist(), [0.0] + np.ldexp(off, -t).tolist()):
+        f = d * f1 - o * (o * f2)
+        s = math.frexp(max(abs(f), abs(f1)))[1]
+        f1, f2 = math.ldexp(f, -s), math.ldexp(f1, -s)
+        e += s + t
+        out.append((f1, e))
+    return out
+
+
+def _band_minors(a: BandSymMatrix) -> list[tuple[float, int]] | None:
+    """Leading minors of tridiagonal or pentadiagonal-form input as
+    continuant pairs; None for other band input."""
+    if a.bandwidth == 1:
+        return _continuant(a.main_diag, a.off_diags[0])
+    if not a.is_pentadiagonal_form:
+        return None
+    # the order-k leading block is blockdiag(odd block of order ceil(k/2),
+    # even block of order floor(k/2)) up to a permutation
+    diag, second = a.main_diag, a.off_diags[1]
+    odd = [(1.0, 0)] + _continuant(diag[0::2], second[0::2])
+    even = [(1.0, 0)] + _continuant(diag[1::2], second[1::2])
+    pairs = []
+    for k in range(1, a.order + 1):
+        (m_odd, e_odd), (m_even, e_even) = odd[(k + 1) // 2], even[k // 2]
+        pairs.append((m_odd * m_even, e_odd + e_even))
+    return pairs
+
+
+def _pair_value(m: float, e: int) -> float:
+    """m * 2**e, or +-inf when that overflows."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _dense_minors(dense: np.ndarray) -> list[float]:
+    """Leading minors from one elimination pass without row exchanges: the
+    order-k minor is the product of the first k pivots.  From the first
+    exactly zero or non-finite pivot on, each remaining minor comes from
+    its own partial-pivot elimination."""
+    m = np.array(dense, dtype=float, copy=True)
+    n = m.shape[0]
+    minors, det = [], 1.0
+    for k in range(n):
+        piv = float(m[k, k])
+        if piv == 0.0 or not math.isfinite(piv):
+            return minors + [_det_float(dense[: j + 1, : j + 1]) for j in range(k, n)]
+        det *= piv
+        minors.append(det)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m[k + 1 :, k + 1 :] -= np.outer(m[k + 1 :, k] / piv, m[k, k + 1 :])
+    return minors
+
+
+def _float_minors(a) -> list[float]:
+    if isinstance(a, BandSymMatrix):
+        pairs = _band_minors(a)
+        if pairs is not None:
+            return [_pair_value(m, e) for m, e in pairs]
+    return _dense_minors(to_dense_array(a))
 
 
 def _det_float(a: np.ndarray) -> float:
@@ -269,7 +397,9 @@ def leading_principal_minors(a) -> list:
     """Determinants of the top-left k x k blocks, k = 1..n.
 
     When the entries are ints or Fractions (and n <= 12) the minors are
-    computed exactly and returned as Fractions; otherwise floats.
+    computed exactly and returned as Fractions.  Otherwise they are floats:
+    from the continuant for band input, in O(n), and from one elimination
+    pass for dense input.
     """
     try:
         rows = _exact_rows(a)
@@ -277,12 +407,16 @@ def leading_principal_minors(a) -> list:
         rows = None
     if rows is not None and len(rows) <= EXACT_MINOR_LIMIT:
         return [_det_exact([r[: k + 1] for r in rows[: k + 1]]) for k in range(len(rows))]
-    dense = to_dense_array(a)
-    return [_det_float(dense[: k + 1, : k + 1]) for k in range(dense.shape[0])]
+    return _float_minors(a)
 
 
 def determinant(a) -> float:
-    """Determinant of a (band or dense) square matrix."""
+    """Determinant of a (band or dense) square matrix; the last continuant
+    minor for band input."""
+    if isinstance(a, BandSymMatrix):
+        pairs = _band_minors(a)
+        if pairs is not None:
+            return _pair_value(*pairs[-1])
     return _det_float(to_dense_array(a))
 
 

@@ -21,6 +21,7 @@ from bandpos import (
     determinant,
     hadamard_power,
     leading_principal_minors,
+    make_pentadiagonal,
     make_tridiagonal,
     min_eigenvalue,
     shift_to_boundary,
@@ -28,6 +29,8 @@ from bandpos import (
     sym_eigenvalues,
     sym_tridiag_eigenvalues,
 )
+from bandpos import positivity as oracle
+from bandpos.positivity import _householder_tridiagonalize
 
 # Roots of the characteristic cubic of A(0.1) = tridiag([1, 2.1, 1], [1, 1]):
 # (1, 0, -1) is an eigenvector for 1; the rest solve x^2 - 3.1x + 0.1 = 0.
@@ -254,3 +257,153 @@ class TestOracleInvariants:
             off = diff - np.diag(np.diag(diff))
             np.testing.assert_allclose(off, np.zeros((n, n)), atol=1e-12)
             assert (np.diag(diff) >= lam**r - 1e-9).all()
+
+
+def sequential_bisect(diag, off, width, k):
+    """The k-th eigenvalue by one-bracket Sturm bisection with scalar counts
+    (the reference the vectorized oracle must reproduce bit for bit)."""
+    n = diag.shape[0]
+    if n == 1:
+        return float(diag[0])
+    off2 = off * off
+    pivmin = max(float(off2.max()), 1.0) * 1e-290
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    pad = width + 1e-14 * max(abs(lo), abs(hi), 1.0)
+    a, b = lo - pad, hi + pad
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        count, q = 0, 1.0
+        for i in range(n):
+            q = diag[0] - mid if i == 0 else diag[i] - mid - off2[i - 1] / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            count += q < 0.0
+        a, b = (mid, b) if count <= k else (a, mid)
+    return 0.5 * (a + b)
+
+
+def random_symmetric_inputs(seed, count):
+    """Tridiagonals (some with integer entries and zero couplings, which
+    put pivots exactly on zero) alternating with dense symmetric arrays."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, 11))
+        if case % 2:
+            a = rng.uniform(-2, 2, size=(n, n))
+            yield a + a.T
+        elif case % 4 == 0:
+            yield make_tridiagonal(rng.integers(-2, 3, n), rng.integers(0, 2, n - 1))
+        else:
+            yield random_tridiagonal(rng, n)
+
+
+class TestBisectionBitIdentity:
+    def test_all_eigenvalues_equal_sequential_bisection(self):
+        for a in random_symmetric_inputs(59, 200):
+            if isinstance(a, BandSymMatrix):
+                diag, off = a.main_diag, a.off_diags[0]
+            else:
+                diag, off = _householder_tridiagonalize(a)
+            want = sorted(sequential_bisect(diag, off, 1e-12, k) for k in range(diag.shape[0]))
+            assert sym_eigenvalues(a, 1e-12).tolist() == want
+
+    def test_min_eigenvalue_equals_sequential_bisection(self):
+        for a in random_symmetric_inputs(61, 200):
+            if isinstance(a, BandSymMatrix):
+                diag, off = a.main_diag, a.off_diags[0]
+                scale = float(np.abs(np.concatenate([diag, off])).max())
+            else:
+                (diag, off), scale = _householder_tridiagonalize(a), float(np.abs(a).max())
+            want = sequential_bisect(diag, off, 1e-10 * max(1.0, scale), 0)
+            assert min_eigenvalue(a) == want
+            assert classify_positivity(a).min_eigenvalue == want
+
+    def test_sturm_counts_split_into_shift_blocks(self, monkeypatch):
+        t = random_tridiagonal(np.random.default_rng(73), 40)
+        whole = sym_eigenvalues(t)
+        monkeypatch.setattr(oracle, "_NEGCOUNT_BLOCK", 100)
+        assert np.array_equal(sym_eigenvalues(t), whole)
+
+
+def leading_blocks_det(dense):
+    return [np.linalg.det(dense[:k, :k]) for k in range(1, dense.shape[0] + 1)]
+
+
+class TestMinorsByRecurrence:
+    def test_minors_match_lapack_determinants(self):
+        rng = np.random.default_rng(67)
+        for case in range(120):
+            n = int(rng.integers(3, 25))
+            kind = case % 3
+            if kind == 0:
+                a = make_tridiagonal(rng.uniform(-3, 3, n), rng.uniform(-2, 2, n - 1))
+                dense = a.dense()
+            elif kind == 1:
+                a = make_pentadiagonal(rng.uniform(-3, 3, n), rng.uniform(-2, 2, n - 2))
+                dense = a.dense()
+            else:
+                base = rng.uniform(-2, 2, size=(n, n))
+                a = dense = base + base.T
+            minors = leading_principal_minors(a)
+            assert all(type(m) is float for m in minors)
+            for got, want in zip(minors, leading_blocks_det(dense)):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_band_determinant_is_last_minor(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            n = int(rng.integers(3, 30))
+            for a in (
+                make_tridiagonal(rng.uniform(-3, 3, n), rng.uniform(-2, 2, n - 1)),
+                make_pentadiagonal(rng.uniform(-3, 3, n), rng.uniform(-2, 2, n - 2)),
+            ):
+                det = determinant(a)
+                assert type(det) is float
+                assert det == leading_principal_minors(a)[-1]
+                assert det == pytest.approx(np.linalg.det(a.dense()), rel=1e-9, abs=1e-12)
+
+    def test_overflowing_certificate_has_no_nan(self):
+        cert = classify_positivity(make_tridiagonal([1e3] * 120, [1.0] * 119)).certificate
+        assert all(math.isfinite(m) and m > 0 for m in cert[:102])
+        assert all(m == math.inf for m in cert[102:])
+
+    def test_exact_zero_minors_stay_exact(self):
+        assert classify_positivity(make_tridiagonal([1, 2, 1], [1, 1])).certificate == (1.0, 1.0, 0.0)
+        assert leading_principal_minors(np.ones((3, 3))) == [1.0, 0.0, 0.0]
+        assert leading_principal_minors(np.array([[0.0, 1.0], [1.0, 0.0]])) == [0.0, -1.0]
+
+    def test_pentadiagonal_singular_block(self, p_matrix):
+        # the odd block tridiag([1, 2, 1], [1, 1]) is singular, so are the
+        # leading blocks of order 5 and up
+        minors = leading_principal_minors(p_matrix)
+        assert minors == pytest.approx(leading_blocks_det(p_matrix.dense()), abs=1e-12)
+        assert minors[-1] == 0.0
+        assert determinant(p_matrix) == 0.0
+
+
+class TestToleranceFloor:
+    @pytest.mark.parametrize(
+        "off, expected", [(1.0, PSD_BOUNDARY), (1.0001, INDEFINITE), (0.9999, PD)]
+    )
+    def test_tol_below_machine_precision(self, off, expected):
+        m = make_tridiagonal([1.0, 2.0, 1.0], [off, off])
+        assert classify_positivity(m, tol=1e-17).classification == expected
+
+
+def test_band_input_is_never_densified(monkeypatch):
+    def refuse(self):
+        raise AssertionError("band input was densified")
+
+    monkeypatch.setattr(BandSymMatrix, "dense", refuse)
+    t = make_tridiagonal([2.0, 3.0, 2.5, 4.0, 1.5], [1.0, -0.5, 1.0, 0.25])
+    assert classify_positivity(t).classification == PD
+    assert min_eigenvalue(t) > 0
+    assert len(sym_eigenvalues(t)) == 5
+    assert len(leading_principal_minors(t)) == 5
+    assert determinant(t) > 0
+    assert len(leading_principal_minors(make_pentadiagonal([2.0, 3.0, 2.0, 4.0], [1.0, 1.0]))) == 4
