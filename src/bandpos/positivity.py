@@ -3,7 +3,9 @@
 Eigenvalues of symmetric tridiagonal matrices are found by Sturm-sequence
 bisection, which certifies how many eigenvalues lie below any pivot.  One
 LDL^T inertia kernel counts the eigenvalues below many shifts at once, so
-all requested brackets are bisected together.  Other symmetric matrices are
+all requested brackets are bisected together, several steps per kernel call.
+A pentadiagonal matrix with zero first off-diagonal is the direct sum of its
+odd and even tridiagonal blocks and is bisected as such; only dense input is
 first reduced to tridiagonal form by Householder reflections.
 
 Leading principal minors come from the three-term continuant for band input
@@ -60,6 +62,10 @@ STURM_BACKWARD_C = 4.0
 
 # Largest number of pivots one Sturm-count call holds in memory at once.
 _NEGCOUNT_BLOCK = 1 << 20
+
+# Bisection steps per bracket taken from one Sturm-count call when several
+# brackets are bisected together (2**depth - 1 shifts per bracket).
+_MULTISECT_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -155,13 +161,32 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
     b = np.full(ks.shape, hi)
     live = np.flatnonzero(b - a > width)
     while live.size:
-        mid = 0.5 * (a[live] + b[live])
-        resolved = (mid > a[live]) & (mid < b[live])
-        live, mid = live[resolved], mid[resolved]
-        below = _negcounts(diag, off2, mid, pivmin) <= ks[live]
-        a[live[below]] = mid[below]
-        b[live[~below]] = mid[~below]
-        live = live[b[live] - a[live] > width]
+        # the midpoints of the next _MULTISECT_DEPTH steps of every live
+        # bracket, in heap order: node j's step sees the bracket split at
+        # node (j - 1) // 2, so each is 0.5 * (a + b) of exactly that bracket
+        al, bl, kl = a[live], b[live], ks[live]
+        ends, levels = np.stack((al, bl), axis=1), []
+        for _ in range(_MULTISECT_DEPTH):
+            mids = 0.5 * (ends[:, :-1] + ends[:, 1:])
+            levels.append(mids)
+            split = np.empty((live.size, 2 * ends.shape[1] - 1))
+            split[:, 0::2], split[:, 1::2] = ends, mids
+            ends = split
+        mids = np.concatenate(levels, axis=1)
+        counts = _negcounts(diag, off2, mids.ravel(), pivmin).reshape(mids.shape)
+        # walk each bracket down the tree with the sequential stops
+        cols, node = np.arange(live.size), np.zeros(live.size, dtype=np.intp)
+        going = np.ones(live.size, dtype=bool)
+        for _ in range(_MULTISECT_DEPTH):
+            mid = mids[cols, node]
+            going &= (mid > al) & (mid < bl)
+            below = counts[cols, node] <= kl
+            al = np.where(going & below, mid, al)
+            bl = np.where(going & ~below, mid, bl)
+            going &= bl - al > width
+            node = 2 * node + 1 + below
+        a[live], b[live] = al, bl
+        live = live[going]
     return (0.5 * (a + b)).tolist()
 
 
@@ -185,9 +210,12 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m[k + 1 :, k] = col
         m[k, k + 1 :] = col
         sub = m[k + 1 :, k + 1 :]
+        # with w = 2(sub v - (v.sub v) v), (I - 2vv^T) sub (I - 2vv^T) is
+        # sub - v w^T - w v^T: one rank-2 update
         w = sub @ v
-        c = float(np.dot(v, w))
-        sub -= 2.0 * np.outer(v, w) + 2.0 * np.outer(w, v) - 4.0 * c * np.outer(v, v)
+        w -= float(np.dot(v, w)) * v
+        w *= 2.0
+        sub -= np.stack((v, w), axis=1) @ np.stack((w, v))
     return np.diag(m).copy(), np.diag(m, 1).copy()
 
 
@@ -203,11 +231,26 @@ def _max_abs(*arrays: np.ndarray) -> float:
     return max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
 
 
+def _odd_even_blocks(a: BandSymMatrix) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(diagonal, off-diagonal) of the odd and of the even tridiagonal block
+    of pentadiagonal-form input, in that order."""
+    diag, second = a.main_diag, a.off_diags[1]
+    return (diag[0::2], second[0::2]), (diag[1::2], second[1::2])
+
+
 def _tridiagonal_form(a) -> tuple[np.ndarray, np.ndarray, float]:
     """Diagonal and off-diagonal of a tridiagonal matrix with the spectrum
-    of a, and the max-norm of a.  Tridiagonal input is used as it is."""
+    of a, and the max-norm of a.  Tridiagonal input is used as it is;
+    pentadiagonal-form input becomes the direct sum of its odd and even
+    blocks (joined by an exactly zero coupling); dense input is
+    Householder-reduced."""
     if isinstance(a, BandSymMatrix) and a.bandwidth == 1:
         return a.main_diag, a.off_diags[0], _max_abs(a.main_diag, a.off_diags[0])
+    if isinstance(a, BandSymMatrix) and a.is_pentadiagonal_form:
+        (d_odd, e_odd), (d_even, e_even) = _odd_even_blocks(a)
+        diag = np.concatenate((d_odd, d_even))
+        off = np.concatenate((e_odd, [0.0], e_even))
+        return diag, off, _max_abs(a.main_diag, a.off_diags[1])
     dense = _as_symmetric_dense(a)
     scale = float(np.abs(dense).max()) if dense.size else 0.0
     return (*_householder_tridiagonalize(dense), scale)
@@ -289,9 +332,7 @@ def _band_minors(a: BandSymMatrix) -> list[tuple[float, int]] | None:
         return None
     # the order-k leading block is blockdiag(odd block of order ceil(k/2),
     # even block of order floor(k/2)) up to a permutation
-    diag, second = a.main_diag, a.off_diags[1]
-    odd = [(1.0, 0)] + _continuant(diag[0::2], second[0::2])
-    even = [(1.0, 0)] + _continuant(diag[1::2], second[1::2])
+    odd, even = ([(1.0, 0)] + _continuant(*block) for block in _odd_even_blocks(a))
     pairs = []
     for k in range(1, a.order + 1):
         (m_odd, e_odd), (m_even, e_even) = odd[(k + 1) // 2], even[k // 2]
@@ -315,13 +356,13 @@ def _dense_minors(dense: np.ndarray) -> list[float]:
     m = np.array(dense, dtype=float, copy=True)
     n = m.shape[0]
     minors, det = [], 1.0
-    for k in range(n):
-        piv = float(m[k, k])
-        if piv == 0.0 or not math.isfinite(piv):
-            return minors + [_det_float(dense[: j + 1, : j + 1]) for j in range(k, n)]
-        det *= piv
-        minors.append(det)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            piv = float(m[k, k])
+            if piv == 0.0 or not math.isfinite(piv):
+                return minors + [_det_float(dense[: j + 1, : j + 1]) for j in range(k, n)]
+            det *= piv
+            minors.append(det)
             m[k + 1 :, k + 1 :] -= np.outer(m[k + 1 :, k] / piv, m[k, k + 1 :])
     return minors
 
@@ -373,6 +414,30 @@ def _det_exact(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def _exact_minors(rows: list[list[Fraction]]) -> list[Fraction]:
+    """_dense_minors in Fractions: one elimination pass without row
+    exchanges, touching only the rows with a nonzero entry in the pivot
+    column and, in them, the nonzero columns of the pivot row.  From the
+    first zero pivot on, each remaining minor comes from _det_exact."""
+    m = [row[:] for row in rows]
+    n = len(m)
+    minors, det = [], Fraction(1)
+    for k in range(n):
+        pivot_row = m[k]
+        piv = pivot_row[k]
+        if piv == 0:
+            return minors + [_det_exact([r[: j + 1] for r in rows[: j + 1]]) for j in range(k, n)]
+        det *= piv
+        minors.append(det)
+        cols = [c for c in range(k + 1, n) if pivot_row[c]]
+        for row in m[k + 1 :]:
+            if row[k]:
+                f = row[k] / piv
+                for c in cols:
+                    row[c] -= f * pivot_row[c]
+    return minors
+
+
 def _exact_rows(a) -> list[list[Fraction]] | None:
     """Nested Fraction rows when the input carries exact rational entries."""
     if isinstance(a, np.ndarray) and a.dtype != object:
@@ -397,16 +462,16 @@ def leading_principal_minors(a) -> list:
     """Determinants of the top-left k x k blocks, k = 1..n.
 
     When the entries are ints or Fractions (and n <= 12) the minors are
-    computed exactly and returned as Fractions.  Otherwise they are floats:
-    from the continuant for band input, in O(n), and from one elimination
-    pass for dense input.
+    computed exactly, from one elimination pass, and returned as Fractions.
+    Otherwise they are floats: from the continuant for band input, in O(n),
+    and from one elimination pass for dense input.
     """
     try:
         rows = _exact_rows(a)
     except TypeError:
         rows = None
     if rows is not None and len(rows) <= EXACT_MINOR_LIMIT:
-        return [_det_exact([r[: k + 1] for r in rows[: k + 1]]) for k in range(len(rows))]
+        return _exact_minors(rows)
     return _float_minors(a)
 
 

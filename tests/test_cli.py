@@ -6,8 +6,10 @@ import pathlib
 import numpy as np
 import pytest
 
+from bandpos import hadamard_power, probe_preserves
 from bandpos.bandmat import matrix_from_json_obj
 from bandpos.cli import EXIT_FORMAT, EXIT_OK, EXIT_USAGE, main
+from bandpos.positivity import DEFAULT_TOL
 
 TESTS = pathlib.Path(__file__).parent
 
@@ -44,6 +46,19 @@ def test_golden_output(capsys, golden, argv):
     assert code == EXIT_OK and err == ""
     expected = (TESTS / "golden" / golden).read_text(encoding="utf-8")
     assert out == expected
+
+
+def test_probe_golden_minimum_matches_lapack(capsys):
+    # the probe_penta_r2.json golden prints min_over_samples to 12 digits;
+    # the value must be the worst case's smallest eigenvalue within the
+    # oracle's bracket tol * max(1, scale)
+    _, out, _ = run_cli(capsys, "probe", "--family", "pentadiagonal", "-r", "2", "-n", "20", "--seed", "7", "--json")
+    printed = json.loads(out)["verdicts"]["probe_report"]["min_over_samples"]
+    report = probe_preserves("pentadiagonal", 2.0, 20, 7)
+    powered = hadamard_power(report.worst_case, 2.0).dense()
+    allowance = DEFAULT_TOL * max(1.0, float(np.abs(powered).max()))
+    assert abs(report.min_over_samples - np.linalg.eigvalsh(powered)[0]) <= allowance
+    assert printed == pytest.approx(report.min_over_samples, rel=1e-11)
 
 
 def test_output_is_deterministic(capsys):

@@ -26,6 +26,7 @@ from bandpos import (
     min_eigenvalue,
     shift_to_boundary,
     shift_to_pd,
+    split_pentadiagonal,
     sym_eigenvalues,
     sym_tridiag_eigenvalues,
 )
@@ -288,37 +289,49 @@ def sequential_bisect(diag, off, width, k):
 
 
 def random_symmetric_inputs(seed, count):
-    """Tridiagonals (some with integer entries and zero couplings, which
-    put pivots exactly on zero) alternating with dense symmetric arrays."""
+    """Tridiagonals and pentadiagonal-form matrices (some with integer
+    entries and zero couplings, which put pivots exactly on zero)
+    alternating with dense symmetric arrays."""
     rng = np.random.default_rng(seed)
     for case in range(count):
         n = int(rng.integers(1, 11))
         if case % 2:
             a = rng.uniform(-2, 2, size=(n, n))
             yield a + a.T
-        elif case % 4 == 0:
-            yield make_tridiagonal(rng.integers(-2, 3, n), rng.integers(0, 2, n - 1))
+            continue
+        if case % 8 >= 4:
+            n = max(n, 3)
+            make, offs = make_pentadiagonal, n - 2
         else:
-            yield random_tridiagonal(rng, n)
+            make, offs = make_tridiagonal, n - 1
+        if case % 4 == 0:
+            yield make(rng.integers(-2, 3, n), rng.integers(0, 2, offs))
+        else:
+            yield make(rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 2.0, offs))
+
+
+def sturm_form(a):
+    """The tridiagonal (diag, off) the oracle bisects, and the max-norm of a:
+    a tridiagonal as it is, a pentadiagonal-form matrix as the direct sum of
+    its split_pentadiagonal blocks, a dense array after Householder."""
+    if not isinstance(a, BandSymMatrix):
+        return (*_householder_tridiagonalize(a), float(np.abs(a).max()))
+    blocks = (a,) if a.bandwidth == 1 else split_pentadiagonal(a)
+    diag = np.concatenate([b.main_diag for b in blocks])
+    off = np.concatenate([blocks[0].off_diags[0]] + [np.r_[0.0, b.off_diags[0]] for b in blocks[1:]])
+    return diag, off, float(np.abs(a.dense()).max())
 
 
 class TestBisectionBitIdentity:
     def test_all_eigenvalues_equal_sequential_bisection(self):
         for a in random_symmetric_inputs(59, 200):
-            if isinstance(a, BandSymMatrix):
-                diag, off = a.main_diag, a.off_diags[0]
-            else:
-                diag, off = _householder_tridiagonalize(a)
+            diag, off, _ = sturm_form(a)
             want = sorted(sequential_bisect(diag, off, 1e-12, k) for k in range(diag.shape[0]))
             assert sym_eigenvalues(a, 1e-12).tolist() == want
 
     def test_min_eigenvalue_equals_sequential_bisection(self):
         for a in random_symmetric_inputs(61, 200):
-            if isinstance(a, BandSymMatrix):
-                diag, off = a.main_diag, a.off_diags[0]
-                scale = float(np.abs(np.concatenate([diag, off])).max())
-            else:
-                (diag, off), scale = _householder_tridiagonalize(a), float(np.abs(a).max())
+            diag, off, scale = sturm_form(a)
             want = sequential_bisect(diag, off, 1e-10 * max(1.0, scale), 0)
             assert min_eigenvalue(a) == want
             assert classify_positivity(a).min_eigenvalue == want
@@ -328,6 +341,17 @@ class TestBisectionBitIdentity:
         whole = sym_eigenvalues(t)
         monkeypatch.setattr(oracle, "_NEGCOUNT_BLOCK", 100)
         assert np.array_equal(sym_eigenvalues(t), whole)
+
+    def test_pentadiagonal_spectra_match_lapack(self):
+        rng = np.random.default_rng(79)
+        tol = 1e-10
+        for n in range(3, 41):
+            p = make_pentadiagonal(rng.uniform(-3, 3, n), rng.uniform(-2, 2, n - 2))
+            dense = p.dense()
+            allowance = tol * max(1.0, float(np.abs(dense).max()))
+            want = np.linalg.eigvalsh(dense)
+            np.testing.assert_allclose(sym_eigenvalues(p, tol), want, rtol=0, atol=allowance)
+            assert min_eigenvalue(p, tol) == pytest.approx(want[0], rel=0, abs=allowance)
 
 
 def leading_blocks_det(dense):
@@ -386,6 +410,50 @@ class TestMinorsByRecurrence:
         assert determinant(p_matrix) == 0.0
 
 
+def random_rational_rows(rng, n, kind):
+    """Symmetric Fraction rows of a tridiagonal, pentadiagonal-form or dense
+    pattern, with small numerators so that some pivots vanish."""
+    offset = {"tridiagonal": 1, "pentadiagonal": 2}.get(kind)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if offset is None or j - i in (0, offset):
+                rows[i][j] = rows[j][i] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+    return rows
+
+
+class TestExactMinors:
+    @pytest.mark.parametrize("kind", ["tridiagonal", "pentadiagonal", "dense"])
+    def test_one_pass_equals_determinant_per_block(self, kind):
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            n = int(rng.integers(1, oracle.EXACT_MINOR_LIMIT + 1))
+            rows = random_rational_rows(rng, n, kind)
+            want = [oracle._det_exact([r[: k + 1] for r in rows[: k + 1]]) for k in range(n)]
+            got = leading_principal_minors(rows)
+            assert all(type(m) is Fraction for m in got)
+            assert got == want
+
+    def test_zero_first_pivot(self):
+        assert leading_principal_minors([[0, 1], [1, 0]]) == [0, -1]
+
+    def test_singular_path_laplacian(self):
+        n = 6
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = 1 if i in (0, n - 1) else 2
+            if i + 1 < n:
+                rows[i][i + 1] = rows[i + 1][i] = -1
+        minors = leading_principal_minors(rows)
+        assert minors[:-1] == [1] * (n - 1)
+        assert minors[-1] == 0
+
+    def test_pivot_vanishes_partway(self):
+        # the second pivot is 1 - 1 = 0; the full block is still nonsingular
+        rows = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+        assert leading_principal_minors(rows) == [1, 0, -1]
+
+
 class TestToleranceFloor:
     @pytest.mark.parametrize(
         "off, expected", [(1.0, PSD_BOUNDARY), (1.0001, INDEFINITE), (0.9999, PD)]
@@ -406,4 +474,9 @@ def test_band_input_is_never_densified(monkeypatch):
     assert len(sym_eigenvalues(t)) == 5
     assert len(leading_principal_minors(t)) == 5
     assert determinant(t) > 0
-    assert len(leading_principal_minors(make_pentadiagonal([2.0, 3.0, 2.0, 4.0], [1.0, 1.0]))) == 4
+    p = make_pentadiagonal([2.0, 3.0, 2.0, 4.0, 1.5], [1.0, 1.0, -0.5])
+    assert classify_positivity(p).classification == PD
+    assert min_eigenvalue(p) > 0
+    assert len(sym_eigenvalues(p)) == 5
+    assert len(leading_principal_minors(p)) == 5
+    assert determinant(p) > 0
