@@ -96,6 +96,16 @@ class TestExitCodes:
             assert code == EXIT_FORMAT, path
             assert err
 
+    @pytest.mark.parametrize("exact", ["0", "1"])
+    @pytest.mark.parametrize("entry", ["1e400", "NaN"])
+    def test_nonfinite_entry_is_format_error(self, capsys, monkeypatch, tmp_path, entry, exact):
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        f = tmp_path / "nonfinite.json"
+        f.write_text(f'{{"kind": "tridiagonal", "diag": [1, {entry}, 1], "offdiag": [1, 1]}}')
+        code, out, err = run_cli(capsys, "check-positivity", str(f))
+        assert code == EXIT_FORMAT and out == ""
+        assert "all entries must be finite" in err
+
     def test_chain_parse_failure(self, capsys):
         code, _, err = run_cli(capsys, "chain", "1,junk,3")
         assert code == EXIT_FORMAT and err
@@ -154,6 +164,36 @@ class TestExactMode:
         assert "leading_minors_exact: [1, 11/10, 1/10]" in out
         assert "chain_minimal_params: [10/21, 10/11]" in out
 
+    def test_exact_minors_pentadiagonal(self, capsys, monkeypatch):
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        code, out, _ = run_cli(capsys, "check-positivity", "data/p.json")
+        assert code == EXIT_OK
+        assert "leading_minors_exact: [1, 2, 2, 1, 0]" in out
+        assert "ratio_sequence" not in out
+
+    def test_exact_minors_dense(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        f = tmp_path / "dense.json"
+        f.write_text('{"kind": "dense", "rows": [[2, 0.5, 0], [0.5, 2, 1], [0, 1, 3]]}')
+        code, out, _ = run_cli(capsys, "check-positivity", str(f))
+        assert code == EXIT_OK
+        assert "leading_minors_exact: [2, 15/4, 37/4]" in out
+
+    def test_exact_chain_with_zero_offdiagonal(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        f = tmp_path / "split.json"
+        f.write_text('{"kind": "tridiagonal", "diag": [2, 2, 3], "offdiag": [1, 0]}')
+        code, out, _ = run_cli(capsys, "check-positivity", str(f))
+        assert code == EXIT_OK
+        # the zero ratio ends the chain test; the block-wise criterion holds
+        assert "leading_minors_exact: [2, 3, 9]" in out
+        assert "ratio_sequence: [1/4, 0]" in out
+        assert "chain_is_chain: no" in out
+        assert "chain_minimal_params: [1/4, 0]" in out
+        assert "chain_failure_index: 2" in out
+        assert "wall_wetzel_pd: yes" in out
+        assert "oracle_agreement: yes" in out
+
     def test_float_mode_boundary_flag(self, capsys):
         code, out, _ = run_cli(capsys, "chain", "0.5,0.5,0.5")
         assert code == EXIT_OK
@@ -167,6 +207,23 @@ class TestIdCheckVariants:
         assert code == EXIT_OK
         assert "infinitely_divisible: no" in out
         assert "odd-position second-diagonal subsequence" in out
+
+    def test_pentadiagonal_reason_names_even_parity(self, capsys, tmp_path):
+        f = tmp_path / "even.json"
+        f.write_text('{"kind": "pentadiagonal", "diag": [3, 3, 3, 3, 3, 3, 3], "second": [0, 1, 0, 1, 0]}')
+        code, out, _ = run_cli(capsys, "id-check", str(f))
+        assert code == EXIT_OK
+        assert "infinitely_divisible: no" in out
+        assert "reason: not ID: consecutive nonzero entries in the even-position second-diagonal subsequence" in out
+
+    def test_pattern_ok_but_not_psd(self, capsys, tmp_path):
+        f = tmp_path / "indefinite.json"
+        f.write_text('{"kind": "tridiagonal", "diag": [1, 1, 5], "offdiag": [2, 0]}')
+        code, out, _ = run_cli(capsys, "id-check", str(f))
+        assert code == EXIT_OK
+        assert "infinitely_divisible: no" in out
+        assert "reason: not ID: matrix is not PSD" in out
+        assert "block_orders" not in out
 
     def test_dense_input_uses_probe_with_convention(self, capsys, tmp_path):
         f = tmp_path / "cauchy.json"
