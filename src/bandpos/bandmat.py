@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "to_dense_array",
     "matrix_to_json",
     "matrix_from_json",
+    "exact_matrix_from_json",
 ]
 
 
@@ -396,6 +398,31 @@ def matrix_from_json(text: str) -> Matrix:
     return matrix_from_json_obj(obj)
 
 
+def exact_matrix_from_json(text: str) -> tuple[Matrix, list[list[Fraction]]]:
+    """Parse the wire format once, reading every number as an exact Fraction.
+
+    Returns the float matrix together with its entries as dense rows of
+    Fractions.  The float matrix is validated by matrix_from_json_obj and
+    equals matrix_from_json(text) bit for bit, since float(Fraction(s))
+    rounds correctly, as float(s) does.
+    """
+    try:
+        obj = json.loads(text, parse_float=Fraction, parse_int=Fraction)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    m = matrix_from_json_obj(obj)
+    if obj["kind"] == "dense":
+        return m, [[Fraction(x) for x in row] for row in obj["rows"]]
+    # the one stored off-diagonal sits at offset k = bandwidth
+    k = m.bandwidth
+    rows = [[Fraction(0)] * m.order for _ in range(m.order)]
+    for i, x in enumerate(obj["diag"]):
+        rows[i][i] = Fraction(x)
+    for i, x in enumerate(obj["offdiag"] if k == 1 else obj["second"]):
+        rows[i][i + k] = rows[i + k][i] = Fraction(x)
+    return m, rows
+
+
 def matrix_from_json_obj(obj) -> Matrix:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
@@ -406,8 +433,12 @@ def matrix_from_json_obj(obj) -> Matrix:
     missing = _JSON_FIELDS[kind] - set(obj)
     if extra or missing:
         raise ValueError(f"matrix JSON for kind {kind!r} has wrong fields")
-    if kind == "tridiagonal":
-        return make_tridiagonal(obj["diag"], obj["offdiag"])
-    if kind == "pentadiagonal":
-        return make_pentadiagonal(obj["diag"], obj["second"])
-    return DenseSymMatrix(np.array(obj["rows"], dtype=float))
+    try:
+        if kind == "tridiagonal":
+            return make_tridiagonal(obj["diag"], obj["offdiag"])
+        if kind == "pentadiagonal":
+            return make_pentadiagonal(obj["diag"], obj["second"])
+        return DenseSymMatrix(np.array(obj["rows"], dtype=float))
+    except OverflowError as exc:
+        # an integer or exact rational beyond the float range
+        raise ValueError("all entries must be finite") from exc

@@ -27,6 +27,7 @@ __all__ = [
     "minimal_parameters",
     "is_chain_sequence",
     "comparison_dominates",
+    "ratio_sequence",
     "tridiag_ratio_sequence",
     "split_at_zero_offdiag",
     "wall_wetzel_pd",
@@ -104,8 +105,19 @@ def comparison_dominates(c, a) -> bool:
     return all(0 < ck <= ak for ck, ak in zip(c, a))
 
 
+def ratio_sequence(diag, off) -> np.ndarray:
+    """The ratios b_j**2 / (a_j a_{j+1}) for j = 1..n-1, from the diagonal
+    a and the off-diagonal b of a tridiagonal matrix.
+
+    Float input gives a float array; Fraction input gives an object array
+    of exact Fractions.  The diagonal entries must be nonzero.
+    """
+    diag, off = np.asarray(diag), np.asarray(off)
+    return off * off / (diag[:-1] * diag[1:])
+
+
 def tridiag_ratio_sequence(t: BandSymMatrix) -> np.ndarray:
-    """The ratios b_j**2 / (a_j a_{j+1}) for j = 1..n-1.
+    """ratio_sequence of a tridiagonal matrix.
 
     Requires every diagonal entry positive; matrices with zero diagonal
     entries must go through block splitting and the eigenvalue oracle
@@ -113,11 +125,9 @@ def tridiag_ratio_sequence(t: BandSymMatrix) -> np.ndarray:
     """
     if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
         raise ValueError("expected a tridiagonal BandSymMatrix")
-    diag = t.main_diag
-    if not (diag > 0).all():
+    if not (t.main_diag > 0).all():
         raise ValueError("ratio criterion requires positive diagonal entries")
-    off = t.off_diags[0]
-    return off * off / (diag[:-1] * diag[1:])
+    return ratio_sequence(t.main_diag, t.off_diags[0])
 
 
 def split_at_zero_offdiag(t: BandSymMatrix, tol: float = 0.0) -> list[BandSymMatrix]:

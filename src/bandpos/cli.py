@@ -1,20 +1,29 @@
 """Command-line interface.
 
 Subcommands: check-positivity, hadamard, chain, critical-exponent,
-id-check, counterexample, probe.  Exit codes encode pipeline success, not
-mathematical verdicts: 0 means the analysis completed (whatever the
-verdict), 1 is a usage error, 2 an input format error.  Setting
-BANDPOS_EXACT=1 switches chain sequences and principal minors to exact
-rational arithmetic where the inputs allow it.
+id-check, counterexample, probe.  Each one composes public library calls
+and formats the result; no verdict is decided here.  Exit codes encode
+pipeline success, not mathematical verdicts: 0 means the analysis
+completed (whatever the verdict), 1 is a usage error (an argument the
+library refuses with a ValueError included), 2 an input format error.
+
+Setting BANDPOS_EXACT=1 switches chain sequences and principal minors to
+exact rational arithmetic where the inputs allow it.  check-positivity
+then parses the matrix file once, with every number read as a Fraction
+(bandmat.exact_matrix_from_json).  Above order 12 the exact minors are
+still computed in floats (positivity.EXACT_MINOR_LIMIT), and
+leading_minors_exact then holds floats.
 
 All floating-point output is printed to 12 significant digits so that
-reports are byte-identical across runs.
+reports are byte-identical across runs.  Non-finite values (an overflowed
+minor) are printed as inf, -inf or nan, and are strings under --json.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -25,12 +34,19 @@ import numpy as np
 from . import __version__
 from .bandmat import (
     BandSymMatrix,
+    exact_matrix_from_json,
     hadamard_power,
     matrix_from_json,
     matrix_to_json_obj,
 )
-from .chainseq import minimal_parameters, tridiag_ratio_sequence, wall_wetzel_pd
-from .graphs import graph_from_text, is_chordal, max_near_clique
+from .chainseq import (
+    BOUNDARY_TOL,
+    minimal_parameters,
+    ratio_sequence,
+    tridiag_ratio_sequence,
+    wall_wetzel_pd,
+)
+from .graphs import chordal_critical_exponent, graph_from_text, is_chordal
 from .positivity import (
     DEFAULT_TOL,
     PD,
@@ -39,14 +55,10 @@ from .positivity import (
     leading_principal_minors,
 )
 from .preservers import (
-    PowerSet,
-    _consecutive_nonzero,
     counterexample_pentadiagonal,
     counterexample_tridiagonal,
-    id_blocks,
     id_numeric_probe,
-    is_id_pentadiagonal,
-    is_id_tridiagonal,
+    id_verdict,
     probe_preserves,
 )
 
@@ -57,7 +69,7 @@ EXIT_FORMAT = 2
 CONVENTION_ZERO_POWER = "0^0 := 1 (zero entries map to 1 at exponent 0)"
 CONVENTION_NATURALS = "naturals in power sets exclude 0"
 CONVENTION_PROBE = "numeric probe is a necessary condition, not a certificate"
-CONVENTION_BOUNDARY = "minimal parameter within 1e-12 of 1: verdict is boundary-indeterminate"
+CONVENTION_BOUNDARY = f"minimal parameter within {BOUNDARY_TOL:g} of 1: verdict is boundary-indeterminate"
 
 
 class UsageError(Exception):
@@ -76,7 +88,6 @@ class RunReport:
     inputs: dict
     verdicts: dict
     conventions: list[str] = field(default_factory=list)
-    exit_code: int = EXIT_OK
 
     def to_json(self) -> str:
         obj = {
@@ -84,9 +95,9 @@ class RunReport:
             "inputs": _json_ready(self.inputs),
             "verdicts": _json_ready(self.verdicts),
             "conventions": list(self.conventions),
-            "exit_code": self.exit_code,
+            "exit_code": EXIT_OK,
         }
-        return json.dumps(obj, indent=2, ensure_ascii=False)
+        return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -99,15 +110,13 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _round12(x: float) -> float:
-    return float(f"{float(x):.12g}")
-
-
 def _json_ready(value):
     if isinstance(value, bool):
         return value
     if isinstance(value, (np.floating, float)):
-        return _round12(float(value))
+        text = f"{float(value):.12g}"
+        # strict JSON has no inf or nan: keep them as the text report prints them
+        return float(text) if math.isfinite(value) else text
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, Fraction):
@@ -145,64 +154,18 @@ def _exact_enabled() -> bool:
     return os.environ.get("BANDPOS_EXACT") == "1"
 
 
-def _read_file(path: str) -> str:
+def _load(path: str, parse):
+    """parse(text) of the file at path; an unreadable file or a ValueError
+    from parse is an input format error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_matrix(path: str):
-    text = _read_file(path)
     try:
-        return matrix_from_json(text)
+        return parse(text)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
-
-
-def _load_graph(path: str):
-    text = _read_file(path)
-    try:
-        return graph_from_text(text)
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
-
-
-def _exact_json_obj(path: str):
-    """Re-parse a matrix file with all numbers as exact Fractions."""
-    text = _read_file(path)
-    try:
-        return json.loads(text, parse_float=Fraction, parse_int=Fraction)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _exact_dense_rows(obj) -> list[list[Fraction]] | None:
-    kind = obj.get("kind")
-    if kind == "dense":
-        return [[Fraction(x) for x in row] for row in obj["rows"]]
-    if kind == "tridiagonal":
-        diag = [Fraction(x) for x in obj["diag"]]
-        off = [Fraction(x) for x in obj["offdiag"]]
-        n = len(diag)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = diag[i]
-        for i in range(n - 1):
-            rows[i][i + 1] = rows[i + 1][i] = off[i]
-        return rows
-    if kind == "pentadiagonal":
-        diag = [Fraction(x) for x in obj["diag"]]
-        second = [Fraction(x) for x in obj["second"]]
-        n = len(diag)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = diag[i]
-        for i in range(n - 2):
-            rows[i][i + 2] = rows[i + 2][i] = second[i]
-        return rows
-    return None
 
 
 def _matrix_kind(m) -> str:
@@ -210,12 +173,15 @@ def _matrix_kind(m) -> str:
 
 
 def _cmd_check_positivity(args) -> RunReport:
-    m = _load_matrix(args.file)
+    if _exact_enabled():
+        m, rows = _load(args.file, exact_matrix_from_json)
+    else:
+        m, rows = _load(args.file, matrix_from_json), None
     verdict = classify_positivity(m, args.tol)
     inputs = {
         "file": args.file,
         "kind": _matrix_kind(m),
-        "order": m.order if hasattr(m, "order") else m.shape[0],
+        "order": m.order,
         "tol": args.tol,
     }
     verdicts = {
@@ -225,23 +191,18 @@ def _cmd_check_positivity(args) -> RunReport:
         "leading_minors": list(verdict.certificate),
     }
     conventions: list[str] = []
-    exact = _exact_enabled()
-    if exact:
-        rows = _exact_dense_rows(_exact_json_obj(args.file))
-        if rows is not None:
-            verdicts["leading_minors_exact"] = leading_principal_minors(rows)
+    if rows is not None:
+        verdicts["leading_minors_exact"] = leading_principal_minors(rows)
     if isinstance(m, BandSymMatrix) and m.bandwidth == 1:
         if (m.main_diag > 0).all():
-            if exact:
-                obj = _exact_json_obj(args.file)
-                diag = [Fraction(x) for x in obj["diag"]]
-                off = [Fraction(x) for x in obj["offdiag"]]
-                ratios = [off[j] ** 2 / (diag[j] * diag[j + 1]) for j in range(len(off))]
+            if rows is not None:
+                entries = np.array(rows, dtype=object)
+                ratios = list(ratio_sequence(np.diagonal(entries), np.diagonal(entries, 1)))
             else:
                 ratios = list(tridiag_ratio_sequence(m))
-            report = minimal_parameters(ratios) if ratios else None
             verdicts["ratio_sequence"] = ratios
-            if report is not None:
+            if ratios:
+                report = minimal_parameters(ratios)
                 verdicts["chain_is_chain"] = report.is_chain
                 verdicts["chain_minimal_params"] = list(report.minimal_params)
                 verdicts["chain_failure_index"] = report.failure_index
@@ -254,7 +215,7 @@ def _cmd_check_positivity(args) -> RunReport:
         oracle_pd = verdict.classification == PD
         if ww == oracle_pd:
             verdicts["oracle_agreement"] = "yes"
-        elif abs(verdict.min_eigenvalue) <= 10 * args.tol * max(1.0, verdict.scale):
+        elif abs(verdict.min_eigenvalue) <= 10 * verdict.threshold:
             verdicts["oracle_agreement"] = "within tolerance band"
         else:
             verdicts["oracle_agreement"] = "DISAGREEMENT"
@@ -264,11 +225,8 @@ def _cmd_check_positivity(args) -> RunReport:
 def _cmd_hadamard(args) -> RunReport:
     if args.r < 0:
         raise UsageError("exponent must be nonnegative")
-    m = _load_matrix(args.file)
-    try:
-        powered = hadamard_power(m, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    m = _load(args.file, matrix_from_json)
+    powered = hadamard_power(m, args.r)
     verdict = classify_positivity(powered, args.tol)
     inputs = {"file": args.file, "kind": _matrix_kind(m), "r": args.r, "tol": args.tol}
     verdicts = {
@@ -289,12 +247,7 @@ def _parse_sequence(text: str) -> list:
     values = []
     for tok in tokens:
         try:
-            if "/" in tok:
-                values.append(Fraction(tok))
-            elif exact:
-                values.append(Fraction(tok))
-            else:
-                values.append(float(tok))
+            values.append(Fraction(tok) if exact or "/" in tok else float(tok))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"cannot parse sequence entry {tok!r}") from exc
     return values
@@ -316,7 +269,7 @@ def _cmd_chain(args) -> RunReport:
 
 
 def _cmd_critical_exponent(args) -> RunReport:
-    g = _load_graph(args.file)
+    g = _load(args.file, graph_from_text)
     cert = is_chordal(g)
     inputs = {"file": args.file, "vertices": g.n, "edges": g.edge_count}
     if not cert.is_chordal:
@@ -325,14 +278,11 @@ def _cmd_critical_exponent(args) -> RunReport:
             "witness_cycle": "-".join(str(v) for v in cert.witness_cycle),
         }
         return RunReport("critical-exponent", inputs, verdicts)
-    if g.n < 3:
-        raise UsageError("critical exponent needs at least 3 vertices")
-    r = max_near_clique(g)
-    power_set = PowerSet(float(r - 2), includes_naturals=True)
+    power_set = chordal_critical_exponent(g)
     verdicts = {
         "chordal": True,
         "elimination_ordering": list(cert.ordering),
-        "max_near_clique": r,
+        "max_near_clique": int(power_set.tail_threshold) + 2,
         "critical_exponent_set": power_set.render(),
         "tail_threshold": power_set.tail_threshold,
         "includes_naturals": power_set.includes_naturals,
@@ -341,64 +291,27 @@ def _cmd_critical_exponent(args) -> RunReport:
 
 
 def _cmd_id_check(args) -> RunReport:
-    m = _load_matrix(args.file)
+    m = _load(args.file, matrix_from_json)
     inputs = {"file": args.file, "kind": _matrix_kind(m)}
-    conventions: list[str] = []
-    if isinstance(m, BandSymMatrix):
-        try:
-            if m.bandwidth == 1:
-                verdict = is_id_tridiagonal(m)
-                bad = _consecutive_nonzero(m.off_diags[0], 1e-12)
-                bad_reason = (
-                    f"not ID: off-diagonal entries {bad} and {bad + 1} are both nonzero"
-                    if bad is not None
-                    else None
-                )
-            else:
-                verdict = is_id_pentadiagonal(m)
-                from .bandmat import split_pentadiagonal
-
-                bad_reason = None
-                for parity, block in zip(("odd", "even"), split_pentadiagonal(m)):
-                    if _consecutive_nonzero(block.off_diags[0], 1e-12) is not None:
-                        bad_reason = (
-                            "not ID: consecutive nonzero entries in the "
-                            f"{parity}-position second-diagonal subsequence"
-                        )
-                        break
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        verdicts = {"infinitely_divisible": verdict}
-        if verdict:
-            verdicts["reason"] = "PSD with no two consecutive nonzero off-diagonal entries"
-            if m.bandwidth == 1:
-                verdicts["block_orders"] = [b.order for b in id_blocks(m)]
-        elif bad_reason is not None:
-            verdicts["reason"] = bad_reason
-        else:
-            verdicts["reason"] = "not ID: matrix is not PSD"
-    else:
-        try:
-            passed = id_numeric_probe(m)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        verdicts = {"probe_passed": passed}
-        conventions.append(CONVENTION_PROBE)
-    return RunReport("id-check", inputs, verdicts, conventions)
+    if not isinstance(m, BandSymMatrix):
+        verdicts = {"probe_passed": id_numeric_probe(m)}
+        return RunReport("id-check", inputs, verdicts, [CONVENTION_PROBE])
+    verdict = id_verdict(m)
+    verdicts = {"infinitely_divisible": verdict.infinitely_divisible, "reason": verdict.reason}
+    if verdict.blocks:
+        verdicts["block_orders"] = [b.order for b in verdict.blocks]
+    return RunReport("id-check", inputs, verdicts)
 
 
 def _cmd_counterexample(args) -> RunReport:
-    try:
-        if args.family == "tridiagonal":
-            m = counterexample_tridiagonal(args.r)
-            eps = float(m.main_diag[1]) - 2.0
-            det_formula = (2.0 + eps) ** args.r - 2.0
-        else:
-            m = counterexample_pentadiagonal(args.r)
-            eps = None
-            det_formula = 2.0 - 3.0 * 2.0**args.r + 4.0**args.r
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.family == "tridiagonal":
+        m = counterexample_tridiagonal(args.r)
+        eps = float(m.main_diag[1]) - 2.0
+        det_formula = (2.0 + eps) ** args.r - 2.0
+    else:
+        m = counterexample_pentadiagonal(args.r)
+        eps = None
+        det_formula = 2.0 - 3.0 * 2.0**args.r + 4.0**args.r
     powered = hadamard_power(m, args.r)
     verdict = classify_positivity(powered, args.tol)
     inputs = {"family": args.family, "r": args.r}
@@ -414,13 +327,8 @@ def _cmd_counterexample(args) -> RunReport:
 
 
 def _cmd_probe(args) -> RunReport:
-    graph = _load_graph(args.graph) if args.graph else None
-    try:
-        report = probe_preserves(
-            args.family, args.r, args.n, args.seed, tol=args.tol, graph=graph
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    graph = _load(args.graph, graph_from_text) if args.graph else None
+    report = probe_preserves(args.family, args.r, args.n, args.seed, tol=args.tol, graph=graph)
     inputs = {"family": args.family, "r": args.r, "samples": args.n, "seed": args.seed}
     verdicts = {
         "probe_report": report.to_json_obj(),
@@ -481,14 +389,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report = args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # a ValueError here is the library refusing an argument; files it
+        # cannot parse were reported as InputFormatError by _load
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     print(report.to_json() if args.json else report.to_text())
-    return report.exit_code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

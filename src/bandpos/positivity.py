@@ -75,13 +75,15 @@ class PositivityVerdict:
     classification is PD when the smallest eigenvalue clears
     +thr = max(tol, STURM_BACKWARD_C * n * eps) * max(1, scale), INDEFINITE
     when it clears -thr, and PSD_BOUNDARY in between; scale is the max-norm
-    of the matrix and certificate holds the leading principal minors.
+    of the matrix, certificate holds the leading principal minors and
+    threshold is thr.
     """
 
     classification: str
     min_eigenvalue: float
     scale: float
     certificate: tuple[float, ...]
+    threshold: float
 
     @property
     def is_psd(self) -> bool:
@@ -300,7 +302,7 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
         cls = INDEFINITE
     else:
         cls = PSD_BOUNDARY
-    return PositivityVerdict(cls, lam, scale, tuple(_float_minors(a)))
+    return PositivityVerdict(cls, lam, scale, tuple(_float_minors(a)), thr)
 
 
 def _continuant(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, int]]:

@@ -24,8 +24,10 @@ from .bandmat import (
     make_pentadiagonal,
     make_tridiagonal,
     matrix_to_json_obj,
+    split_pentadiagonal,
     to_dense_array,
 )
+from .chainseq import split_at_zero_offdiag
 from .positivity import DEFAULT_TOL, INDEFINITE, classify_positivity, min_eigenvalue
 
 __all__ = [
@@ -40,6 +42,8 @@ __all__ = [
     "random_pd_pentadiagonal",
     "random_pd_pattern",
     "probe_preserves",
+    "IdVerdict",
+    "id_verdict",
     "is_id_tridiagonal",
     "is_id_pentadiagonal",
     "id_blocks",
@@ -258,11 +262,6 @@ def probe_preserves(
     return ProbeReport(samples, r, best, worst, seed)
 
 
-def _check_nonnegative(t) -> None:
-    if t.min_entry() < 0:
-        raise ValueError("matrix has a negative entry")
-
-
 def _consecutive_nonzero(off: np.ndarray, tol: float) -> int | None:
     """Index i (1-based) with |b_i| > tol and |b_{i+1}| > tol, or None."""
     nz = np.abs(off) > tol
@@ -272,40 +271,77 @@ def _consecutive_nonzero(off: np.ndarray, tol: float) -> int | None:
     return None
 
 
+@dataclass(frozen=True, eq=False)
+class IdVerdict:
+    """Infinite-divisibility verdict with the reason it was reached.
+
+    blocks holds the diagonal blocks (each of order 1 or 2) of an
+    infinitely divisible tridiagonal input, and is empty otherwise.
+    """
+
+    infinitely_divisible: bool
+    reason: str
+    blocks: tuple[BandSymMatrix, ...] = ()
+
+
+def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
+    """Infinite divisibility of a nonnegative tridiagonal or
+    pentadiagonal-form matrix: PSD and no two consecutive nonzero
+    off-diagonal entries (|b_i| > tol counts as nonzero).
+
+    Pentadiagonal input is decided on its odd and even tridiagonal blocks:
+    the pattern test runs on each parity subsequence of the second
+    diagonal, and each block is classified on its own order and scale.
+    """
+    if not isinstance(m, BandSymMatrix) or not (m.bandwidth == 1 or m.is_pentadiagonal_form):
+        raise ValueError("expected a tridiagonal or pentadiagonal-form BandSymMatrix")
+    if m.min_entry() < 0:
+        raise ValueError("matrix has a negative entry")
+    if m.bandwidth == 1:
+        bad = _consecutive_nonzero(m.off_diags[0], tol)
+        if bad is not None:
+            return IdVerdict(False, f"not ID: off-diagonal entries {bad} and {bad + 1} are both nonzero")
+        tridiagonals = (m,)
+    else:
+        tridiagonals = split_pentadiagonal(m)
+        for parity, block in zip(("odd", "even"), tridiagonals):
+            if _consecutive_nonzero(block.off_diags[0], tol) is not None:
+                return IdVerdict(
+                    False,
+                    "not ID: consecutive nonzero entries in the "
+                    f"{parity}-position second-diagonal subsequence",
+                )
+    if any(classify_positivity(t).classification == INDEFINITE for t in tridiagonals):
+        return IdVerdict(False, "not ID: matrix is not PSD")
+    blocks = tuple(split_at_zero_offdiag(m, tol)) if m.bandwidth == 1 else ()
+    return IdVerdict(True, "PSD with no two consecutive nonzero off-diagonal entries", blocks)
+
+
 def is_id_tridiagonal(t: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> bool:
-    """Infinite divisibility of a nonnegative tridiagonal matrix: PSD and no
-    two consecutive nonzero off-diagonal entries (|b_i| > tol counts as
-    nonzero)."""
+    """id_verdict of a tridiagonal matrix, as a bool."""
     if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
         raise ValueError("expected a tridiagonal BandSymMatrix")
-    _check_nonnegative(t)
-    if _consecutive_nonzero(t.off_diags[0], tol) is not None:
-        return False
-    return classify_positivity(t).classification != INDEFINITE
+    return id_verdict(t, tol).infinitely_divisible
 
 
 def is_id_pentadiagonal(p: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> bool:
-    """Infinite divisibility for the pentadiagonal family: both parity
-    subsequences of the second diagonal must avoid consecutive nonzeros and
-    the matrix must be PSD; decided by splitting into the two tridiagonal
-    blocks and testing each."""
-    from .bandmat import split_pentadiagonal
-
+    """id_verdict of a pentadiagonal matrix with zero first off-diagonal:
+    both parity subsequences of the second diagonal must avoid consecutive
+    nonzeros and both tridiagonal blocks must be PSD."""
     if not isinstance(p, BandSymMatrix) or not p.is_pentadiagonal_form:
         raise ValueError("expected a pentadiagonal BandSymMatrix with zero first off-diagonal")
-    _check_nonnegative(p)
-    odd, even = split_pentadiagonal(p)
-    return is_id_tridiagonal(odd, tol) and is_id_tridiagonal(even, tol)
+    return id_verdict(p, tol).infinitely_divisible
 
 
 def id_blocks(t: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> list[BandSymMatrix]:
     """Block-diagonal decomposition of an infinitely divisible tridiagonal
     matrix; every block has order 1 or 2 and is PSD."""
-    from .chainseq import split_at_zero_offdiag
-
-    if not is_id_tridiagonal(t, tol):
+    if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
+        raise ValueError("expected a tridiagonal BandSymMatrix")
+    verdict = id_verdict(t, tol)
+    if not verdict.infinitely_divisible:
         raise ValueError("matrix is not infinitely divisible")
-    return split_at_zero_offdiag(t, tol)
+    return list(verdict.blocks)
 
 
 def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:

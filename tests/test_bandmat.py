@@ -2,6 +2,7 @@
 split, pattern checks, and the JSON wire format."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bandpos import (
     PermutationSpec,
     conjugate_by_permutation,
     even_odd_permutation,
+    exact_matrix_from_json,
     hadamard_power,
     join_pentadiagonal,
     make_pentadiagonal,
@@ -350,6 +352,44 @@ class TestJsonFormat:
         obj = {"kind": "dense", "rows": [[1.0, 2.0], [3.0, 4.0]]}
         with pytest.raises(ValueError, match="not symmetric"):
             matrix_from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "tridiagonal", "diag": [1, 2.1, 0.1], "offdiag": [0.3, 1e-5]}',
+            '{"kind": "pentadiagonal", "diag": [1, 2, 2, 1, 1], "second": [1, 0.7, 1]}',
+            '{"kind": "dense", "rows": [[2, 0.1], [0.1, 1e-300]]}',
+            '{"kind": "tridiagonal", "diag": [0.1, 1e-400], "offdiag": [3]}',
+        ],
+    )
+    def test_exact_parse_matches_float_parse(self, text):
+        m, rows = exact_matrix_from_json(text)
+        want = matrix_from_json(text)
+        assert type(m) is type(want)
+        np.testing.assert_array_equal(m.dense(), want.dense())
+        assert all(isinstance(x, Fraction) for row in rows for x in row)
+        np.testing.assert_array_equal(np.array(rows, dtype=float), want.dense())
+
+    def test_exact_parse_keeps_decimals_exact(self):
+        _, rows = exact_matrix_from_json('{"kind": "pentadiagonal", "diag": [1, 2, 0.1], "second": [0.2]}')
+        assert rows == [
+            [1, 0, Fraction(1, 5)],
+            [0, 2, 0],
+            [Fraction(1, 5), 0, Fraction(1, 10)],
+        ]
+
+    @pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN", "1" + "0" * 400])
+    def test_out_of_range_entries_rejected(self, entry):
+        text = f'{{"kind": "dense", "rows": [[1, 0], [0, {entry}]]}}'
+        with pytest.raises(ValueError, match="finite"):
+            matrix_from_json(text)
+        with pytest.raises(ValueError, match="finite"):
+            exact_matrix_from_json(text)
+
+    def test_exact_parse_rejects_what_float_parse_rejects(self):
+        for text in ('{"kind": "toeplitz", "diag": [1]}', "{kind: nope}", '{"kind": "dense", "rows": [[1, 2], [3, 4]]}'):
+            with pytest.raises(ValueError):
+                exact_matrix_from_json(text)
 
     def test_bandwidth_two_general_serializes_dense(self):
         m = BandSymMatrix(3, 2, np.ones(3), (np.array([0.5, 0.5]), np.array([0.2])))

@@ -15,6 +15,7 @@ from bandpos import (
     is_chain_sequence,
     make_tridiagonal,
     minimal_parameters,
+    ratio_sequence,
     split_at_zero_offdiag,
     tridiag_ratio_sequence,
     wall_wetzel_pd,
@@ -124,6 +125,18 @@ class TestRatioSequence:
         t = make_tridiagonal([1.0, 1.0], [1.0])
         np.testing.assert_array_equal(tridiag_ratio_sequence(t), [1.0])
         assert not is_chain_sequence([1.0])
+
+    def test_exact_ratios_from_fractions(self):
+        diag = [Fraction(1), Fraction(21, 10), Fraction(1)]
+        off = [Fraction(1), Fraction(0)]
+        ratios = list(ratio_sequence(diag, off))
+        assert ratios == [Fraction(10, 21), 0]
+        assert all(isinstance(x, Fraction) for x in ratios)
+
+    def test_float_ratios_are_the_matrix_ratios(self, a01):
+        np.testing.assert_array_equal(
+            ratio_sequence(a01.main_diag, a01.off_diags[0]), tridiag_ratio_sequence(a01)
+        )
 
     def test_nonpositive_diagonal_rejected(self):
         t = make_tridiagonal([1.0, 0.0, 1.0], [0.5, 0.5])

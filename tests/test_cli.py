@@ -106,6 +106,17 @@ class TestExitCodes:
         assert code == EXIT_FORMAT and out == ""
         assert "all entries must be finite" in err
 
+    def test_integer_beyond_float_range_is_format_error(self, capsys, tmp_path):
+        f = tmp_path / "huge.json"
+        f.write_text('{"kind": "tridiagonal", "diag": [1, 1%s, 1], "offdiag": [1, 1]}' % ("0" * 400))
+        code, _, err = run_cli(capsys, "check-positivity", str(f))
+        assert code == EXIT_FORMAT and "all entries must be finite" in err
+
+    def test_library_refusal_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check-positivity", "data/a01.json", "--tol", "0")
+        assert code == EXIT_USAGE and out == ""
+        assert "tol must be positive" in err
+
     def test_chain_parse_failure(self, capsys):
         code, _, err = run_cli(capsys, "chain", "1,junk,3")
         assert code == EXIT_FORMAT and err
@@ -146,6 +157,44 @@ class TestJsonMode:
         # with one sample at r < 1 the injected counterexample is the worst case
         np.testing.assert_allclose(worst.main_diag, [1.0, 3.0, 1.0], rtol=1e-11)
         assert report["verdicts"]["falsified"] is True
+
+
+class TestOracleAgreement:
+    def test_band_uses_the_classification_threshold(self, capsys, tmp_path):
+        # tol below 4*n*eps: the verdict's floored threshold, not tol, bounds
+        # the band (the smallest eigenvalue is 3.3e-15)
+        f = tmp_path / "near_singular.json"
+        f.write_text('{"kind": "tridiagonal", "diag": [1, 2.00000000000001, 1], "offdiag": [1, 1]}')
+        code, out, _ = run_cli(capsys, "check-positivity", "--tol", "1e-17", str(f))
+        assert code == EXIT_OK
+        assert "classification: PSD_BOUNDARY" in out
+        assert "wall_wetzel_pd: yes" in out
+        assert "oracle_agreement: within tolerance band" in out
+
+
+class TestStrictJson:
+    @staticmethod
+    def _strict(text):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        return json.loads(text, parse_constant=refuse)
+
+    def test_overflowed_minors_are_strings(self, capsys, tmp_path):
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps({"kind": "tridiagonal", "diag": [1e3] * 120, "offdiag": [1] * 119}))
+        code, out, _ = run_cli(capsys, "check-positivity", str(f), "--json")
+        assert code == EXIT_OK
+        minors = self._strict(out)["verdicts"]["leading_minors"]
+        assert minors[-1] == "inf"
+        assert all(isinstance(x, float) for x in minors[:100])
+
+    def test_nonfinite_floats_print_as_text_does(self):
+        from bandpos.cli import RunReport
+
+        report = RunReport("t", {}, {"x": [float("inf"), -float("inf"), float("nan"), 0.1 + 0.2]})
+        assert self._strict(report.to_json())["verdicts"]["x"] == ["inf", "-inf", "nan", 0.3]
+        assert "x: [inf, -inf, nan, 0.3]" in report.to_text()
 
 
 class TestExactMode:

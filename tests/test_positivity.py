@@ -462,6 +462,12 @@ class TestToleranceFloor:
         m = make_tridiagonal([1.0, 2.0, 1.0], [off, off])
         assert classify_positivity(m, tol=1e-17).classification == expected
 
+    def test_verdict_carries_its_threshold(self):
+        m = make_tridiagonal([1.0, 2.0, 1.0], [1.0, 1.0])
+        assert classify_positivity(m, tol=1e-6).threshold == 1e-6 * 2.0
+        floor = oracle.STURM_BACKWARD_C * 3 * math.ulp(1.0) * 2.0
+        assert classify_positivity(m, tol=1e-17).threshold == floor
+
 
 def test_band_input_is_never_densified(monkeypatch):
     def refuse(self):

@@ -9,6 +9,7 @@ import pytest
 from bandpos import (
     INDEFINITE,
     PD,
+    BandSymMatrix,
     DenseSymMatrix,
     PowerSet,
     classify_positivity,
@@ -18,6 +19,7 @@ from bandpos import (
     hadamard_power,
     id_blocks,
     id_numeric_probe,
+    id_verdict,
     is_id_pentadiagonal,
     is_id_tridiagonal,
     make_pentadiagonal,
@@ -286,6 +288,55 @@ class TestInfiniteDivisibility:
             diag += rng.uniform(0.1, 1.0, n)
             t = make_tridiagonal(diag, off)
             assert all(b.order <= 2 for b in id_blocks(t))
+
+
+class TestIdVerdict:
+    def test_four_reasons(self):
+        cases = [
+            (make_tridiagonal([1.0, 1.0, 5.0], [1.0, 0.0]), True,
+             "PSD with no two consecutive nonzero off-diagonal entries"),
+            (make_tridiagonal([1.0, 2.0, 1.0], [1.0, 1.0]), False,
+             "not ID: off-diagonal entries 1 and 2 are both nonzero"),
+            (make_pentadiagonal([3.0] * 7, [0.0, 1.0, 0.0, 1.0, 0.0]), False,
+             "not ID: consecutive nonzero entries in the even-position second-diagonal subsequence"),
+            (make_tridiagonal([1.0, 1.0, 5.0], [2.0, 0.0]), False, "not ID: matrix is not PSD"),
+        ]
+        for m, expected, reason in cases:
+            verdict = id_verdict(m)
+            assert (verdict.infinitely_divisible, verdict.reason) == (expected, reason)
+
+    def test_odd_parity_reported_first(self, p_matrix):
+        assert "odd-position" in id_verdict(p_matrix).reason
+
+    def test_blocks_only_for_id_tridiagonal(self):
+        verdict = id_verdict(make_tridiagonal([1.0, 1.0, 5.0], [1.0, 0.0]))
+        assert [b.order for b in verdict.blocks] == [2, 1]
+        assert id_verdict(make_pentadiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 0.0])).blocks == ()
+        assert id_verdict(make_tridiagonal([1.0, 2.0, 1.0], [1.0, 1.0])).blocks == ()
+
+    def test_pentadiagonal_classified_block_by_block(self, monkeypatch):
+        from bandpos import preservers
+
+        seen = []
+        real = preservers.classify_positivity
+
+        def spy(t, *args):
+            seen.append(t.order)
+            return real(t, *args)
+
+        monkeypatch.setattr(preservers, "classify_positivity", spy)
+        assert id_verdict(make_pentadiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.5, 0.0])).infinitely_divisible
+        assert seen == [3, 2]
+        seen.clear()
+        # an ID tridiagonal input is classified once, blocks included
+        assert id_blocks(make_tridiagonal([1.0, 1.0, 5.0], [1.0, 0.0]))
+        assert seen == [3]
+
+    def test_rejects_other_input(self):
+        general = BandSymMatrix(3, 2, np.ones(3), (np.array([0.5, 0.5]), np.array([0.2])))
+        for bad in (general, make_tridiagonal([1.0, 1.0], [-0.5])):
+            with pytest.raises(ValueError):
+                id_verdict(bad)
 
 
 class TestNumericProbe:
