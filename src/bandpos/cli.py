@@ -6,13 +6,16 @@ and formats the result; no verdict is decided here.  Exit codes encode
 pipeline success, not mathematical verdicts: 0 means the analysis
 completed (whatever the verdict), 1 is a usage error (an argument the
 library refuses with a ValueError included), 2 an input format error.
+The argument parser is built once per process and reused by every main()
+call; nothing in it depends on the environment, which the handlers read
+at run time.
 
 Setting BANDPOS_EXACT=1 switches chain sequences and principal minors to
 exact rational arithmetic where the inputs allow it.  check-positivity
 then parses the matrix file once, with every number read as a Fraction
 (bandmat.exact_matrix_from_json).  Above order 12 the exact minors are
 still computed in floats (positivity.EXACT_MINOR_LIMIT), and
-leading_minors_exact then holds floats.
+leading_minors_exact then holds floats; the report's conventions say so.
 
 All floating-point output is printed to 12 significant digits so that
 reports are byte-identical across runs.  Non-finite values (an overflowed
@@ -22,6 +25,7 @@ minor) are printed as inf, -inf or nan, and are strings under --json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,6 +40,7 @@ from .bandmat import (
     BandSymMatrix,
     exact_matrix_from_json,
     hadamard_power,
+    make_tridiagonal,
     matrix_from_json,
     matrix_to_json_obj,
 )
@@ -49,6 +54,7 @@ from .chainseq import (
 from .graphs import chordal_critical_exponent, graph_from_text, is_chordal
 from .positivity import (
     DEFAULT_TOL,
+    EXACT_MINOR_LIMIT,
     PD,
     classify_positivity,
     determinant,
@@ -70,6 +76,9 @@ CONVENTION_ZERO_POWER = "0^0 := 1 (zero entries map to 1 at exponent 0)"
 CONVENTION_NATURALS = "naturals in power sets exclude 0"
 CONVENTION_PROBE = "numeric probe is a necessary condition, not a certificate"
 CONVENTION_BOUNDARY = f"minimal parameter within {BOUNDARY_TOL:g} of 1: verdict is boundary-indeterminate"
+CONVENTION_EXACT_LIMIT = (
+    f"order above EXACT_MINOR_LIMIT = {EXACT_MINOR_LIMIT}: leading_minors_exact holds floats"
+)
 
 
 class UsageError(Exception):
@@ -193,6 +202,8 @@ def _cmd_check_positivity(args) -> RunReport:
     conventions: list[str] = []
     if rows is not None:
         verdicts["leading_minors_exact"] = leading_principal_minors(rows)
+        if len(rows) > EXACT_MINOR_LIMIT:
+            conventions.append(CONVENTION_EXACT_LIMIT)
     if isinstance(m, BandSymMatrix) and m.bandwidth == 1:
         if (m.main_diag > 0).all():
             if rows is not None:
@@ -210,15 +221,20 @@ def _cmd_check_positivity(args) -> RunReport:
                     conventions.append(CONVENTION_BOUNDARY)
         else:
             verdicts["ratio_sequence"] = "inapplicable (nonpositive diagonal entry)"
-        ww = wall_wetzel_pd(m)
-        verdicts["wall_wetzel_pd"] = ww
-        oracle_pd = verdict.classification == PD
-        if ww == oracle_pd:
-            verdicts["oracle_agreement"] = "yes"
-        elif abs(verdict.min_eigenvalue) <= 10 * verdict.threshold:
-            verdicts["oracle_agreement"] = "within tolerance band"
+        if (m.main_diag < 0).any():
+            inapplicable = "inapplicable (negative diagonal entry)"
+            verdicts["wall_wetzel_pd"] = verdicts["oracle_agreement"] = inapplicable
         else:
-            verdicts["oracle_agreement"] = "DISAGREEMENT"
+            # the criterion takes nonnegative entries; diag(+-1) carries m to
+            # its signless matrix, which has the same spectrum
+            ww = wall_wetzel_pd(make_tridiagonal(m.main_diag, np.abs(m.off_diags[0])))
+            verdicts["wall_wetzel_pd"] = ww
+            if ww == (verdict.classification == PD):
+                verdicts["oracle_agreement"] = "yes"
+            elif abs(verdict.min_eigenvalue) <= 10 * verdict.threshold:
+                verdicts["oracle_agreement"] = "within tolerance band"
+            else:
+                verdicts["oracle_agreement"] = "DISAGREEMENT"
     return RunReport("check-positivity", inputs, verdicts, conventions)
 
 
@@ -342,6 +358,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bandpos", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bandpos {__version__}")

@@ -469,10 +469,11 @@ def leading_principal_minors(a) -> list:
     and from one elimination pass for dense input.
     """
     try:
-        rows = _exact_rows(a)
+        # test the order first: above the limit no Fraction row is needed
+        rows = _exact_rows(a) if len(a) <= EXACT_MINOR_LIMIT else None
     except TypeError:
         rows = None
-    if rows is not None and len(rows) <= EXACT_MINOR_LIMIT:
+    if rows is not None:
         return _exact_minors(rows)
     return _float_minors(a)
 

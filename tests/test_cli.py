@@ -8,7 +8,8 @@ import pytest
 
 from bandpos import hadamard_power, probe_preserves
 from bandpos.bandmat import matrix_from_json_obj
-from bandpos.cli import EXIT_FORMAT, EXIT_OK, EXIT_USAGE, main
+from bandpos import cli
+from bandpos.cli import CONVENTION_EXACT_LIMIT, EXIT_FORMAT, EXIT_OK, EXIT_USAGE, main
 from bandpos.positivity import DEFAULT_TOL
 
 TESTS = pathlib.Path(__file__).parent
@@ -296,3 +297,136 @@ class TestProbeGraphFamily:
     def test_graph_family_requires_graph(self, capsys):
         code, _, err = run_cli(capsys, "probe", "--family", "graph", "-r", "2", "-n", "5")
         assert code == EXIT_USAGE and err
+
+
+def _tridiagonal_file(tmp_path, diag, offdiag, name="t.json"):
+    f = tmp_path / name
+    f.write_text(json.dumps({"kind": "tridiagonal", "diag": diag, "offdiag": offdiag}))
+    return str(f)
+
+
+@pytest.mark.parametrize("exact", ["0", "1"])
+class TestNegativeEntries:
+    def test_negative_offdiagonal_boundary(self, capsys, monkeypatch, tmp_path, exact):
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        code, out, err = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [1, 2, 1], [-1, 1]))
+        assert code == EXIT_OK and err == ""
+        assert "classification: PSD_BOUNDARY" in out
+        assert "wall_wetzel_pd: no" in out
+        assert "oracle_agreement: yes" in out
+
+    def test_negative_offdiagonal_pd(self, capsys, monkeypatch, tmp_path, exact):
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        code, out, err = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [2, 2, 2], [-1, 1]))
+        assert code == EXIT_OK and err == ""
+        assert "classification: PD" in out
+        assert "wall_wetzel_pd: yes" in out
+        assert "oracle_agreement: yes" in out
+
+    def test_report_equals_signless_report(self, capsys, monkeypatch, tmp_path, exact):
+        # diag(+-1) carries the matrix to its signless one: same spectrum,
+        # minors and ratios, so the same report up to the file name
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        diag = [3, 2.5, 4, 1, 2]
+        signed = _tridiagonal_file(tmp_path, diag, [-1, 1.5, -0.5, -1], "signed.json")
+        signless = _tridiagonal_file(tmp_path, diag, [1, 1.5, 0.5, 1], "signless.json")
+        _, out_signed, _ = run_cli(capsys, "check-positivity", signed, "--json")
+        _, out_signless, _ = run_cli(capsys, "check-positivity", signless, "--json")
+        assert out_signed.replace("signed.json", "signless.json") == out_signless
+
+    def test_negative_diagonal_is_inapplicable(self, capsys, monkeypatch, tmp_path, exact):
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        code, out, err = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [-1, 2], [0.5]))
+        assert code == EXIT_OK and err == ""
+        assert "classification: INDEFINITE" in out
+        assert "ratio_sequence: inapplicable (nonpositive diagonal entry)" in out
+        assert "wall_wetzel_pd: inapplicable (negative diagonal entry)" in out
+        assert "oracle_agreement: inapplicable (negative diagonal entry)" in out
+
+
+class TestExactLimitConvention:
+    def test_text_report_names_the_limit(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        code, out, _ = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [2] * 16, [1] * 15))
+        assert code == EXIT_OK
+        assert "leading_minors_exact: [2, 3, 4," in out
+        assert f"conventions: {CONVENTION_EXACT_LIMIT}" in out.splitlines()
+        assert "EXACT_MINOR_LIMIT = 12" in CONVENTION_EXACT_LIMIT
+
+    def test_json_report_names_the_limit(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        code, out, _ = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [2] * 16, [1] * 15), "--json")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["conventions"] == [CONVENTION_EXACT_LIMIT]
+        # the values themselves stay floats
+        assert report["verdicts"]["leading_minors_exact"] == [float(k + 2) for k in range(16)]
+
+    def test_no_line_at_the_limit_or_in_float_mode(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        _, out, _ = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [2] * 12, [1] * 11))
+        assert "conventions: none" in out.splitlines()
+        monkeypatch.delenv("BANDPOS_EXACT")
+        _, out, _ = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [2] * 16, [1] * 15))
+        assert "conventions: none" in out.splitlines()
+
+
+EXACT = {"BANDPOS_EXACT": "1"}
+
+# every subcommand, text and --json, exact mode on and off, usage errors,
+# input format errors, help and version, interleaved
+PARSER_SEQUENCE = [
+    ({}, ["check-positivity", "data/a01.json"]),
+    (EXACT, ["check-positivity", "data/a01.json", "--json"]),
+    ({}, ["hadamard", "data/p.json", "-r", "0.5", "--json"]),
+    (EXACT, ["hadamard", "data/p.json"]),
+    ({}, ["chain", "1/4,1/4,1/4"]),
+    (EXACT, ["chain", "0.5,0.5,0.5", "--json"]),
+    ({}, ["critical-exponent", "data/k5.graph", "--json"]),
+    (EXACT, ["critical-exponent", "data/c4.graph"]),
+    ({}, ["id-check", "data/id_block.json"]),
+    (EXACT, ["id-check", "data/a0.json", "--json"]),
+    ({}, ["counterexample", "--family", "tridiagonal", "-r", "0.5"]),
+    (EXACT, ["counterexample", "--family", "heptadiagonal", "-r", "0.5"]),
+    ({}, ["probe", "--family", "pentadiagonal", "-r", "2", "-n", "5", "--seed", "7", "--json"]),
+    (EXACT, ["probe", "--family", "tridiagonal", "-r", "0.5", "-n", "5"]),
+    ({}, ["check-positivity", "data/p3.graph"]),
+    (EXACT, ["chain", "1,junk"]),
+    ({}, ["check-positivity", "data/p.json", "--tol", "1e-6"]),
+    (EXACT, ["check-positivity", "data/p.json"]),
+    ({}, ["chain", "-h"]),
+    (EXACT, ["--version"]),
+    ({}, ["hadamard", "data/p.json", "-r", "2", "--json"]),
+]
+
+
+def _run_sequence(capsys, monkeypatch):
+    results = []
+    for env, argv in PARSER_SEQUENCE:
+        monkeypatch.delenv("BANDPOS_EXACT", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        out = capsys.readouterr()
+        results.append((code, out.out, out.err))
+    return results
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    cached = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", cached.__wrapped__)
+    fresh = _run_sequence(capsys, monkeypatch)
+    monkeypatch.setattr(cli, "_build_parser", cached)
+    cached.cache_clear()
+    reused = _run_sequence(capsys, monkeypatch)
+    assert reused == fresh
+    assert cached.cache_info().misses == 1
+    assert cached.cache_info().hits == len(PARSER_SEQUENCE) - 1
+    # the sequence covers what it claims to
+    assert {argv[0] for _, argv in PARSER_SEQUENCE} >= {
+        "check-positivity", "hadamard", "chain", "critical-exponent", "id-check", "counterexample", "probe",
+    }
+    assert {code for code, _, _ in fresh} == {EXIT_OK, EXIT_USAGE, EXIT_FORMAT, "SystemExit(0)"}

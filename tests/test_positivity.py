@@ -453,6 +453,21 @@ class TestExactMinors:
         rows = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
         assert leading_principal_minors(rows) == [1, 0, -1]
 
+    def test_above_limit_builds_no_fraction_rows(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        n = 16
+        assert n > oracle.EXACT_MINOR_LIMIT
+        rows = random_rational_rows(rng, n, "dense")
+        want = leading_principal_minors(np.array(rows, dtype=float))
+
+        def refuse(a):
+            raise AssertionError("Fraction rows built above EXACT_MINOR_LIMIT")
+
+        monkeypatch.setattr(oracle, "_exact_rows", refuse)
+        got = leading_principal_minors(rows)
+        assert all(type(m) is float for m in got)
+        assert got == want
+
 
 class TestToleranceFloor:
     @pytest.mark.parametrize(
