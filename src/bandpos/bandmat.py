@@ -10,6 +10,7 @@ first off-diagonal, i.e. nonzeros only on the main and second diagonals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
@@ -187,10 +188,6 @@ class PermutationSpec:
         return x
 
 
-def identity_permutation(n: int) -> PermutationSpec:
-    return PermutationSpec(tuple(range(1, n + 1)))
-
-
 def make_tridiagonal(diag, offdiag) -> BandSymMatrix:
     """Symmetric tridiagonal matrix from its main and first diagonals."""
     diag = np.atleast_1d(np.asarray(diag, dtype=float))
@@ -212,6 +209,21 @@ def make_pentadiagonal(diag, second_diag) -> BandSymMatrix:
     if second.shape != (n - 2,):
         raise ValueError(f"second diagonal must have {n - 2} entries, got {second.shape[0]}")
     return BandSymMatrix(n, 2, diag, (np.zeros(n - 1), second))
+
+
+# Squares and pairwise products of entries overflow once entries pass about
+# 1.3e154, so the numeric routes scale larger input down by an exact power
+# of two first.  The cutoff leaves room for sums of up to 2**64 such squares.
+SCALE_CUTOFF = 2.0**480
+
+
+def overflow_exponent(*arrays: np.ndarray) -> int:
+    """0 when no entry exceeds SCALE_CUTOFF in magnitude; otherwise the t
+    with max |entry| < 2**t.  Scaling by 2**-t brings every entry below 1;
+    it is exact for entries down to 2**-1000 times the largest, and smaller
+    ones are negligible next to it."""
+    big = max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
+    return math.frexp(big)[1] if big > SCALE_CUTOFF else 0
 
 
 def to_dense_array(a) -> np.ndarray:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandmat import BandSymMatrix, make_tridiagonal
+from .bandmat import BandSymMatrix, make_tridiagonal, overflow_exponent
 
 __all__ = [
     "ChainReport",
@@ -61,13 +61,20 @@ def _is_exact_number(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def minimal_parameters(a) -> ChainReport:
+def minimal_parameters(a, *, split_at_zero: bool = False) -> ChainReport:
     """Run the minimal-parameter recursion m_k = a_k / (1 - m_{k-1}).
 
     The sequence is a chain sequence iff every a_k > 0 and every m_k < 1.
     Int/Fraction input (up to length 32) is evaluated in exact rational
     arithmetic; m_k = 1 exactly is then classified not-a-chain, matching
     the strict inequality in the definition.
+
+    With split_at_zero, an exactly zero a_k separates two blocks instead of
+    failing the test: m_k = 0 there restarts the recursion, so each block
+    between zeros is tested as a chain sequence of its own, and the
+    parameters and failure index still refer to the whole sequence.  The
+    ratio sequence of a tridiagonal matrix vanishes exactly at its zero
+    couplings, so this tests each irreducible block.
     """
     seq = list(a)
     if len(seq) < 1:
@@ -81,7 +88,8 @@ def minimal_parameters(a) -> ChainReport:
             ak = float(ak)
         m = ak / (1 - prev)
         params.append(m)
-        if ak <= 0:
+        if not (ak > 0 or (split_at_zero and ak == 0)):
+            # a NaN a_k fails here too
             return ChainReport(False, tuple(params), k, exact, boundary)
         if not exact and abs(m - 1.0) <= BOUNDARY_TOL:
             boundary = True
@@ -110,9 +118,15 @@ def ratio_sequence(diag, off) -> np.ndarray:
     a and the off-diagonal b of a tridiagonal matrix.
 
     Float input gives a float array; Fraction input gives an object array
-    of exact Fractions.  The diagonal entries must be nonzero.
+    of exact Fractions.  The diagonal entries must be nonzero.  Float input
+    with entries above bandmat.SCALE_CUTOFF is first scaled by an exact
+    power of two, which leaves the ratios unchanged and keeps b_j**2 and
+    a_j a_{j+1} finite.
     """
     diag, off = np.asarray(diag), np.asarray(off)
+    t = 0 if diag.dtype == object else overflow_exponent(diag, off)
+    if t:
+        diag, off = np.ldexp(diag, -t), np.ldexp(off, -t)
     return off * off / (diag[:-1] * diag[1:])
 
 
@@ -151,23 +165,16 @@ def wall_wetzel_pd(t: BandSymMatrix) -> bool:
     """Chain-sequence test for positive definiteness of a nonnegative
     tridiagonal matrix.
 
-    The matrix splits at zero off-diagonal entries into irreducible blocks;
-    an order-1 block is PD iff its entry is positive, and a block with
-    positive diagonal is PD iff its ratio sequence is a chain sequence.  A
-    block with a nonpositive diagonal entry cannot be PD.
+    A matrix with a nonpositive diagonal entry cannot be PD.  Otherwise the
+    matrix is PD iff each irreducible block is: an order-1 block always is,
+    and a longer one iff its ratio sequence is a chain sequence.  The blocks
+    are those of minimal_parameters with split_at_zero, which splits the
+    ratio sequence where it vanishes, at the zero off-diagonal entries.
     """
     if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
         raise ValueError("expected a tridiagonal BandSymMatrix")
     if t.min_entry() < 0:
         raise ValueError("criterion applies to nonnegative matrices")
-    for block in split_at_zero_offdiag(t):
-        diag = block.main_diag
-        if block.order == 1:
-            if diag[0] <= 0:
-                return False
-            continue
-        if not (diag > 0).all():
-            return False
-        if not is_chain_sequence(tridiag_ratio_sequence(block)):
-            return False
-    return True
+    if not (t.main_diag > 0).all():
+        return False
+    return t.order == 1 or minimal_parameters(tridiag_ratio_sequence(t), split_at_zero=True).is_chain

@@ -213,7 +213,7 @@ def _cmd_check_positivity(args) -> RunReport:
                 ratios = list(tridiag_ratio_sequence(m))
             verdicts["ratio_sequence"] = ratios
             if ratios:
-                report = minimal_parameters(ratios)
+                report = minimal_parameters(ratios, split_at_zero=True)
                 verdicts["chain_is_chain"] = report.is_chain
                 verdicts["chain_minimal_params"] = list(report.minimal_params)
                 verdicts["chain_failure_index"] = report.failure_index

@@ -4,9 +4,14 @@ Eigenvalues of symmetric tridiagonal matrices are found by Sturm-sequence
 bisection, which certifies how many eigenvalues lie below any pivot.  One
 LDL^T inertia kernel counts the eigenvalues below many shifts at once, so
 all requested brackets are bisected together, several steps per kernel call.
-A pentadiagonal matrix with zero first off-diagonal is the direct sum of its
-odd and even tridiagonal blocks and is bisected as such; only dense input is
-first reduced to tridiagonal form by Householder reflections.
+A single bracket, such as the smallest eigenvalue's, only asks whether a
+count is at most its index, so its count stops at the first pivot past that
+answer.  Entries above bandmat.SCALE_CUTOFF = 2**480 in magnitude are
+first scaled by an exact power of two, so that no squared coupling
+overflows.  A pentadiagonal matrix with zero first off-diagonal is the
+direct sum of its odd and even tridiagonal blocks and is bisected as such;
+only dense input is first reduced to tridiagonal form by Householder
+reflections.
 
 Leading principal minors come from the three-term continuant for band input
 (a pentadiagonal matrix with zero first off-diagonal multiplies the
@@ -27,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandmat import BandSymMatrix, DenseSymMatrix, to_dense_array
+from .bandmat import BandSymMatrix, DenseSymMatrix, overflow_exponent, to_dense_array
 
 __all__ = [
     "PD",
@@ -114,16 +119,21 @@ def _negcounts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray, pivmin: f
     return np.count_nonzero(q < 0.0, axis=0)
 
 
-def _negcount(diag: list, off2: list, x: float, pivmin: float) -> int:
-    """_negcounts for one shift, over Python floats; off2 starts with 0.0."""
+def _negcount(diag: list, off2: list, x: float, pivmin: float, k: int) -> int:
+    """_negcounts for one shift, over Python floats (off2 starts with 0.0),
+    stopped as soon as the count exceeds k: the count when it is at most k,
+    and k + 1 otherwise.  A pivot below pivmin is counted either way: it is
+    negative, or it lies within pivmin of zero and is replaced by -pivmin."""
     count = 0
     q = 1.0
     for d, e2 in zip(diag, off2):
         q = d - x - e2 / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
+        if q < pivmin:
+            if count == k:
+                return k + 1
             count += 1
+            if q > -pivmin:
+                q = -pivmin
     return count
 
 
@@ -135,6 +145,12 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
     n = diag.shape[0]
     if n == 1:
         return [float(diag[0]) for _ in indices]
+    t = overflow_exponent(diag, off)
+    if t:
+        # 2**-t T has the eigenvalues 2**-t lambda, and every step of its
+        # bisection is the scaled step
+        lams = _tridiag_bisect(np.ldexp(diag, -t), np.ldexp(off, -t), math.ldexp(width, -t), indices)
+        return [math.ldexp(lam, t) for lam in lams]
     off2 = off * off
     pivmin = max(float(off2.max()), 1.0) * 1e-290
     radius = np.zeros(n)
@@ -153,7 +169,7 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
                 break
-            if _negcount(d, e2, mid, pivmin) <= k:
+            if _negcount(d, e2, mid, pivmin, k) <= k:
                 a = mid
             else:
                 b = mid
@@ -195,9 +211,19 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a dense symmetric matrix to tridiagonal form; returns the
     diagonal and first off-diagonal of the similar tridiagonal matrix."""
+    t = overflow_exponent(a)
+    if t:
+        diag, off = _householder_tridiagonalize(np.ldexp(a, -t))
+        return np.ldexp(diag, t), np.ldexp(off, t)
     m = np.array(a, dtype=float, copy=True)
     n = m.shape[0]
+    # flat buffers for the factors [v w] (p x 2) and [w; v] (2 x p) of the
+    # rank-2 update; a C-ordered reshape of a prefix is contiguous, laid out
+    # as a freshly stacked array
+    left, right = np.empty(2 * n), np.empty(2 * n)
     for k in range(n - 2):
+        # a contiguous copy: np.dot on the strided column view rounds
+        # differently
         x = m[k + 1 :, k].copy()
         nx = math.sqrt(float(np.dot(x, x)))
         if nx == 0.0:
@@ -208,16 +234,19 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if nv == 0.0:
             continue
         v /= nv
-        col = x - 2.0 * v * float(np.dot(v, x))
-        m[k + 1 :, k] = col
-        m[k, k + 1 :] = col
+        # the reflected column is (x0 - 2 v0 (v.x), 0, ..., 0) up to rounding;
+        # only its first entry, the off-diagonal, is read again
+        m[k, k + 1] = x[0] - 2.0 * v[0] * float(np.dot(v, x))
         sub = m[k + 1 :, k + 1 :]
         # with w = 2(sub v - (v.sub v) v), (I - 2vv^T) sub (I - 2vv^T) is
         # sub - v w^T - w v^T: one rank-2 update
         w = sub @ v
         w -= float(np.dot(v, w)) * v
         w *= 2.0
-        sub -= np.stack((v, w), axis=1) @ np.stack((w, v))
+        p = n - 1 - k
+        vw, wv = left[: 2 * p].reshape(p, 2), right[: 2 * p].reshape(2, p)
+        vw[:, 0], vw[:, 1], wv[0], wv[1] = v, w, w, v
+        sub -= vw @ wv
     return np.diag(m).copy(), np.diag(m, 1).copy()
 
 
@@ -365,7 +394,7 @@ def _dense_minors(dense: np.ndarray) -> list[float]:
                 return minors + [_det_float(dense[: j + 1, : j + 1]) for j in range(k, n)]
             det *= piv
             minors.append(det)
-            m[k + 1 :, k + 1 :] -= np.outer(m[k + 1 :, k] / piv, m[k, k + 1 :])
+            m[k + 1 :, k + 1 :] -= np.multiply.outer(m[k + 1 :, k] / piv, m[k, k + 1 :])
     return minors
 
 

@@ -61,6 +61,21 @@ class TestMinimalParameters:
         assert not report.is_chain
         assert report.failure_index == 2
 
+    def test_zero_entry_splits_blocks(self):
+        report = minimal_parameters([0.25, 0.0, 0.25], split_at_zero=True)
+        assert report.is_chain and report.failure_index is None
+        assert report.minimal_params == (0.25, 0.0, 0.25)
+
+    def test_split_failure_index_counts_the_whole_sequence(self):
+        report = minimal_parameters([0, Fraction(1, 2), Fraction(1, 2)], split_at_zero=True)
+        assert report.exact_mode and not report.is_chain
+        assert report.minimal_params == (0, Fraction(1, 2), Fraction(1))
+        assert report.failure_index == 3
+        assert minimal_parameters([Fraction(1, 4), -1], split_at_zero=True).failure_index == 2
+
+    def test_nan_entry_fails(self):
+        assert minimal_parameters([0.25, math.nan, 0.25]).failure_index == 2
+
     def test_boundary_indeterminate_flag(self):
         report = minimal_parameters([0.5, 0.5, 0.5])
         assert not report.is_chain
@@ -198,6 +213,24 @@ class TestWallWetzel:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             wall_wetzel_pd(make_tridiagonal([1.0, -1.0], [0.5]))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_large_entries_keep_their_ratios(self, scale):
+        # b^2 and a_j a_{j+1} overflow; the ratios are those of the scaled-down
+        # matrix, so the criterion still tells PD from indefinite
+        indefinite = make_tridiagonal([scale] * 3, [scale] * 2)
+        pd = make_tridiagonal([scale] * 3, [scale / 2] * 2)
+        assert tridiag_ratio_sequence(indefinite).tolist() == [1.0, 1.0]
+        assert tridiag_ratio_sequence(pd).tolist() == [0.25, 0.25]
+        assert not wall_wetzel_pd(indefinite)
+        assert wall_wetzel_pd(pd)
+
+    def test_underflowing_ratio_splits_like_a_zero_coupling(self):
+        # b^2 / (a_1 a_2) underflows to 0: the coupling is negligible, and the
+        # blocks are tested apart instead of failing on a zero ratio
+        t = make_tridiagonal([1.0, 2.0], [1e-200])
+        assert classify_positivity(t).classification == PD
+        assert wall_wetzel_pd(t)
 
 
 class TestInvariants:

@@ -235,13 +235,27 @@ class TestExactMode:
         f.write_text('{"kind": "tridiagonal", "diag": [2, 2, 3], "offdiag": [1, 0]}')
         code, out, _ = run_cli(capsys, "check-positivity", str(f))
         assert code == EXIT_OK
-        # the zero ratio ends the chain test; the block-wise criterion holds
+        # the zero ratio splits the chain test into the irreducible blocks,
+        # as the Wall-Wetzel criterion splits the matrix
         assert "leading_minors_exact: [2, 3, 9]" in out
         assert "ratio_sequence: [1/4, 0]" in out
-        assert "chain_is_chain: no" in out
+        assert "chain_is_chain: yes" in out
         assert "chain_minimal_params: [1/4, 0]" in out
-        assert "chain_failure_index: 2" in out
+        assert "chain_failure_index: none" in out
         assert "wall_wetzel_pd: yes" in out
+        assert "oracle_agreement: yes" in out
+
+    @pytest.mark.parametrize("exact", ["0", "1"])
+    def test_chain_failure_index_counts_the_whole_sequence(self, capsys, monkeypatch, tmp_path, exact):
+        # blocks [1] and tridiag([1, 1, 1], [1, 1]); the second fails at its
+        # first ratio, which is the second of the whole sequence
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        code, out, _ = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [1, 1, 1, 1], [0, 1, 1]))
+        assert code == EXIT_OK
+        assert "classification: INDEFINITE" in out
+        assert "chain_is_chain: no" in out
+        assert "chain_failure_index: 2" in out
+        assert "wall_wetzel_pd: no" in out
         assert "oracle_agreement: yes" in out
 
     def test_float_mode_boundary_flag(self, capsys):
@@ -342,6 +356,17 @@ class TestNegativeEntries:
         assert "ratio_sequence: inapplicable (nonpositive diagonal entry)" in out
         assert "wall_wetzel_pd: inapplicable (negative diagonal entry)" in out
         assert "oracle_agreement: inapplicable (negative diagonal entry)" in out
+
+
+def test_large_entries_agree_across_routes(capsys, tmp_path):
+    # squared entries overflow; the oracle and the chain route both scale
+    code, out, err = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [1e160] * 3, [1e160] * 2))
+    assert code == EXIT_OK and err == ""
+    assert "classification: INDEFINITE" in out
+    assert "min_eigenvalue: -4.14213562368e+159" in out
+    assert "ratio_sequence: [1, 1]" in out
+    assert "wall_wetzel_pd: no" in out
+    assert "oracle_agreement: yes" in out
 
 
 class TestExactLimitConvention:

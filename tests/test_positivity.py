@@ -260,9 +260,23 @@ class TestOracleInvariants:
             assert (np.diag(diff) >= lam**r - 1e-9).all()
 
 
+def full_negcount(diag, off2, x, pivmin):
+    """Number of eigenvalues below x, counting every LDL^T pivot (frozen
+    copy of the library's first scalar Sturm count; off2 starts with 0.0)."""
+    count = 0
+    q = 1.0
+    for d, e2 in zip(diag, off2):
+        q = d - x - e2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
 def sequential_bisect(diag, off, width, k):
-    """The k-th eigenvalue by one-bracket Sturm bisection with scalar counts
-    (the reference the vectorized oracle must reproduce bit for bit)."""
+    """The k-th eigenvalue by one-bracket Sturm bisection with full scalar
+    counts (the reference the oracle must reproduce bit for bit)."""
     n = diag.shape[0]
     if n == 1:
         return float(diag[0])
@@ -274,18 +288,41 @@ def sequential_bisect(diag, off, width, k):
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
     pad = width + 1e-14 * max(abs(lo), abs(hi), 1.0)
     a, b = lo - pad, hi + pad
+    d, e2 = diag.tolist(), [0.0] + off2.tolist()
     while b - a > width:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        count, q = 0, 1.0
-        for i in range(n):
-            q = diag[0] - mid if i == 0 else diag[i] - mid - off2[i - 1] / q
-            if abs(q) < pivmin:
-                q = -pivmin
-            count += q < 0.0
-        a, b = (mid, b) if count <= k else (a, mid)
+        a, b = (mid, b) if full_negcount(d, e2, mid, pivmin) <= k else (a, mid)
     return 0.5 * (a + b)
+
+
+def frozen_householder_tridiagonalize(a):
+    """Householder reduction as first written, writing the whole reflected
+    column and stacking the rank-2 factors each step (frozen copy: the
+    reference the library's reduction must reproduce bit for bit)."""
+    m = np.array(a, dtype=float, copy=True)
+    n = m.shape[0]
+    for k in range(n - 2):
+        x = m[k + 1 :, k].copy()
+        nx = math.sqrt(float(np.dot(x, x)))
+        if nx == 0.0:
+            continue
+        v = x.copy()
+        v[0] += math.copysign(nx, x[0]) if x[0] != 0.0 else nx
+        nv = math.sqrt(float(np.dot(v, v)))
+        if nv == 0.0:
+            continue
+        v /= nv
+        col = x - 2.0 * v * float(np.dot(v, x))
+        m[k + 1 :, k] = col
+        m[k, k + 1 :] = col
+        sub = m[k + 1 :, k + 1 :]
+        w = sub @ v
+        w -= float(np.dot(v, w)) * v
+        w *= 2.0
+        sub -= np.stack((v, w), axis=1) @ np.stack((w, v))
+    return np.diag(m).copy(), np.diag(m, 1).copy()
 
 
 def random_symmetric_inputs(seed, count):
@@ -313,9 +350,10 @@ def random_symmetric_inputs(seed, count):
 def sturm_form(a):
     """The tridiagonal (diag, off) the oracle bisects, and the max-norm of a:
     a tridiagonal as it is, a pentadiagonal-form matrix as the direct sum of
-    its split_pentadiagonal blocks, a dense array after Householder."""
+    its split_pentadiagonal blocks, a dense array after the frozen
+    Householder reduction."""
     if not isinstance(a, BandSymMatrix):
-        return (*_householder_tridiagonalize(a), float(np.abs(a).max()))
+        return (*frozen_householder_tridiagonalize(a), float(np.abs(a).max()))
     blocks = (a,) if a.bandwidth == 1 else split_pentadiagonal(a)
     diag = np.concatenate([b.main_diag for b in blocks])
     off = np.concatenate([blocks[0].off_diags[0]] + [np.r_[0.0, b.off_diags[0]] for b in blocks[1:]])
@@ -335,6 +373,49 @@ class TestBisectionBitIdentity:
             want = sequential_bisect(diag, off, 1e-10 * max(1.0, scale), 0)
             assert min_eigenvalue(a) == want
             assert classify_positivity(a).min_eigenvalue == want
+
+    def test_one_bracket_stop_equals_full_count(self):
+        # integer entries and equal diagonals put pivots exactly on zero
+        # (the first midpoint of tridiag([c] * n, [1] * (n - 1)) is c), and
+        # zero couplings split the matrix
+        rng = np.random.default_rng(83)
+        for case in range(1200):
+            n = int(rng.integers(2, 25))
+            if case % 3 == 0:
+                diag, off = rng.integers(-2, 3, n), rng.integers(-1, 2, n - 1)
+            elif case % 3 == 1:
+                diag, off = np.full(n, int(rng.integers(-3, 4))), np.where(rng.random(n - 1) < 0.2, 0, 1)
+            else:
+                diag, off = rng.uniform(-1.0, 3.0, n), rng.uniform(0.0, 2.0, n - 1)
+                off[rng.random(n - 1) < 0.2] = 0.0
+            diag, off = diag.astype(float), off.astype(float)
+            width = 10.0 ** -int(rng.integers(6, 14))
+            for k in {0, 1, n - 1, int(rng.integers(0, n))}:
+                assert oracle._tridiag_bisect(diag, off, width, [k]) == [sequential_bisect(diag, off, width, k)]
+
+    def test_householder_equals_frozen_reduction(self):
+        rng = np.random.default_rng(89)
+        reducible = 0
+        for case in range(520):
+            n = int(rng.integers(1, 33))
+            a = rng.uniform(-2.0, 2.0, (n, n))
+            if case % 4 == 1:
+                a = rng.integers(-2, 3, (n, n)).astype(float)
+            elif case % 4 == 2:
+                a[rng.random((n, n)) < 0.7] = 0.0
+            elif case % 4 == 3:
+                # block diagonal, or diagonal: some reflections find a zero
+                # column below the diagonal and are skipped
+                h = int(rng.integers(0, n))
+                a[:h, h:] = a[h:, :h] = 0.0
+                if case % 8 == 7:
+                    a = np.diag(np.diag(a))
+            a = a + a.T
+            want = frozen_householder_tridiagonalize(a)
+            got = _householder_tridiagonalize(a)
+            assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+            reducible += n > 2 and 0.0 in want[1].tolist()
+        assert reducible > 50
 
     def test_sturm_counts_split_into_shift_blocks(self, monkeypatch):
         t = random_tridiagonal(np.random.default_rng(73), 40)
@@ -467,6 +548,28 @@ class TestExactMinors:
         got = leading_principal_minors(rows)
         assert all(type(m) is float for m in got)
         assert got == want
+
+
+class TestLargeEntries:
+    # 2e160 + 2e160 cos(k pi / 5), k = 1..4; the squared couplings overflow
+    WANT = sorted(2e160 + 2e160 * math.cos(k * math.pi / 5) for k in range(1, 5))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            make_tridiagonal([2e160] * 4, [1e160] * 3),
+            make_pentadiagonal([2e160] * 8, [1e160] * 6),
+            DenseSymMatrix(make_tridiagonal([2e160] * 4, [1e160] * 3).dense()),
+        ],
+        ids=["tridiagonal", "pentadiagonal", "dense"],
+    )
+    def test_spectrum_beyond_squared_overflow(self, a):
+        verdict = classify_positivity(a)
+        assert verdict.classification == PD
+        assert verdict.min_eigenvalue == pytest.approx(self.WANT[0], rel=1e-9)
+        assert min_eigenvalue(a) == verdict.min_eigenvalue
+        want = np.repeat(self.WANT, a.order // 4)
+        np.testing.assert_allclose(sym_eigenvalues(a), want, rtol=1e-9)
 
 
 class TestToleranceFloor:
