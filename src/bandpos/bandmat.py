@@ -37,6 +37,7 @@ __all__ = [
     "to_dense_array",
     "matrix_to_json",
     "matrix_from_json",
+    "ExactBand",
     "exact_matrix_from_json",
 ]
 
@@ -217,13 +218,17 @@ def make_pentadiagonal(diag, second_diag) -> BandSymMatrix:
 SCALE_CUTOFF = 2.0**480
 
 
-def overflow_exponent(*arrays: np.ndarray) -> int:
+def overflow_exponent(*arrays: np.ndarray, underflow: bool = False) -> int:
     """0 when no entry exceeds SCALE_CUTOFF in magnitude; otherwise the t
     with max |entry| < 2**t.  Scaling by 2**-t brings every entry below 1;
     it is exact for entries down to 2**-1000 times the largest, and smaller
-    ones are negligible next to it."""
+    ones are negligible next to it.  With underflow, that t is also returned
+    when the largest entry is nonzero and below 1 / SCALE_CUTOFF, where
+    products of entries underflow; scaling up by 2**-t is exact."""
     big = max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
-    return math.frexp(big)[1] if big > SCALE_CUTOFF else 0
+    if big > SCALE_CUTOFF or (underflow and 0.0 < big < 1.0 / SCALE_CUTOFF):
+        return math.frexp(big)[1]
+    return 0
 
 
 def to_dense_array(a) -> np.ndarray:
@@ -410,13 +415,32 @@ def matrix_from_json(text: str) -> Matrix:
     return matrix_from_json_obj(obj)
 
 
-def exact_matrix_from_json(text: str) -> tuple[Matrix, list[list[Fraction]]]:
+@dataclass(frozen=True)
+class ExactBand:
+    """Exact entries of a tridiagonal or pentadiagonal-form matrix: the
+    main diagonal and the one stored off-diagonal, at offset 1 or 2."""
+
+    diag: tuple[Fraction, ...]
+    off: tuple[Fraction, ...]
+    offset: int
+
+    @property
+    def order(self) -> int:
+        return len(self.diag)
+
+
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def exact_matrix_from_json(text: str) -> tuple[Matrix, ExactBand | list[list[Fraction]]]:
     """Parse the wire format once, reading every number as an exact Fraction.
 
-    Returns the float matrix together with its entries as dense rows of
-    Fractions.  The float matrix is validated by matrix_from_json_obj and
-    equals matrix_from_json(text) bit for bit, since float(Fraction(s))
-    rounds correctly, as float(s) does.
+    Returns the float matrix together with its exact entries: an ExactBand
+    for the tridiagonal and pentadiagonal kinds, dense rows of Fractions
+    for the dense kind.  The float matrix is validated by
+    matrix_from_json_obj and equals matrix_from_json(text) bit for bit,
+    since float(Fraction(s)) rounds correctly, as float(s) does.
     """
     try:
         obj = json.loads(text, parse_float=Fraction, parse_int=Fraction)
@@ -424,15 +448,11 @@ def exact_matrix_from_json(text: str) -> tuple[Matrix, list[list[Fraction]]]:
         raise ValueError(f"invalid JSON: {exc}") from exc
     m = matrix_from_json_obj(obj)
     if obj["kind"] == "dense":
-        return m, [[Fraction(x) for x in row] for row in obj["rows"]]
+        return m, [[_fraction(x) for x in row] for row in obj["rows"]]
     # the one stored off-diagonal sits at offset k = bandwidth
     k = m.bandwidth
-    rows = [[Fraction(0)] * m.order for _ in range(m.order)]
-    for i, x in enumerate(obj["diag"]):
-        rows[i][i] = Fraction(x)
-    for i, x in enumerate(obj["offdiag"] if k == 1 else obj["second"]):
-        rows[i][i + k] = rows[i + k][i] = Fraction(x)
-    return m, rows
+    off = obj["offdiag"] if k == 1 else obj["second"]
+    return m, ExactBand(tuple(map(_fraction, obj["diag"])), tuple(map(_fraction, off)), k)
 
 
 def matrix_from_json_obj(obj) -> Matrix:

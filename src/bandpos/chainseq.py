@@ -119,12 +119,12 @@ def ratio_sequence(diag, off) -> np.ndarray:
 
     Float input gives a float array; Fraction input gives an object array
     of exact Fractions.  The diagonal entries must be nonzero.  Float input
-    with entries above bandmat.SCALE_CUTOFF is first scaled by an exact
-    power of two, which leaves the ratios unchanged and keeps b_j**2 and
-    a_j a_{j+1} finite.
+    whose largest entry is above bandmat.SCALE_CUTOFF or below its
+    reciprocal is first scaled by an exact power of two, which leaves the
+    ratios unchanged and keeps b_j**2 and a_j a_{j+1} finite and nonzero.
     """
     diag, off = np.asarray(diag), np.asarray(off)
-    t = 0 if diag.dtype == object else overflow_exponent(diag, off)
+    t = 0 if diag.dtype == object else overflow_exponent(diag, off, underflow=True)
     if t:
         diag, off = np.ldexp(diag, -t), np.ldexp(off, -t)
     return off * off / (diag[:-1] * diag[1:])

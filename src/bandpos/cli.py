@@ -13,9 +13,11 @@ at run time.
 Setting BANDPOS_EXACT=1 switches chain sequences and principal minors to
 exact rational arithmetic where the inputs allow it.  check-positivity
 then parses the matrix file once, with every number read as a Fraction
-(bandmat.exact_matrix_from_json).  Above order 12 the exact minors are
-still computed in floats (positivity.EXACT_MINOR_LIMIT), and
-leading_minors_exact then holds floats; the report's conventions say so.
+(bandmat.exact_matrix_from_json).  Band input stays band-shaped: its
+exact minors are the continuant of its two Fraction diagonals and its
+exact ratios come from the same diagonals, both in O(n).  Above order 12
+(positivity.EXACT_MINOR_LIMIT) leading_minors_exact holds floats, for
+band input the values of leading_minors; the report's conventions say so.
 
 All floating-point output is printed to 12 significant digits so that
 reports are byte-identical across runs.  Non-finite values (an overflowed
@@ -183,9 +185,9 @@ def _matrix_kind(m) -> str:
 
 def _cmd_check_positivity(args) -> RunReport:
     if _exact_enabled():
-        m, rows = _load(args.file, exact_matrix_from_json)
+        m, exact = _load(args.file, exact_matrix_from_json)
     else:
-        m, rows = _load(args.file, matrix_from_json), None
+        m, exact = _load(args.file, matrix_from_json), None
     verdict = classify_positivity(m, args.tol)
     inputs = {
         "file": args.file,
@@ -200,15 +202,14 @@ def _cmd_check_positivity(args) -> RunReport:
         "leading_minors": list(verdict.certificate),
     }
     conventions: list[str] = []
-    if rows is not None:
-        verdicts["leading_minors_exact"] = leading_principal_minors(rows)
-        if len(rows) > EXACT_MINOR_LIMIT:
+    if exact is not None:
+        verdicts["leading_minors_exact"] = leading_principal_minors(exact)
+        if m.order > EXACT_MINOR_LIMIT:
             conventions.append(CONVENTION_EXACT_LIMIT)
     if isinstance(m, BandSymMatrix) and m.bandwidth == 1:
         if (m.main_diag > 0).all():
-            if rows is not None:
-                entries = np.array(rows, dtype=object)
-                ratios = list(ratio_sequence(np.diagonal(entries), np.diagonal(entries, 1)))
+            if exact is not None:
+                ratios = list(ratio_sequence(exact.diag, exact.off))
             else:
                 ratios = list(tridiag_ratio_sequence(m))
             verdicts["ratio_sequence"] = ratios

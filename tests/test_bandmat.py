@@ -10,6 +10,7 @@ import pytest
 from bandpos import (
     BandSymMatrix,
     DenseSymMatrix,
+    ExactBand,
     PermutationSpec,
     conjugate_by_permutation,
     even_odd_permutation,
@@ -363,20 +364,28 @@ class TestJsonFormat:
         ],
     )
     def test_exact_parse_matches_float_parse(self, text):
-        m, rows = exact_matrix_from_json(text)
+        m, exact = exact_matrix_from_json(text)
         want = matrix_from_json(text)
         assert type(m) is type(want)
         np.testing.assert_array_equal(m.dense(), want.dense())
-        assert all(isinstance(x, Fraction) for row in rows for x in row)
-        np.testing.assert_array_equal(np.array(rows, dtype=float), want.dense())
+        if isinstance(want, BandSymMatrix):
+            # band input stays band-shaped: the main diagonal and the one
+            # stored off-diagonal
+            assert isinstance(exact, ExactBand)
+            assert exact.offset == want.bandwidth
+            entries = [*exact.diag, *exact.off]
+            floats = [*want.main_diag, *want.off_diags[exact.offset - 1]]
+        else:
+            entries = [x for row in exact for x in row]
+            floats = want.dense().ravel().tolist()
+        assert all(isinstance(x, Fraction) for x in entries)
+        assert [float(x) for x in entries] == floats
 
     def test_exact_parse_keeps_decimals_exact(self):
-        _, rows = exact_matrix_from_json('{"kind": "pentadiagonal", "diag": [1, 2, 0.1], "second": [0.2]}')
-        assert rows == [
-            [1, 0, Fraction(1, 5)],
-            [0, 2, 0],
-            [Fraction(1, 5), 0, Fraction(1, 10)],
-        ]
+        _, exact = exact_matrix_from_json('{"kind": "pentadiagonal", "diag": [1, 2, 0.1], "second": [0.2]}')
+        assert exact == ExactBand((Fraction(1), Fraction(2), Fraction(1, 10)), (Fraction(1, 5),), 2)
+        _, rows = exact_matrix_from_json('{"kind": "dense", "rows": [[1, 0.2], [0.2, 0.1]]}')
+        assert rows == [[1, Fraction(1, 5)], [Fraction(1, 5), Fraction(1, 10)]]
 
     @pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN", "1" + "0" * 400])
     def test_out_of_range_entries_rejected(self, entry):

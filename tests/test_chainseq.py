@@ -225,6 +225,34 @@ class TestWallWetzel:
         assert not wall_wetzel_pd(indefinite)
         assert wall_wetzel_pd(pd)
 
+    def test_small_entries_keep_their_ratios(self):
+        # b^2 and a_j a_{j+1} underflow to 0, so the unscaled ratio is 0/0;
+        # the ratios are those of the scaled-up matrix
+        pd = make_tridiagonal([1e-170] * 3, [0.5e-170] * 2)
+        indefinite = make_tridiagonal([1e-170] * 3, [1e-170] * 2)
+        assert tridiag_ratio_sequence(pd).tolist() == [0.25, 0.25]
+        assert tridiag_ratio_sequence(indefinite).tolist() == [1.0, 1.0]
+        assert wall_wetzel_pd(pd)
+        assert not wall_wetzel_pd(indefinite)
+
+    def test_ratios_are_bit_identical_across_the_cutoffs(self):
+        # between 2**-480 and 2**480 the ratios are the plain formula; a
+        # matrix moved past either cutoff by a power of two has the same ones
+        rng = np.random.default_rng(107)
+        for _ in range(500):
+            n = int(rng.integers(2, 20))
+            e = rng.uniform(-100, 140)
+            diag = rng.uniform(0.5, 2.0, n) * 10.0**e
+            off = rng.uniform(-1.0, 1.0, n - 1) * 10.0**e
+            off[rng.random(n - 1) < 0.1] = 0.0
+            plain = off * off / (diag[:-1] * diag[1:])
+            assert ratio_sequence(diag, off).tobytes() == plain.tobytes()
+            top = math.frexp(max(np.abs(diag).max(), np.abs(off).max()))[1]
+            for target in (-560, -490, 490, 1000):
+                shift = target - top + int(rng.integers(0, 8))
+                moved = ratio_sequence(np.ldexp(diag, shift), np.ldexp(off, shift))
+                assert moved.tobytes() == plain.tobytes()
+
     def test_underflowing_ratio_splits_like_a_zero_coupling(self):
         # b^2 / (a_1 a_2) underflows to 0: the coupling is negligible, and the
         # blocks are tested apart instead of failing on a zero ratio

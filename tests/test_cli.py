@@ -245,6 +245,27 @@ class TestExactMode:
         assert "wall_wetzel_pd: yes" in out
         assert "oracle_agreement: yes" in out
 
+    def test_band_input_is_not_densified(self, capsys, monkeypatch, tmp_path):
+        from bandpos import positivity
+
+        def refuse(*args):
+            raise AssertionError("exact band input went through a dense route")
+
+        for name in ("_exact_rows", "_exact_minors", "_dense_minors", "_det_exact", "_det_float"):
+            monkeypatch.setattr(positivity, name, refuse)
+        monkeypatch.setattr(cli.np, "diagonal", refuse)
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        code, out, _ = run_cli(capsys, "check-positivity", "data/a01.json")
+        assert code == EXIT_OK
+        assert "leading_minors_exact: [1, 11/10, 1/10]" in out
+        assert "ratio_sequence: [10/21, 10/21]" in out
+        code, out, _ = run_cli(capsys, "check-positivity", "data/p.json")
+        assert code == EXIT_OK
+        assert "leading_minors_exact: [1, 2, 2, 1, 0]" in out
+        code, out, _ = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, [2] * 16, [1] * 15))
+        assert code == EXIT_OK
+        assert "leading_minors_exact: [2, 3, 4," in out
+
     @pytest.mark.parametrize("exact", ["0", "1"])
     def test_chain_failure_index_counts_the_whole_sequence(self, capsys, monkeypatch, tmp_path, exact):
         # blocks [1] and tridiag([1, 1, 1], [1, 1]); the second fails at its
@@ -386,6 +407,36 @@ class TestExactLimitConvention:
         assert report["conventions"] == [CONVENTION_EXACT_LIMIT]
         # the values themselves stay floats
         assert report["verdicts"]["leading_minors_exact"] == [float(k + 2) for k in range(16)]
+
+    @pytest.mark.parametrize("kind", ["tridiagonal", "pentadiagonal"])
+    def test_exact_line_equals_float_line_above_the_limit(self, capsys, monkeypatch, tmp_path, kind):
+        # entries in steps of 0.05 give minors that often end in a 5 at the
+        # 13th digit, where two float routes may round the printed 12 digits
+        # apart; above the limit the exact line is the certificate
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        rng = np.random.default_rng(109)
+        key, step = ("offdiag", 1) if kind == "tridiagonal" else ("second", 2)
+        cases = [
+            ((rng.integers(40, 61, n) / 20).tolist(), (rng.integers(0, 18, n - step) / 20).tolist())
+            for n in rng.integers(13, 25, 40).tolist()
+        ]
+        if kind == "tridiagonal":
+            # a dense elimination printed 180.677185313 for the order-6
+            # minor 180.6771853125 (the certificate: 180.677185312)
+            cases.append((
+                [2.95, 2.35, 2.5, 2.9, 2.05, 2.25, 2.35, 2.85, 2.5, 2.1, 2.9, 2.7, 2.2, 2.85, 2.35, 2.25],
+                [0.45, 0.4, 0.45, 0.25, 0.8, 0.6, 0.4, 0.85, 0.8, 0.6, 0.6, 0.4, 0.6, 0.35, 0.35],
+            ))
+        f = tmp_path / "band.json"
+        for diag, off in cases:
+            f.write_text(json.dumps({"kind": kind, "diag": diag, key: off}))
+            code, out, _ = run_cli(capsys, "check-positivity", str(f))
+            assert code == EXIT_OK
+            lines = dict(line.split(": ", 1) for line in out.splitlines())
+            assert lines["leading_minors_exact"] == lines["leading_minors"]
+            _, out, _ = run_cli(capsys, "check-positivity", str(f), "--json")
+            verdicts = json.loads(out)["verdicts"]
+            assert verdicts["leading_minors_exact"] == verdicts["leading_minors"]
 
     def test_no_line_at_the_limit_or_in_float_mode(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("BANDPOS_EXACT", "1")

@@ -17,6 +17,7 @@ from bandpos import (
     PSD_BOUNDARY,
     BandSymMatrix,
     DenseSymMatrix,
+    ExactBand,
     classify_positivity,
     determinant,
     hadamard_power,
@@ -548,6 +549,101 @@ class TestExactMinors:
         got = leading_principal_minors(rows)
         assert all(type(m) is float for m in got)
         assert got == want
+
+
+def random_exact_band(rng, n, offset, decimal):
+    """An ExactBand of order n with small integer or two-digit decimal
+    entries; about one coupling in seven is exactly zero."""
+    def entry():
+        if decimal:
+            return Fraction(int(rng.integers(-300, 301)), 100)
+        return Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+
+    diag = tuple(entry() for _ in range(n))
+    off = tuple(Fraction(0) if rng.random() < 1 / 7 else entry() for _ in range(max(n - offset, 0)))
+    return ExactBand(diag, off, offset)
+
+
+def exact_band_rows(band):
+    n = band.order
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, d in enumerate(band.diag):
+        rows[i][i] = d
+    for i, e in enumerate(band.off):
+        rows[i][i + band.offset] = rows[i + band.offset][i] = e
+    return rows
+
+
+def float_band(band):
+    diag, off = [float(x) for x in band.diag], [float(x) for x in band.off]
+    return make_tridiagonal(diag, off) if band.offset == 1 else make_pentadiagonal(diag, off)
+
+
+class TestExactBandMinors:
+    @pytest.mark.parametrize("offset", [1, 2])
+    @pytest.mark.parametrize("decimal", [False, True], ids=["integer", "decimal"])
+    def test_continuant_equals_block_determinants_and_dense_rows(self, offset, decimal):
+        rng = np.random.default_rng([97, offset, decimal])
+        for _ in range(40):
+            n = int(rng.integers(1 if offset == 1 else 3, oracle.EXACT_MINOR_LIMIT + 1))
+            band = random_exact_band(rng, n, offset, decimal)
+            rows = exact_band_rows(band)
+            got = leading_principal_minors(band)
+            assert all(type(m) is Fraction for m in got)
+            assert got == [oracle._det_exact([r[: k + 1] for r in rows[: k + 1]]) for k in range(n)]
+            assert got == leading_principal_minors(rows)
+
+    @pytest.mark.parametrize(
+        "band, want",
+        [
+            # the singular path Laplacian
+            (ExactBand((1, 2, 2, 2, 1), (-1, -1, -1, -1), 1), [1, 1, 1, 1, 0]),
+            # the second pivot vanishes; the full block is nonsingular
+            (ExactBand((1, 1, 1), (1, 1), 1), [1, 0, -1]),
+            (ExactBand((0, 0), (1,), 1), [0, -1]),
+            # a zero coupling splits the continuant
+            (ExactBand((2, 2, 3), (1, 0), 1), [2, 3, 9]),
+            # odd block tridiag([1, 2, 1], [1, 1]) is singular
+            (ExactBand((1, 2, 2, 2, 1), (1, 1, 1), 2), [1, 2, 2, 3, 0]),
+            (ExactBand((Fraction(1, 10), Fraction(21, 10), Fraction(1, 10)), (Fraction(1, 5),), 2),
+             [Fraction(1, 10), Fraction(21, 100), Fraction(-63, 1000)]),
+        ],
+    )
+    def test_known_minors(self, band, want):
+        got = leading_principal_minors(band)
+        assert got == want
+        assert all(type(m) is Fraction for m in got)
+        assert got == leading_principal_minors(exact_band_rows(band))
+
+    @pytest.mark.parametrize("offset", [1, 2])
+    def test_above_limit_equals_float_certificate(self, offset):
+        rng = np.random.default_rng([101, offset])
+        for _ in range(20):
+            n = int(rng.integers(oracle.EXACT_MINOR_LIMIT + 1, 40))
+            band = random_exact_band(rng, n, offset, decimal=True)
+            got = leading_principal_minors(band)
+            assert all(type(m) is float for m in got)
+            assert got == list(classify_positivity(float_band(band)).certificate)
+
+    def test_band_input_reaches_no_dense_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact band input went through a dense route")
+
+        for name in ("_exact_rows", "_exact_minors", "_dense_minors", "_det_exact", "_det_float"):
+            monkeypatch.setattr(oracle, name, refuse)
+        rng = np.random.default_rng(103)
+        for n in (3, 12, 13, 24):
+            for offset in (1, 2):
+                assert len(leading_principal_minors(random_exact_band(rng, n, offset, decimal=True))) == n
+
+    def test_rows_keep_their_fractions(self):
+        rows = [[Fraction(1, 3), 2], [2, Fraction(5)]]
+        out = oracle._exact_rows(rows)
+        assert out == rows
+        assert out[0][0] is rows[0][0] and out[1][1] is rows[1][1]
+        assert type(out[0][1]) is Fraction
+        assert oracle._exact_rows([[True, 0], [0, 1]]) is None
+        assert oracle._exact_rows([[Fraction(1), 0.5], [0.5, 1]]) is None
 
 
 class TestLargeEntries:
