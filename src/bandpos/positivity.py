@@ -10,15 +10,20 @@ answer.  Entries above bandmat.SCALE_CUTOFF = 2**480 in magnitude are
 first scaled by an exact power of two, so that no squared coupling
 overflows.  A pentadiagonal matrix with zero first off-diagonal is the
 direct sum of its odd and even tridiagonal blocks and is bisected as such;
-only dense input is first reduced to tridiagonal form by Householder
+dense input whose off-diagonal nonzero graph is a disjoint union of paths
+is a permuted tridiagonal matrix and is bisected in its path order.  Only
+other dense input is first reduced to tridiagonal form by Householder
 reflections.
 
 Leading principal minors come from the three-term continuant for band input
 (a pentadiagonal matrix with zero first off-diagonal multiplies the
 continuants of its odd and even blocks) and from one elimination pass for
-dense input, as prefix products of the pivots.  Rational input gets exact
+dense input, as prefix products of the pivots.  The pass touches only the
+nonzero entries when the nonzero graph is a union of paths, in O(n), with
+results bit for bit those of the full pass.  Rational input gets exact
 minors: exact band input (bandmat.ExactBand) from the same continuant in
-Fractions, dense Fraction rows from the same elimination pass.
+Fractions, dense Fraction rows from the same elimination over their nonzero
+entries.
 
 This module is deliberately independent of the chain-sequence criteria in
 ``chainseq``: the two are validated against each other.
@@ -256,6 +261,11 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _as_symmetric_dense(a) -> np.ndarray:
     dense = to_dense_array(a)
     if not isinstance(a, (BandSymMatrix, DenseSymMatrix)):
+        # DenseSymMatrix's checks, in its order, for raw arrays
+        if dense.shape[0] < 1:
+            raise ValueError("order must be at least 1")
+        if not np.isfinite(dense).all():
+            raise ValueError("all entries must be finite")
         if not np.array_equal(dense, dense.T):
             raise ValueError("matrix is not symmetric")
     return dense
@@ -287,13 +297,65 @@ def _band_diagonals(a) -> tuple[np.ndarray, np.ndarray, int] | None:
     return None
 
 
-def _tridiagonal_form(a) -> tuple[np.ndarray, np.ndarray, float]:
-    """Diagonal and off-diagonal of a tridiagonal matrix with the spectrum
-    of a, and the max-norm of a.  Tridiagonal input is used as it is;
-    pentadiagonal-form input becomes the direct sum of its odd and even
-    blocks (joined by an exactly zero coupling); dense input is
-    Householder-reduced."""
+def _path_order(dense: np.ndarray) -> list[int] | None:
+    """A vertex order that makes dense tridiagonal, when its off-diagonal
+    nonzero graph is symmetric and a disjoint union of paths: the paths by
+    their smallest vertex, each walked from its smaller-index endpoint.
+    None for any other pattern (more than 3n nonzeros, a vertex of degree 3
+    or more, a cycle)."""
+    n = dense.shape[0]
+    if np.count_nonzero(dense) > 3 * n:
+        return None
+    edges = dense != 0
+    np.fill_diagonal(edges, False)
+    if not np.array_equal(edges, edges.T):
+        return None
+    rows, cols = np.divmod(np.flatnonzero(edges), n)
+    if rows.size and np.bincount(rows).max() > 2:
+        return None
+    nbrs = [[] for _ in range(n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        nbrs[i].append(j)
+    paths, far_ends = [], set()
+    for end in range(n):
+        if len(nbrs[end]) == 2 or end in far_ends:
+            continue
+        path, prev, v = [], -1, end
+        while v >= 0:
+            path.append(v)
+            step = -1
+            for u in nbrs[v]:
+                if u != prev:
+                    step = u
+            prev, v = v, step
+        far_ends.add(path[-1])
+        paths.append(path)
+    if sum(map(len, paths)) < n:
+        # the vertices left over have degree 2 and lie on cycles
+        return None
+    paths.sort(key=min)
+    return [v for path in paths for v in path]
+
+
+def _forms(a, symmetric: bool = True) -> tuple:
+    """What the eigenvalue and minor routes read, built once per call:
+    (_band_diagonals, None, None) for band input, and otherwise (None, the
+    dense array, its _path_order).  The dense array is validated as
+    symmetric unless symmetric is False."""
     band = _band_diagonals(a)
+    if band is not None:
+        return band, None, None
+    dense = _as_symmetric_dense(a) if symmetric else to_dense_array(a)
+    return None, dense, _path_order(dense)
+
+
+def _tridiagonal_form(band, dense, order) -> tuple[np.ndarray, np.ndarray, float]:
+    """Diagonal and off-diagonal of a tridiagonal matrix with the spectrum
+    of the input given by _forms, and the input's max-norm.  Tridiagonal
+    input is used as it is; pentadiagonal-form input becomes the direct sum
+    of its odd and even blocks (joined by an exactly zero coupling); dense
+    input whose nonzero graph is a union of paths is read in its path order;
+    other dense input is Householder-reduced."""
     if band is not None:
         diag, off, offset = band
         scale = _max_abs(diag, off)
@@ -302,8 +364,9 @@ def _tridiagonal_form(a) -> tuple[np.ndarray, np.ndarray, float]:
             diag = np.concatenate((d_odd, d_even))
             off = np.concatenate((e_odd, [0.0], e_even))
         return diag, off, scale
-    dense = _as_symmetric_dense(a)
-    scale = float(np.abs(dense).max()) if dense.size else 0.0
+    scale = float(np.abs(dense).max())
+    if order is not None:
+        return dense[order, order], dense[order[:-1], order[1:]], scale
     return (*_householder_tridiagonalize(dense), scale)
 
 
@@ -320,7 +383,7 @@ def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     brackets of width <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    diag, off, _ = _tridiagonal_form(a)
+    diag, off, _ = _tridiagonal_form(*_forms(a))
     return np.sort(_tridiag_bisect(diag, off, float(tol), range(diag.shape[0])))
 
 
@@ -328,7 +391,7 @@ def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue to absolute accuracy tol * max(1, max-norm)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    diag, off, scale = _tridiagonal_form(a)
+    diag, off, scale = _tridiagonal_form(*_forms(a))
     return _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]
 
 
@@ -342,7 +405,8 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    diag, off, scale = _tridiagonal_form(a)
+    forms = _forms(a)
+    diag, off, scale = _tridiagonal_form(*forms)
     lam = _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]
     thr = max(tol, STURM_BACKWARD_C * diag.shape[0] * sys.float_info.epsilon) * max(1.0, scale)
     if lam > thr:
@@ -351,7 +415,7 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
         cls = INDEFINITE
     else:
         cls = PSD_BOUNDARY
-    return PositivityVerdict(cls, lam, scale, tuple(_float_minors(a)), thr)
+    return PositivityVerdict(cls, lam, scale, tuple(_float_minors(*forms)), thr)
 
 
 def _continuant(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, int]]:
@@ -441,11 +505,63 @@ def _dense_minors(dense: np.ndarray) -> list[float]:
     return minors
 
 
-def _float_minors(a) -> list[float]:
-    band = _band_diagonals(a)
+def _sparse_minors(rows: list[dict], block_det) -> list:
+    """_dense_minors over the entries held in rows: rows[i] maps column j to
+    entry (i, j), every entry left out is zero, and rows is updated in
+    place.  Each step does exactly _dense_minors' operations,
+    m[i, j] -= (m[i, k] / piv) * m[k, j], for the rows i holding column k
+    and the columns j of pivot row k; every other update subtracts a signed
+    zero.  From the first zero or non-finite pivot on, the order-j minor is
+    block_det(j).
+
+    Ints, floats and Fractions all work; no entry is converted.  Eliminating
+    a vertex of a path joins its two neighbours, so a symmetric pattern
+    whose graph is a union of paths keeps O(n) entries throughout."""
+    n = len(rows)
+    below = [[] for _ in range(n)]  # below[k]: the rows i > k holding column k
+    for i, row in enumerate(rows):
+        for j in row:
+            if j < i:
+                below[j].append(i)
+    minors, det = [], 1
+    for k, pivot_row in enumerate(rows):
+        piv = pivot_row.get(k, 0)
+        # only a float is inf or NaN; math.isfinite would convert a Fraction
+        # to float, which overflows above about 1.8e308
+        if piv == 0 or (isinstance(piv, float) and not math.isfinite(piv)):
+            return minors + [block_det(j) for j in range(k + 1, n + 1)]
+        det *= piv
+        minors.append(det)
+        right = [(j, x) for j, x in pivot_row.items() if j > k]
+        for i in below[k]:
+            row = rows[i]
+            f = row[k] / piv
+            for j, x in right:
+                if j in row:
+                    row[j] -= f * x
+                else:
+                    # fill: zero minus the product, up to the sign of a zero
+                    row[j] = -(f * x)
+                    if j < i:
+                        below[j].append(i)
+    return minors
+
+
+def _float_minors(band, dense, order) -> list[float]:
+    """Leading minors of the input given by _forms: the continuant for band
+    input; for dense input whose nonzero graph is a union of paths,
+    _sparse_minors over the entries that its path order makes tridiagonal
+    (the others are zero); _dense_minors otherwise.  The last two are bit
+    for bit the same."""
     if band is not None:
         return [_pair_value(m, e) for m, e in _band_minors(*band)]
-    return _dense_minors(to_dense_array(a))
+    if order is None:
+        return _dense_minors(dense)
+    rows = [{i: x} for i, x in enumerate(np.diag(dense).tolist())]
+    ahead, behind = order[1:], order[:-1]
+    for i, j, x, y in zip(behind, ahead, dense[behind, ahead].tolist(), dense[ahead, behind].tolist()):
+        rows[i][j], rows[j][i] = x, y
+    return _sparse_minors(rows, lambda j: _det_float(dense[:j, :j]))
 
 
 def _det_float(a: np.ndarray) -> float:
@@ -488,27 +604,9 @@ def _det_exact(rows: list[list[Fraction]]) -> Fraction:
 
 
 def _exact_minors(rows: list[list[Fraction]]) -> list[Fraction]:
-    """_dense_minors in Fractions: one elimination pass without row
-    exchanges, touching only the rows with a nonzero entry in the pivot
-    column and, in them, the nonzero columns of the pivot row.  From the
-    first zero pivot on, each remaining minor comes from _det_exact."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    minors, det = [], Fraction(1)
-    for k in range(n):
-        pivot_row = m[k]
-        piv = pivot_row[k]
-        if piv == 0:
-            return minors + [_det_exact([r[: j + 1] for r in rows[: j + 1]]) for j in range(k, n)]
-        det *= piv
-        minors.append(det)
-        cols = [c for c in range(k + 1, n) if pivot_row[c]]
-        for row in m[k + 1 :]:
-            if row[k]:
-                f = row[k] / piv
-                for c in cols:
-                    row[c] -= f * pivot_row[c]
-    return minors
+    """_sparse_minors of Fraction rows, with _det_exact after a zero pivot."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    return _sparse_minors(sparse, lambda j: _det_exact([r[:j] for r in rows[:j]]))
 
 
 def _exact_rows(a) -> list[list[Fraction]] | None:
@@ -546,7 +644,7 @@ def leading_principal_minors(a) -> list:
     minors of its float matrix, those of classify_positivity's certificate.
     """
     if isinstance(a, ExactBand):
-        return _exact_band_minors(a) if a.order <= EXACT_MINOR_LIMIT else _float_minors(a)
+        return _exact_band_minors(a) if a.order <= EXACT_MINOR_LIMIT else _float_minors(*_forms(a))
     try:
         # test the order first: above the limit no Fraction row is needed
         rows = _exact_rows(a) if len(a) <= EXACT_MINOR_LIMIT else None
@@ -554,7 +652,7 @@ def leading_principal_minors(a) -> list:
         rows = None
     if rows is not None:
         return _exact_minors(rows)
-    return _float_minors(a)
+    return _float_minors(*_forms(a, symmetric=False))
 
 
 def determinant(a) -> float:

@@ -128,6 +128,23 @@ class TestMinEigenvalue:
             min_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestRawArrayValidation:
+    """Raw arrays get DenseSymMatrix's checks and messages."""
+
+    def test_infinite_entry_rejected(self):
+        with pytest.raises(ValueError, match="all entries must be finite"):
+            classify_positivity(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_symmetric_nan_rejected_as_not_finite(self):
+        with pytest.raises(ValueError, match="all entries must be finite"):
+            classify_positivity(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("oracle_fn", [min_eigenvalue, sym_eigenvalues, classify_positivity])
+    def test_empty_matrix_rejected(self, oracle_fn):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            oracle_fn(np.zeros((0, 0)))
+
+
 class TestClassify:
     def test_a01_pd(self, a01):
         verdict = classify_positivity(a01)
@@ -700,3 +717,156 @@ def test_band_input_is_never_densified(monkeypatch):
     assert len(sym_eigenvalues(p)) == 5
     assert len(leading_principal_minors(p)) == 5
     assert determinant(p) > 0
+
+
+def permuted_band_inputs(seed, count):
+    """Seeded tridiagonal and pentadiagonal-form matrices, each with its
+    dense form under a random permutation.  Entries are small integers (so
+    pivots vanish exactly), uniform with some zero couplings, negative
+    couplings with some -0.0, near 1e160, or of magnitudes 1e-150 to 1e150
+    (so some minors overflow or underflow)."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(1, 25))
+        offset = 2 if case % 2 and n >= 3 else 1
+        k, kind = n - offset, case // 2 % 5
+        if kind == 0:
+            diag, off = rng.integers(-2, 3, n), rng.integers(-1, 2, k)
+        elif kind == 1:
+            diag, off = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 2.0, k)
+            off[rng.random(k) < 0.2] = 0.0
+        elif kind == 2:
+            diag, off = rng.uniform(0.0, 3.0, n), -rng.uniform(0.0, 2.0, k)
+            off[rng.random(k) < 0.2] = -0.0
+        elif kind == 3:
+            diag, off = rng.uniform(-1.0, 3.0, n) * 1e160, rng.uniform(-2.0, 2.0, k) * 1e160
+        else:
+            diag = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-150, 151, n)
+            off = rng.uniform(-1.0, 1.0, k) * 10.0 ** rng.integers(-150, 151, k)
+        band = (make_pentadiagonal if offset == 2 else make_tridiagonal)(diag, off)
+        perm = rng.permutation(n)
+        yield band, band.dense()[np.ix_(perm, perm)]
+
+
+def cycle(n):
+    a = 3.0 * np.eye(n)
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+    return a
+
+
+def star(n):
+    a = float(n) * np.eye(n)
+    a[0, 1:] = a[1:, 0] = 1.0
+    return a
+
+
+class TestPathRoute:
+    """Dense input whose nonzero graph is a union of paths is a permuted
+    tridiagonal: Sturm bisection in its path order, minors by elimination
+    over its nonzero entries."""
+
+    # entries near 1e160 overflow some minors, which numpy reports
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_permuted_bands_reach_neither_householder_nor_dense_minors(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a permuted band matrix took a dense route")
+
+        monkeypatch.setattr(oracle, "_householder_tridiagonalize", refuse)
+        monkeypatch.setattr(oracle, "_dense_minors", refuse)
+        for band, dense in permuted_band_inputs(107, 40):
+            for a in (dense, DenseSymMatrix(dense), band.dense()):
+                classify_positivity(a)
+                min_eigenvalue(a)
+                assert len(sym_eigenvalues(a)) == band.order
+                assert len(leading_principal_minors(a)) == band.order
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_sparse_minors_equal_dense_minors_bit_for_bit(self):
+        for case, (_, dense) in enumerate(permuted_band_inputs(109, 2400)):
+            assert oracle._path_order(dense) is not None
+            want = [x.hex() for x in oracle._dense_minors(dense)]
+            assert [x.hex() for x in leading_principal_minors(dense)] == want
+            if case % 8 == 0:
+                assert [x.hex() for x in classify_positivity(dense).certificate] == want
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_band_and_its_dense_form_agree_bit_for_bit(self):
+        for band, _ in permuted_band_inputs(113, 200):
+            dense = band.dense()
+            assert min_eigenvalue(dense) == min_eigenvalue(band)
+            assert sym_eigenvalues(dense).tolist() == sym_eigenvalues(band).tolist()
+            want = classify_positivity(band)
+            got = classify_positivity(DenseSymMatrix(dense))
+            assert (got.classification, got.min_eigenvalue) == (want.classification, want.min_eigenvalue)
+
+    def test_permuted_band_spectra_match_lapack(self):
+        tol = 1e-10
+        for band, dense in permuted_band_inputs(127, 120):
+            allowance = tol * max(1.0, float(np.linalg.norm(dense, 2)))
+            want = np.linalg.eigvalsh(dense)
+            np.testing.assert_allclose(sym_eigenvalues(dense, tol), want, rtol=0, atol=allowance)
+            assert abs(min_eigenvalue(dense, tol) - want[0]) <= allowance
+
+    @pytest.mark.parametrize(
+        "dense, order",
+        [
+            (np.array([[2.0]]), [0]),
+            (np.array([[2.0, -1.0], [-1.0, 2.0]]), [0, 1]),
+            (np.array([[2.0, 0.0, 1e160], [0.0, 2.0, 0.0], [1e160, 0.0, 2.0]]), [0, 2, 1]),
+            (np.diag([3.0, -1.0, 0.0, 2.0]), [0, 1, 2, 3]),
+            (np.array([[1.0, -0.0, 0.0], [-0.0, 1.0, -0.5], [0.0, -0.5, 1.0]]), [0, 1, 2]),
+            (np.ones((2, 2)), [0, 1]),
+            (make_pentadiagonal(np.arange(1.0, 7.0), [1.0] * 4).dense(), [0, 2, 4, 1, 3, 5]),
+        ],
+        ids=["order-1", "order-2", "1e160", "diagonal", "negative-and-signed-zeros", "ones-2", "pentadiagonal"],
+    )
+    def test_path_orders(self, dense, order):
+        assert oracle._path_order(dense) == order
+
+    def test_components_by_smallest_vertex_from_the_smaller_endpoint(self):
+        a = 4.0 * np.eye(6)
+        for i, j in ((5, 0), (0, 3), (1, 4)):
+            a[i, j] = a[j, i] = 1.0
+        assert oracle._path_order(a) == [3, 0, 5, 1, 4, 2]
+
+    @pytest.mark.parametrize(
+        "dense",
+        [cycle(3), cycle(4), cycle(7), star(4), np.ones((3, 3)), np.ones((5, 5)),
+         hadamard_power(make_tridiagonal([2.0] * 4, [1.0] * 3), 0).dense(),
+         np.block([[cycle(3), np.zeros((3, 2))], [np.zeros((2, 3)), np.eye(2) + np.eye(2)[::-1]]]),
+         np.array([[1.0, 1.0], [0.0, 1.0]])],
+        ids=["C3", "C4", "C7", "star", "K3", "K5", "power-0", "cycle-plus-path", "asymmetric"],
+    )
+    def test_other_patterns_keep_householder(self, dense, monkeypatch):
+        assert oracle._path_order(dense) is None
+        if not np.array_equal(dense, dense.T):
+            return
+        calls = []
+        reduce = oracle._householder_tridiagonalize
+
+        def counted(a):
+            calls.append(a.shape[0])
+            return reduce(a)
+
+        monkeypatch.setattr(oracle, "_householder_tridiagonalize", counted)
+        lam = min_eigenvalue(dense)
+        assert calls == [dense.shape[0]]
+        assert abs(lam - np.linalg.eigvalsh(dense)[0]) <= 1e-10 * max(1.0, float(np.abs(dense).max()))
+
+    def test_dense_array_and_order_built_once(self, monkeypatch):
+        counts = {"to_dense_array": 0, "_path_order": 0}
+        for name in counts:
+            original = getattr(oracle, name)
+
+            def counted(a, name=name, original=original):
+                counts[name] += 1
+                return original(a)
+
+            monkeypatch.setattr(oracle, name, counted)
+        classify_positivity(DenseSymMatrix(make_tridiagonal([2.0] * 8, [1.0] * 7).dense()[::-1, ::-1]))
+        assert counts == {"to_dense_array": 1, "_path_order": 1}
+
+    def test_huge_fraction_pivot_is_not_converted_to_float(self):
+        big = Fraction(10**400)
+        assert leading_principal_minors([[big, 1], [1, 1]]) == [big, big - 1]
