@@ -4,6 +4,12 @@ Eigenvalues of symmetric tridiagonal matrices are found by Sturm-sequence
 bisection, which certifies how many eigenvalues lie below any pivot.  One
 LDL^T inertia kernel counts the eigenvalues below many shifts at once, so
 all requested brackets are bisected together, several steps per kernel call.
+For several brackets, LAPACK's eigenvalue estimates steer the bisection and
+Sturm counts certify it: each bracket first replays bisection's halving
+with the estimate deciding each step, and one count at all the brackets'
+ends confirms every decision, since the count is monotone in the shift.
+The answers are those of sequential bisection; an estimate that is wrong
+sends its bracket back to the start, so it costs time, never an answer.
 A single bracket, such as the smallest eigenvalue's, only asks whether a
 count is at most its index, so its count stops at the first pivot past that
 answer.  Entries above bandmat.SCALE_CUTOFF = 2**480 in magnitude are
@@ -145,11 +151,66 @@ def _negcount(diag: list, off2: list, x: float, pivmin: float, k: int) -> int:
     return count
 
 
+def _warm_start(diag, off, off2, pivmin: float, width: float, ks: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Move the brackets [a, b] of the eigenvalues ks, in place, to where
+    sequential bisection takes them, steered by LAPACK's estimates and
+    certified by one Sturm count at their ends.
+
+    Each bracket replays bisection's halving with the decision
+    mid < estimate in place of a Sturm count, and stops where bisection
+    stops or at the first midpoint too near its estimate to decide.  The
+    count is monotone in the shift (Demmel, Dhillon and Ren 1995), so
+    count(a) <= k < count(b) at the ends certifies every decision taken on
+    the way, and the bracket is the one bisection reaches.  A bracket that
+    fails the check keeps its start, as do all when an estimate is not
+    finite: a bad estimate costs time, never an answer."""
+    n = diag.shape[0]
+    try:
+        est = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[ks]
+    except np.linalg.LinAlgError:
+        return
+    if not np.isfinite(est).all():
+        return
+    # an estimate's error and the count's backward error are both about
+    # n * eps * scale: a midpoint this near its estimate is left to the count
+    near = 2.0 * STURM_BACKWARD_C * n * sys.float_info.epsilon * max(1.0, _max_abs(diag, off))
+    # halve every bracket without stopping, keeping each step's ends, and
+    # read each bracket's path up to its first stop.  The brackets share
+    # their start, so all reach the width after about as many halvings; at
+    # most 64 are taken (a bracket off zero meets float resolution within
+    # about 55), and a bracket not stopped by then carries on in the
+    # multisection loop.
+    steps = math.ceil(math.log2(float(b[0] - a[0])) - math.log2(width)) + 1
+    ends_a, ends_b = [a], [b]
+    al, bl = a, b
+    for _ in range(min(max(steps, 1), 64)):
+        mid = 0.5 * (al + bl)
+        right = mid < est
+        al, bl = np.where(right, mid, al), np.where(right, bl, mid)
+        ends_a.append(al)
+        ends_b.append(bl)
+    ends_a, ends_b = np.array(ends_a), np.array(ends_b)
+    mids = 0.5 * (ends_a + ends_b)
+    stop = (ends_b - ends_a <= width) | (mids <= ends_a) | (mids >= ends_b) | (np.abs(mids - est) <= near)
+    stop[-1] = True
+    cols = np.arange(ks.size)
+    step = stop.argmax(axis=0)
+    al, bl = ends_a[step, cols], ends_b[step, cols]
+    counts = _negcounts(diag, off2, np.concatenate((al, bl)), pivmin)
+    ok = (counts[: ks.size] <= ks) & (ks < counts[ks.size :])
+    a[ok], b[ok] = al[ok], bl[ok]
+
+
 def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) -> list[float]:
     """Bisect the requested eigenvalues (0-based, ascending) of the
     tridiagonal matrix to brackets of the given width, using Gershgorin
     bounds as the initial bracket.  All brackets advance together; each
-    stops early if float resolution is reached before the width."""
+    stops early if float resolution is reached before the width.
+
+    Several brackets of a matrix whose pivots fit one Sturm-count call
+    (n * n <= _NEGCOUNT_BLOCK) start where LAPACK's estimates steer them and
+    one count certifies (_warm_start); the answers are those of sequential
+    bisection either way."""
     n = diag.shape[0]
     if n == 1:
         return [float(diag[0]) for _ in indices]
@@ -185,7 +246,11 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
     ks = np.asarray(indices)
     a = np.full(ks.shape, lo)
     b = np.full(ks.shape, hi)
-    live = np.flatnonzero(b - a > width)
+    if n * n <= _NEGCOUNT_BLOCK:
+        _warm_start(diag, off, off2, pivmin, width, ks, a, b)
+    # a bracket at float resolution stops at its first midpoint: leave it out
+    mid = 0.5 * (a + b)
+    live = np.flatnonzero((b - a > width) & (mid > a) & (mid < b))
     while live.size:
         # the midpoints of the next _MULTISECT_DEPTH steps of every live
         # bracket, in heap order: node j's step sees the bracket split at
@@ -258,15 +323,16 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(m).copy(), np.diag(m, 1).copy()
 
 
-def _as_symmetric_dense(a) -> np.ndarray:
+def _checked_dense(a, symmetric: bool = True) -> np.ndarray:
+    """to_dense_array, with DenseSymMatrix's checks and messages, in its
+    order, for raw arrays; the symmetry check only when symmetric."""
     dense = to_dense_array(a)
     if not isinstance(a, (BandSymMatrix, DenseSymMatrix)):
-        # DenseSymMatrix's checks, in its order, for raw arrays
         if dense.shape[0] < 1:
             raise ValueError("order must be at least 1")
         if not np.isfinite(dense).all():
             raise ValueError("all entries must be finite")
-        if not np.array_equal(dense, dense.T):
+        if symmetric and not np.array_equal(dense, dense.T):
             raise ValueError("matrix is not symmetric")
     return dense
 
@@ -340,12 +406,12 @@ def _path_order(dense: np.ndarray) -> list[int] | None:
 def _forms(a, symmetric: bool = True) -> tuple:
     """What the eigenvalue and minor routes read, built once per call:
     (_band_diagonals, None, None) for band input, and otherwise (None, the
-    dense array, its _path_order).  The dense array is validated as
+    dense array, its _path_order).  A raw dense array is validated, as
     symmetric unless symmetric is False."""
     band = _band_diagonals(a)
     if band is not None:
         return band, None, None
-    dense = _as_symmetric_dense(a) if symmetric else to_dense_array(a)
+    dense = _checked_dense(a, symmetric)
     return None, dense, _path_order(dense)
 
 
@@ -627,7 +693,7 @@ def _exact_rows(a) -> list[list[Fraction]] | None:
                 x = Fraction(x)
             r.append(x)
         out.append(r)
-    if any(len(r) != len(out) for r in out):
+    if not out or any(len(r) != len(out) for r in out):
         return None
     return out
 
@@ -661,7 +727,7 @@ def determinant(a) -> float:
     band = _band_diagonals(a)
     if band is not None:
         return _pair_value(*_band_minors(*band)[-1])
-    return _det_float(to_dense_array(a))
+    return _det_float(_checked_dense(a, symmetric=False))
 
 
 def _add_to_diagonal(a, t: float):

@@ -6,6 +6,7 @@ path) elsewhere.
 """
 
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,7 @@ from bandpos import (
     sym_tridiag_eigenvalues,
 )
 from bandpos import positivity as oracle
+from bandpos.bandmat import SCALE_CUTOFF
 from bandpos.positivity import _householder_tridiagonalize
 
 # Roots of the characteristic cubic of A(0.1) = tridiag([1, 2.1, 1], [1, 1]):
@@ -143,6 +145,23 @@ class TestRawArrayValidation:
     def test_empty_matrix_rejected(self, oracle_fn):
         with pytest.raises(ValueError, match="order must be at least 1"):
             oracle_fn(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("fn", [leading_principal_minors, determinant])
+    @pytest.mark.parametrize(
+        "a", [np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]])], ids=["inf", "nan"]
+    )
+    def test_minors_and_determinant_reject_non_finite_entries(self, fn, a):
+        with pytest.raises(ValueError, match="all entries must be finite"):
+            fn(a)
+
+    @pytest.mark.parametrize("fn", [leading_principal_minors, determinant])
+    def test_minors_and_determinant_reject_order_zero(self, fn):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            fn(np.zeros((0, 0)))
+
+    def test_no_rows_are_no_exact_minors(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            leading_principal_minors([])
 
 
 class TestClassify:
@@ -315,6 +334,10 @@ def sequential_bisect(diag, off, width, k):
     return 0.5 * (a + b)
 
 
+def refuse_estimate(a):
+    raise AssertionError("an eigenvalue estimate was taken")
+
+
 def frozen_householder_tridiagonalize(a):
     """Householder reduction as first written, writing the whole reflected
     column and stacking the rank-2 factors each step (frozen copy: the
@@ -439,6 +462,8 @@ class TestBisectionBitIdentity:
         t = random_tridiagonal(np.random.default_rng(73), 40)
         whole = sym_eigenvalues(t)
         monkeypatch.setattr(oracle, "_NEGCOUNT_BLOCK", 100)
+        # n * n pivots no longer fit one count: the bisection starts cold
+        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", refuse_estimate)
         assert np.array_equal(sym_eigenvalues(t), whole)
 
     def test_pentadiagonal_spectra_match_lapack(self):
@@ -451,6 +476,142 @@ class TestBisectionBitIdentity:
             want = np.linalg.eigvalsh(dense)
             np.testing.assert_allclose(sym_eigenvalues(p, tol), want, rtol=0, atol=allowance)
             assert min_eigenvalue(p, tol) == pytest.approx(want[0], rel=0, abs=allowance)
+
+
+def reference_spectrum(diag, off, width):
+    """sequential_bisect of every eigenvalue in index order, after the
+    oracle's exact power-of-two scaling of entries above SCALE_CUTOFF."""
+    big = max(float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0)))
+    t = math.frexp(big)[1] if big > SCALE_CUTOFF else 0
+    d, o, w = np.ldexp(diag, -t), np.ldexp(off, -t), math.ldexp(width, -t)
+    return [math.ldexp(sequential_bisect(d, o, w, k), t) for k in range(diag.shape[0])]
+
+
+def warm_start_inputs(seed, count):
+    """Seeded tridiagonals (diag, off) with a bisection width: small
+    integers and equal diagonals (eigenvalues on midpoints), zero couplings,
+    magnitudes 1e-8 to 1e8 and 1e+-150, entries above SCALE_CUTOFF.  Widths
+    run from 1e-6 to 1e-16 of the max-norm, below float resolution at the
+    small end."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(2, 11))
+        kind = case % 6
+        if kind == 0:
+            diag, off = rng.integers(-2, 3, n), rng.integers(-1, 2, n - 1)
+        elif kind == 1:
+            diag, off = np.full(n, int(rng.integers(-3, 4))), np.where(rng.random(n - 1) < 0.2, 0, 1)
+        elif kind == 2:
+            diag, off = rng.uniform(-1.0, 3.0, n), rng.uniform(0.0, 2.0, n - 1)
+            off[rng.random(n - 1) < 0.3] = 0.0
+        elif kind == 3:
+            diag = rng.uniform(-1.0, 3.0, n) * 10.0 ** int(rng.integers(-8, 9))
+            off = rng.uniform(-2.0, 2.0, n - 1) * 10.0 ** int(rng.integers(-8, 9))
+        elif kind == 4:
+            diag = rng.uniform(-1.0, 3.0, n) * 10.0 ** int(rng.choice([-150, 150]))
+            off = rng.uniform(-2.0, 2.0, n - 1) * 10.0 ** int(rng.choice([-150, 150]))
+        else:
+            diag, off = rng.uniform(-1.0, 3.0, n) * 2.0**500, rng.uniform(-2.0, 2.0, n - 1) * 2.0**500
+        diag, off = diag.astype(float), off.astype(float)
+        norm = max(float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0))) or 1.0
+        yield diag, off, 10.0 ** -rng.uniform(6.0, 16.5) * norm
+
+
+class TestWarmStart:
+    """LAPACK's estimates steer the all-eigenvalue bisection and one Sturm
+    count certifies it: the spectra are those of sequential bisection."""
+
+    def test_spectra_equal_sequential_bisection(self, monkeypatch):
+        moved = total = 0
+        warm = oracle._warm_start
+
+        def counted(diag, off, off2, pivmin, width, ks, a, b):
+            nonlocal moved, total
+            start = a.copy(), b.copy()
+            warm(diag, off, off2, pivmin, width, ks, a, b)
+            moved += int(np.count_nonzero((a != start[0]) | (b != start[1])))
+            total += ks.size
+
+        monkeypatch.setattr(oracle, "_warm_start", counted)
+        for case, (diag, off, width) in enumerate(warm_start_inputs(131, 1800)):
+            want = reference_spectrum(diag, off, width)
+            assert oracle._tridiag_bisect(diag, off, width, range(diag.shape[0])) == want
+            if case % 6 == 0:
+                assert sym_eigenvalues(make_tridiagonal(diag, off), width).tolist() == sorted(want)
+        # the estimates steered almost every bracket
+        assert moved > 0.9 * total
+
+    def test_repeated_eigenvalues_of_pentadiagonal_direct_sums(self):
+        rng = np.random.default_rng(137)
+        for case in range(150):
+            m = int(rng.integers(2, 8))
+            if case % 2:
+                d, o = rng.integers(-2, 3, m), rng.integers(-1, 2, m - 1)
+            else:
+                d, o = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2.0, m - 1)
+            # equal odd and even blocks: every eigenvalue twice
+            p = make_pentadiagonal(np.repeat(d, 2).astype(float), np.repeat(o, 2).astype(float))
+            width = 10.0 ** -rng.uniform(6.0, 16.5)
+            diag, off, _ = sturm_form(p)
+            got = sym_eigenvalues(p, width).tolist()
+            assert got == sorted(reference_spectrum(diag, off, width))
+            assert got[0::2] == got[1::2]
+
+    def test_householder_reduced_spectra(self):
+        rng = np.random.default_rng(139)
+        for case in range(150):
+            n = int(rng.integers(3, 11))
+            # no zero entry: the nonzero graph is complete, not a union of paths
+            a = rng.uniform(-2.0, 2.0, (n, n)) if case % 2 else rng.choice([-2.0, -1.0, 1.0, 2.0], (n, n))
+            a = np.triu(a) + np.triu(a, 1).T
+            assert oracle._path_order(a) is None
+            width = 10.0 ** -rng.uniform(6.0, 16.5)
+            diag, off, _ = sturm_form(a)
+            assert sym_eigenvalues(a, width).tolist() == sorted(reference_spectrum(diag, off, width))
+
+    @pytest.mark.parametrize("estimate", ["shifted", "reversed", "nan", "raises"])
+    def test_bad_estimates_change_no_spectrum(self, estimate, monkeypatch):
+        inputs = list(warm_start_inputs(149, 60))
+        matrices = list(random_symmetric_inputs(151, 40))
+        want = [oracle._tridiag_bisect(d, o, w, range(d.shape[0])) for d, o, w in inputs]
+        want_matrices = [sym_eigenvalues(a, 1e-12).tolist() for a in matrices]
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def bad(a):
+            calls.append(a.shape[0])
+            if estimate == "raises":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            w = eigvalsh(a)
+            return {"shifted": w + 1e-6, "reversed": w[::-1], "nan": np.full_like(w, np.nan)}[estimate]
+
+        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", bad)
+        assert [oracle._tridiag_bisect(d, o, w, range(d.shape[0])) for d, o, w in inputs] == want
+        assert [sym_eigenvalues(a, 1e-12).tolist() for a in matrices] == want_matrices
+        assert len(calls) >= len(inputs)
+
+    def test_one_bracket_takes_no_estimate(self, monkeypatch):
+        t = random_tridiagonal(np.random.default_rng(73), 40)
+        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", refuse_estimate)
+        assert classify_positivity(t).min_eigenvalue == min_eigenvalue(t)
+
+    def test_few_sturm_counts_per_spectrum(self, monkeypatch):
+        calls = 0
+        negcounts = oracle._negcounts
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return negcounts(*args)
+
+        monkeypatch.setattr(oracle, "_negcounts", counted)
+        rng = np.random.default_rng(157)
+        per_spectrum = []
+        for _ in range(50):
+            t = random_tridiagonal(rng, 64)
+            before = calls
+            sym_eigenvalues(t)
+            per_spectrum.append(calls - before)
+        assert statistics.median(per_spectrum) <= 2
 
 
 def leading_blocks_det(dense):
