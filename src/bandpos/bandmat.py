@@ -116,6 +116,18 @@ class BandSymMatrix:
         return matrix_to_json(self)
 
 
+def check_dense(a: np.ndarray, symmetric: bool = True) -> np.ndarray:
+    """The square float array a, refused unless its order is at least 1 and
+    its entries are finite, and, when symmetric, unless it is symmetric."""
+    if a.shape[0] < 1:
+        raise ValueError("order must be at least 1")
+    if not np.isfinite(a).all():
+        raise ValueError("all entries must be finite")
+    if symmetric and not np.array_equal(a, a.T):
+        raise ValueError("matrix is not symmetric")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class DenseSymMatrix:
     """Full symmetric matrix; used for Hadamard powers of band matrices at
@@ -127,12 +139,7 @@ class DenseSymMatrix:
         a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries must form a square matrix")
-        if a.shape[0] < 1:
-            raise ValueError("order must be at least 1")
-        if not np.isfinite(a).all():
-            raise ValueError("all entries must be finite")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix is not symmetric")
+        check_dense(a)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -274,7 +281,7 @@ def hadamard_power(a, r: float):
         if r == 0.0:
             return DenseSymMatrix(np.ones(a.shape))
         return DenseSymMatrix(np.power(a.entries, r))
-    arr = np.asarray(a, dtype=float)
+    arr = check_dense(to_dense_array(a), symmetric=False)
     _validate_power_entries(float(arr.min()), r)
     if r == 0.0:
         return np.ones(arr.shape)

@@ -4,7 +4,9 @@ critical-exponent set for chordal zero patterns.
 
 Chordality is decided by lexicographic BFS followed by verification of the
 candidate perfect elimination ordering; failures are certified by an
-explicit chordless cycle of length >= 4.
+explicit chordless cycle of length >= 4.  The critical exponent of a
+chordal graph is read off that ordering in O(n w^2) for clique number w;
+the branch-and-bound clique and near-clique numbers serve general graphs.
 """
 
 from __future__ import annotations
@@ -26,15 +28,10 @@ __all__ = [
     "is_chordal",
     "clique_number",
     "max_near_clique",
-    "greedy_near_clique_bound",
     "chordal_critical_exponent",
     "graph_from_text",
     "graph_to_text",
 ]
-
-# Exact subset search is guaranteed only up to this many vertices.
-EXHAUSTIVE_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -255,7 +252,7 @@ def _greedy_color_order(g: SimpleGraph, cand: list[int]) -> tuple[list[int], lis
 
 def clique_number(g: SimpleGraph, subset=None) -> int:
     """Exact clique number by branch and bound with a greedy coloring
-    bound; intended for desk-scale graphs."""
+    bound; exponential in the worst case."""
     vertices = sorted(subset) if subset is not None else list(range(1, g.n + 1))
     if not vertices:
         return 0
@@ -285,14 +282,10 @@ def max_near_clique(g: SimpleGraph) -> int:
 
     The value is either the clique number w or w + 1; the latter happens
     exactly when two non-adjacent vertices share a common neighborhood
-    containing a clique of size w - 1.  Exact; raises for graphs above the
-    exhaustive limit (use greedy_near_clique_bound for a lower bound).
+    containing a clique of size w - 1.  Exact for any graph, by branch and
+    bound, so exponential in the worst case; chordal_critical_exponent
+    needs no search.
     """
-    if g.n > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"exact search limited to {EXHAUSTIVE_LIMIT} vertices; "
-            "greedy_near_clique_bound gives an inexact lower bound"
-        )
     w = clique_number(g)
     if g.n < 2:
         return w
@@ -306,29 +299,18 @@ def max_near_clique(g: SimpleGraph) -> int:
     return w
 
 
-def greedy_near_clique_bound(g: SimpleGraph) -> int:
-    """Greedy lower bound on max_near_clique for graphs too large for the
-    exact search."""
-    best = 1
-    for v in range(1, g.n + 1):
-        clique = [v]
-        for u in sorted(g.neighbors(v), key=lambda u: -g.degree(u)):
-            if all(g.has_edge(u, w) for w in clique):
-                clique.append(u)
-        best = max(best, len(clique))
-    if best < g.n:
-        # any non-adjacent pair extends a near-clique of size 2
-        for x in range(1, g.n + 1):
-            if g.degree(x) < g.n - 1:
-                best = max(best, 2)
-                break
-    return best
-
-
 def chordal_critical_exponent(g: SimpleGraph):
     """Exponent set preserving positive definiteness for every PD matrix
     with the zero pattern of the chordal graph g: the positive integers
-    together with [r - 2, oo), where r = max_near_clique(g).
+    together with [r - 2, oo), where r = max_near_clique(g)
+    (Guillot-Khare-Rajaratnam 2016).
+
+    r is read off the perfect elimination ordering in O(n w^2), with no
+    clique search: every maximal clique is some C_v = {v} + the neighbours
+    of v later in the ordering (Gavril 1972), so the clique number w is the
+    largest |C_v|; a K_(w+1) minus an edge is two maximum cliques sharing
+    w - 1 vertices, so r = w + 1 if two C_v of size w share such a face,
+    and r = w otherwise.
 
     Refuses non-chordal graphs: the formula is proven only for chordal
     patterns.  The natural numbers here exclude 0 (a convention; the
@@ -341,7 +323,11 @@ def chordal_critical_exponent(g: SimpleGraph):
     cert = is_chordal(g)
     if not cert.is_chordal:
         raise ValueError("graph is not chordal; critical exponent formula does not apply")
-    r = max_near_clique(g)
+    pos = {v: k for k, v in enumerate(cert.ordering)}
+    cliques = [frozenset(u for u in g.neighbors(v) if pos[u] > pos[v]) | {v} for v in cert.ordering]
+    w = max(map(len, cliques))
+    faces = [c - {u} for c in cliques if len(c) == w for u in c]
+    r = w + 1 if len(set(faces)) < len(faces) else w
     return PowerSet(float(r - 2), includes_naturals=True)
 
 

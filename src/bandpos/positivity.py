@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandmat import BandSymMatrix, DenseSymMatrix, ExactBand, overflow_exponent, to_dense_array
+from .bandmat import BandSymMatrix, DenseSymMatrix, ExactBand, check_dense, overflow_exponent, to_dense_array
 
 __all__ = [
     "PD",
@@ -324,17 +324,12 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_dense(a, symmetric: bool = True) -> np.ndarray:
-    """to_dense_array, with DenseSymMatrix's checks and messages, in its
-    order, for raw arrays; the symmetry check only when symmetric."""
+    """to_dense_array, with DenseSymMatrix's checks (bandmat.check_dense)
+    for raw arrays; the symmetry check only when symmetric."""
     dense = to_dense_array(a)
-    if not isinstance(a, (BandSymMatrix, DenseSymMatrix)):
-        if dense.shape[0] < 1:
-            raise ValueError("order must be at least 1")
-        if not np.isfinite(dense).all():
-            raise ValueError("all entries must be finite")
-        if symmetric and not np.array_equal(dense, dense.T):
-            raise ValueError("matrix is not symmetric")
-    return dense
+    if isinstance(a, (BandSymMatrix, DenseSymMatrix)):
+        return dense
+    return check_dense(dense, symmetric)
 
 
 def _max_abs(*arrays: np.ndarray) -> float:
@@ -436,6 +431,13 @@ def _tridiagonal_form(band, dense, order) -> tuple[np.ndarray, np.ndarray, float
     return (*_householder_tridiagonalize(dense), scale)
 
 
+def _checked_tol(tol) -> float:
+    """tol as a float, refused unless it is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    return float(tol)
+
+
 def sym_tridiag_eigenvalues(t: BandSymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending, each
     bracketed by Sturm bisection to width <= tol."""
@@ -447,16 +449,14 @@ def sym_tridiag_eigenvalues(t: BandSymMatrix, tol: float = DEFAULT_TOL) -> np.nd
 def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a symmetric matrix (band or dense), ascending;
     brackets of width <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _checked_tol(tol)
     diag, off, _ = _tridiagonal_form(*_forms(a))
-    return np.sort(_tridiag_bisect(diag, off, float(tol), range(diag.shape[0])))
+    return np.sort(_tridiag_bisect(diag, off, tol, range(diag.shape[0])))
 
 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue to absolute accuracy tol * max(1, max-norm)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _checked_tol(tol)
     diag, off, scale = _tridiagonal_form(*_forms(a))
     return _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]
 
@@ -469,8 +469,7 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     max(tol, STURM_BACKWARD_C * n * eps) * max(1, max-norm); a tol below
     the Sturm count's backward error cannot decide a sign.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = _checked_tol(tol)
     forms = _forms(a)
     diag, off, scale = _tridiagonal_form(*forms)
     lam = _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]

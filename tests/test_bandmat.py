@@ -118,6 +118,23 @@ class TestHadamardPower:
         assert isinstance(powered, BandSymMatrix)
         assert powered.is_pentadiagonal_form
 
+    def test_raw_array_of_order_zero_refused(self):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            hadamard_power(np.zeros((0, 0)), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_raw_array_with_non_finite_entry_refused(self, bad):
+        with pytest.raises(ValueError, match="all entries must be finite"):
+            hadamard_power(np.array([[1.0, bad], [bad, 1.0]]), 2)
+
+    def test_raw_array_need_not_be_symmetric(self):
+        powered = hadamard_power(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
+        np.testing.assert_array_equal(powered, [[1.0, 4.0], [9.0, 16.0]])
+
+    def test_raw_array_must_be_square(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            hadamard_power(np.ones((2, 3)), 2)
+
     def test_power_composition(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

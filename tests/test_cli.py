@@ -118,6 +118,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert "tol must be positive" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["check-positivity", "data/a01.json"], ["probe", "--family", "tridiagonal", "-r", "0.5", "-n", "5"]],
+        ids=["check-positivity", "probe"],
+    )
+    def test_non_finite_tol_is_usage_error(self, capsys, argv, tol):
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == EXIT_USAGE and out == ""
+        assert "tol must be positive and finite" in err
+
     def test_chain_parse_failure(self, capsys):
         code, _, err = run_cli(capsys, "chain", "1,junk,3")
         assert code == EXIT_FORMAT and err

@@ -1,5 +1,8 @@
-"""Every demo script runs to completion and prints its walkthrough."""
+"""Every demo script runs to completion and prints its walkthrough, and
+the README's library quick start gives the values its comments state."""
 
+import ast
+import math
 import os
 import pathlib
 import subprocess
@@ -29,3 +32,21 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    classification, wall_wetzel, preservers, det, is_id, exponents = values
+    assert classification == "PD"
+    assert wall_wetzel is True
+    assert preservers == "[1, ∞)"
+    assert det < 0 and det == pytest.approx(math.sqrt(3) - 2, rel=1e-12)
+    assert is_id is False
+    assert exponents == "ℕ ∪ [3, ∞)"

@@ -30,7 +30,8 @@ from bandpos import (
     pattern_check,
     penta_support_graph,
 )
-from bandpos.graphs import greedy_near_clique_bound, lex_bfs
+from bandpos import graphs
+from bandpos.graphs import lex_bfs
 
 
 def brute_chordal(g: SimpleGraph) -> bool:
@@ -114,6 +115,18 @@ def random_chordal_graph(rng: random.Random, n: int) -> SimpleGraph:
         chosen = rng.sample(base, size)
         edges.extend((u, v) for u in chosen)
         cliques.append(chosen + [v])
+    return SimpleGraph(n, tuple(edges))
+
+
+def random_ktree(rng: random.Random, n: int, k: int) -> SimpleGraph:
+    """A k-tree: a K_(k+1), then each new vertex joined to a k-face of an
+    earlier (k+1)-clique."""
+    edges = list(itertools.combinations(range(1, k + 2), 2))
+    cliques = [list(range(1, k + 2))]
+    for v in range(k + 2, n + 1):
+        face = rng.sample(rng.choice(cliques), k)
+        edges.extend((u, v) for u in face)
+        cliques.append(face + [v])
     return SimpleGraph(n, tuple(edges))
 
 
@@ -253,16 +266,8 @@ class TestCliqueNumbers:
             g = random_graph(rng, rng.randint(1, 10), 0.5)
             assert max_near_clique(g) >= clique_number(g)
 
-    def test_exhaustive_limit(self):
-        with pytest.raises(ValueError, match="exact search limited"):
-            max_near_clique(path_graph(65))
-        assert greedy_near_clique_bound(path_graph(65)) >= 2
-
-    def test_greedy_bound_is_lower_bound(self):
-        rng = random.Random(23)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(1, 10), 0.5)
-            assert greedy_near_clique_bound(g) <= max_near_clique(g)
+    def test_no_vertex_limit(self):
+        assert max_near_clique(path_graph(65)) == 3
 
 
 class TestCriticalExponent:
@@ -294,6 +299,35 @@ class TestCriticalExponent:
     def test_small_graph_refused(self):
         with pytest.raises(ValueError):
             chordal_critical_exponent(path_graph(2))
+
+    def test_matches_branch_and_bound_and_brute_force(self):
+        rng = random.Random(37)
+        for _ in range(600):
+            g = random_chordal_graph(rng, rng.randint(3, 14))
+            r = chordal_critical_exponent(g).tail_threshold + 2
+            assert r == max_near_clique(g)
+            if g.n <= 9:
+                assert r == brute_near_clique(g)
+
+    def test_runs_no_clique_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("clique search on the critical-exponent path")
+
+        monkeypatch.setattr(graphs, "clique_number", refuse)
+        monkeypatch.setattr(graphs, "max_near_clique", refuse)
+        assert chordal_critical_exponent(complete_graph(6)) == PowerSet(4.0, includes_naturals=True)
+        assert chordal_critical_exponent(band_graph(40, 3)) == PowerSet(3.0, includes_naturals=True)
+        assert chordal_critical_exponent(SimpleGraph(3, ())) == PowerSet(0.0, includes_naturals=True)
+
+    def test_large_band_graph(self):
+        ps = chordal_critical_exponent(band_graph(300, 4))
+        assert ps == PowerSet(4.0, includes_naturals=True)
+        assert ps.render() == "ℕ ∪ [4, ∞)"
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_large_ktree(self, k):
+        g = random_ktree(random.Random(41 + k), 500, k)
+        assert chordal_critical_exponent(g).tail_threshold == k
 
     def test_monotone_under_induced_subgraphs(self):
         rng = random.Random(29)

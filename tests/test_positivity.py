@@ -130,6 +130,16 @@ class TestMinEigenvalue:
             min_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestTolValidation:
+    """One check refuses a tol that is not positive and finite."""
+
+    @pytest.mark.parametrize("fn", [min_eigenvalue, sym_eigenvalues, classify_positivity])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
+    def test_refused(self, a01, fn, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            fn(a01, tol)
+
+
 class TestRawArrayValidation:
     """Raw arrays get DenseSymMatrix's checks and messages."""
 
