@@ -266,6 +266,8 @@ def hadamard_power(a, r: float):
     all-ones matrix (dense, regardless of the input's band structure).
     """
     r = float(r)
+    if not math.isfinite(r):
+        raise ValueError("exponent must be finite")
     if isinstance(a, BandSymMatrix):
         _validate_power_entries(a.min_entry(), r)
         if r == 0.0:

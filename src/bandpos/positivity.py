@@ -454,11 +454,27 @@ def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.sort(_tridiag_bisect(diag, off, tol, range(diag.shape[0])))
 
 
+def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> tuple[float, str, float]:
+    """Smallest eigenvalue, class and threshold of the tridiagonal form
+    (diag, off) of a matrix of max-norm scale, as _tridiagonal_form gives
+    it, for a tol already checked by _checked_tol.  The eigenvalue is
+    bisected to width tol * max(1, scale); the class compares it against
+    +-thr, thr = max(tol, STURM_BACKWARD_C * n * eps) * max(1, scale)."""
+    lam = _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]
+    thr = max(tol, STURM_BACKWARD_C * diag.shape[0] * sys.float_info.epsilon) * max(1.0, scale)
+    if lam > thr:
+        cls = PD
+    elif lam < -thr:
+        cls = INDEFINITE
+    else:
+        cls = PSD_BOUNDARY
+    return lam, cls, thr
+
+
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue to absolute accuracy tol * max(1, max-norm)."""
     tol = _checked_tol(tol)
-    diag, off, scale = _tridiagonal_form(*_forms(a))
-    return _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]
+    return _form_class(*_tridiagonal_form(*_forms(a)), tol)[0]
 
 
 def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
@@ -472,14 +488,7 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     tol = _checked_tol(tol)
     forms = _forms(a)
     diag, off, scale = _tridiagonal_form(*forms)
-    lam = _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]
-    thr = max(tol, STURM_BACKWARD_C * diag.shape[0] * sys.float_info.epsilon) * max(1.0, scale)
-    if lam > thr:
-        cls = PD
-    elif lam < -thr:
-        cls = INDEFINITE
-    else:
-        cls = PSD_BOUNDARY
+    lam, cls, thr = _form_class(diag, off, scale, tol)
     return PositivityVerdict(cls, lam, scale, tuple(_float_minors(*forms)), thr)
 
 

@@ -7,10 +7,24 @@ pentadiagonal orders 3 and 4 every exponent r >= 0 preserves positivity.
 This module exposes those sets, builds the explicit counterexamples that
 fail below exponent 1, decides infinite divisibility, and provides a seeded
 random probe that searches for falsifying matrices.
+
+The probe and the infinite-divisibility grid classify many Hadamard powers,
+so they skip the matrix objects: each power goes straight to the tridiagonal
+form the oracle bisects (positivity._tridiagonal_form) and only its smallest
+eigenvalue and class are computed.  A band sample is drawn as the two
+diagonals of that form, in the oracle's order (for the pentadiagonal family
+its odd block, an exactly zero coupling, then its even block), and powered
+entrywise; only the probe's worst sample becomes a matrix object.  The grid
+finds its input's route once and powers the same two diagonals for each
+exponent, unless the input needs a Householder reduction.  The values are
+those of min_eigenvalue and classify_positivity on hadamard_power's result,
+bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +42,15 @@ from .bandmat import (
     to_dense_array,
 )
 from .chainseq import split_at_zero_offdiag
-from .positivity import DEFAULT_TOL, INDEFINITE, classify_positivity, min_eigenvalue
+from .positivity import (
+    DEFAULT_TOL,
+    INDEFINITE,
+    _checked_tol,
+    _form_class,
+    _forms,
+    _max_abs,
+    _tridiagonal_form,
+)
 
 __all__ = [
     "PowerSet",
@@ -61,6 +83,9 @@ DEFAULT_ID_GRID = (0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 ID_PATTERN_TOL = 1e-12
 
 _PROBE_ORDER_RANGES = {"tridiagonal": (3, 12), "pentadiagonal": (5, 8)}
+
+# Smallest order each band family is defined for.
+_LEAST_ORDER = {"tridiagonal": 1, "pentadiagonal": 3}
 
 
 @dataclass(frozen=True)
@@ -163,23 +188,44 @@ def counterexample_pentadiagonal(r: float) -> BandSymMatrix:
     return make_pentadiagonal([1.0, 2.0, 2.0, 1.0, 1.0], [1.0, 1.0, 1.0])
 
 
-def random_pd_tridiagonal(rng: np.random.Generator, order: int) -> BandSymMatrix:
-    """Random PD tridiagonal matrix, PD by construction.
+def _draw_band(rng: np.random.Generator, family: str, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a random PD matrix of the band family,
+    in the oracle's tridiagonal order: a tridiagonal sample as it is, a
+    pentadiagonal one as its odd block, an exactly zero coupling, then its
+    even block.
 
-    Parameters g_k in (0, 1) are drawn first and turned into the chain
-    sequence (1 - g_{k-1}) g_k of off-diagonal ratios, so the chain-sequence
-    PD criterion holds with no rejection step and samples reach arbitrarily
-    close to the PSD boundary.
+    Each tridiagonal block draws parameters g_k in (0, 1) first and turns
+    them into the chain sequence (1 - g_{k-1}) g_k of off-diagonal ratios,
+    so the chain-sequence PD criterion holds with no rejection step and
+    samples reach arbitrarily close to the PSD boundary.
     """
+    blocks = (order,) if family == "tridiagonal" else ((order + 1) // 2, order // 2)
+    diags, offs = [], []
+    for k in blocks:
+        g = rng.uniform(0.05, 0.95, size=k)
+        diag = rng.uniform(0.2, 3.0, size=k)
+        ratios = (1.0 - g[:-1]) * g[1:]
+        diags.append(diag)
+        offs.append(np.sqrt(ratios * diag[:-1] * diag[1:]))
+    if family == "tridiagonal":
+        return diags[0], offs[0]
+    return np.concatenate(diags), np.concatenate((offs[0], [0.0], offs[1]))
+
+
+def _band_matrix(family: str, diag: np.ndarray, off: np.ndarray) -> BandSymMatrix:
+    """The matrix of the band family whose diagonals _draw_band laid out."""
+    if family == "tridiagonal":
+        return make_tridiagonal(diag, off)
+    k = (diag.shape[0] + 1) // 2
+    return join_pentadiagonal(make_tridiagonal(diag[:k], off[: k - 1]), make_tridiagonal(diag[k:], off[k:]))
+
+
+def random_pd_tridiagonal(rng: np.random.Generator, order: int) -> BandSymMatrix:
+    """Random PD tridiagonal matrix, PD by construction from a chain
+    sequence (see _draw_band)."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    g = rng.uniform(0.05, 0.95, size=order)
-    diag = rng.uniform(0.2, 3.0, size=order)
-    if order == 1:
-        return make_tridiagonal(diag, [])
-    ratios = (1.0 - g[:-1]) * g[1:]
-    off = np.sqrt(ratios * diag[:-1] * diag[1:])
-    return make_tridiagonal(diag, off)
+    return _band_matrix("tridiagonal", *_draw_band(rng, "tridiagonal", order))
 
 
 def random_pd_pentadiagonal(rng: np.random.Generator, order: int) -> BandSymMatrix:
@@ -187,14 +233,11 @@ def random_pd_pentadiagonal(rng: np.random.Generator, order: int) -> BandSymMatr
     PD tridiagonal blocks via the even/odd interleaving."""
     if order < 3:
         raise ValueError("order must be at least 3")
-    odd = random_pd_tridiagonal(rng, (order + 1) // 2)
-    even = random_pd_tridiagonal(rng, order // 2)
-    return join_pentadiagonal(odd, even)
+    return _band_matrix("pentadiagonal", *_draw_band(rng, "pentadiagonal", order))
 
 
-def random_pd_pattern(rng: np.random.Generator, graph) -> DenseSymMatrix:
-    """Random PD matrix with nonnegative entries and the zero pattern of the
-    given graph, built strictly diagonally dominant."""
+def _draw_pattern(rng: np.random.Generator, graph) -> np.ndarray:
+    """The entries of random_pd_pattern, as a raw array."""
     n = graph.n
     a = np.zeros((n, n))
     for i, j in sorted(graph.edges):
@@ -202,7 +245,41 @@ def random_pd_pattern(rng: np.random.Generator, graph) -> DenseSymMatrix:
     slack = rng.uniform(0.1, 1.0, size=n)
     for k in range(n):
         a[k, k] = a[k].sum() + slack[k]
-    return DenseSymMatrix(a)
+    return a
+
+
+def random_pd_pattern(rng: np.random.Generator, graph) -> DenseSymMatrix:
+    """Random PD matrix with nonnegative entries and the zero pattern of the
+    given graph, built strictly diagonally dominant."""
+    return DenseSymMatrix(_draw_pattern(rng, graph))
+
+
+def _powered_form(diag: np.ndarray, off: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The tridiagonal form (diag**r, off**r, max-norm) of the r-th power of
+    a nonnegative matrix whose form is (diag, off), refused as the matrix
+    classes refuse it when a power overflows.  Callers turn numpy's overflow
+    warning off once around their loop."""
+    diag, off = np.power(diag, r), np.power(off, r)
+    scale = _max_abs(diag, off)
+    if not math.isfinite(scale):
+        raise ValueError("all entries must be finite")
+    return diag, off, scale
+
+
+def _checked_order_range(family: str, order_range) -> tuple[int, int]:
+    """(lo, hi) of the band family's sample orders, the default when
+    order_range is None; refused unless they are integers with
+    least <= lo <= hi, least the family's smallest order."""
+    if order_range is None:
+        return _PROBE_ORDER_RANGES[family]
+    try:
+        lo, hi = map(operator.index, order_range)
+    except (TypeError, ValueError):
+        raise ValueError("order_range must be a pair of integers") from None
+    least = _LEAST_ORDER[family]
+    if not least <= lo <= hi:
+        raise ValueError(f"order_range must satisfy {least} <= lo <= hi for the {family} family")
+    return lo, hi
 
 
 def probe_preserves(
@@ -223,10 +300,16 @@ def probe_preserves(
     the band families with 0 < r < 1 the known counterexample is injected
     as sample 0, so the probe is guaranteed to falsify there.
     min_over_samples >= -tol certifies that no falsification was found.
+
+    Each sample's smallest eigenvalue is min_eigenvalue of its power, bit for
+    bit, computed from the powered tridiagonal form with no matrix object;
+    only the worst case is built as one.
     """
     r = float(r)
     if r <= 0:
         raise ValueError("exponent must be positive")
+    if not math.isfinite(r):
+        raise ValueError("exponent must be finite")
     if samples < 1:
         raise ValueError("at least one sample is required")
     family = family.lower()
@@ -234,31 +317,39 @@ def probe_preserves(
         raise ValueError(f"unknown family: {family!r}")
     if family == "graph" and graph is None:
         raise ValueError("graph family requires a graph")
-    if order_range is None and family != "graph":
-        order_range = _PROBE_ORDER_RANGES[family]
+    tol = _checked_tol(tol)
+    if family != "graph":
+        lo, hi = _checked_order_range(family, order_range)
     inject = family != "graph" and r < 1
     best: float | None = None
-    worst: Matrix | None = None
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        if i == 0 and inject:
-            m = (
-                counterexample_tridiagonal(r)
-                if family == "tridiagonal"
-                else counterexample_pentadiagonal(r)
-            )
-        elif family == "graph":
-            m = random_pd_pattern(rng, graph)
-        else:
-            order = int(rng.integers(order_range[0], order_range[1] + 1))
-            if family == "tridiagonal":
-                m = random_pd_tridiagonal(rng, order)
+    worst = None
+    # a power that overflows is refused with the matrix classes' message,
+    # with no warning first
+    with np.errstate(over="ignore"):
+        for i in range(samples):
+            rng = np.random.default_rng([seed, i])
+            if family == "graph":
+                sample = _draw_pattern(rng, graph)
+                form = _tridiagonal_form(*_forms(np.power(sample, r)))
             else:
-                m = random_pd_pentadiagonal(rng, order)
-        lam = min_eigenvalue(hadamard_power(m, r), tol)
-        if best is None or lam < best:
-            best = lam
-            worst = m
+                if i == 0 and inject:
+                    sample = (
+                        counterexample_tridiagonal(r)
+                        if family == "tridiagonal"
+                        else counterexample_pentadiagonal(r)
+                    )
+                    diag, off, _ = _tridiagonal_form(*_forms(sample))
+                else:
+                    sample = diag, off = _draw_band(rng, family, int(rng.integers(lo, hi + 1)))
+                form = _powered_form(diag, off, r)
+            lam = _form_class(*form, tol)[0]
+            if best is None or lam < best:
+                best = lam
+                worst = sample
+    if isinstance(worst, tuple):
+        worst = _band_matrix(family, *worst)
+    elif isinstance(worst, np.ndarray):
+        worst = DenseSymMatrix(worst)
     return ProbeReport(samples, r, best, worst, seed)
 
 
@@ -311,7 +402,7 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
                     "not ID: consecutive nonzero entries in the "
                     f"{parity}-position second-diagonal subsequence",
                 )
-    if any(classify_positivity(t).classification == INDEFINITE for t in tridiagonals):
+    if any(_form_class(*_tridiagonal_form(*_forms(t)), DEFAULT_TOL)[1] == INDEFINITE for t in tridiagonals):
         return IdVerdict(False, "not ID: matrix is not PSD")
     blocks = tuple(split_at_zero_offdiag(m, tol)) if m.bandwidth == 1 else ()
     return IdVerdict(True, "PSD with no two consecutive nonzero off-diagonal entries", blocks)
@@ -350,18 +441,42 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
 
     A True result is not a proof of infinite divisibility (which quantifies
     over all r > 0); only the algebraic characterizations certify it.
+
+    The input's route to tridiagonal form is found once.  Band input, and
+    dense input whose nonzero graph is a union of paths, power the two
+    diagonals of that form for each exponent; the path order is found anew
+    only for a power in which a coupling underflows to zero.  Other dense
+    input is powered and reduced for each exponent.  Each exponent computes
+    the class of classify_positivity and nothing else.
     """
     if r_grid is None:
         r_grid = DEFAULT_ID_GRID
     grid = [float(r) for r in r_grid]
+    if not grid:
+        raise ValueError("probe grid must contain at least one exponent")
     if any(r <= 0 for r in grid):
         raise ValueError("probe grid must contain positive exponents only")
-    dense = to_dense_array(a)
-    if dense.min() < 0:
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("exponent must be finite")
+    low = a.min_entry() if isinstance(a, (BandSymMatrix, DenseSymMatrix)) else to_dense_array(a).min()
+    if low < 0:
         raise ValueError("matrix has a negative entry")
-    for r in grid:
-        if classify_positivity(hadamard_power(a, r), tol).classification == INDEFINITE:
-            return False
+    tol = _checked_tol(tol)
+    band, dense, order = _forms(a)
+    lean = band is not None or order is not None
+    if lean:
+        diag, off, _ = _tridiagonal_form(band, dense, order)
+        couplings = np.count_nonzero(off)
+    # as in probe_preserves: an overflowing power is refused, not warned about
+    with np.errstate(over="ignore"):
+        for r in grid:
+            form = _powered_form(diag, off, r) if lean else None
+            if form is None or (band is None and np.count_nonzero(form[1]) < couplings):
+                # a band matrix of this kind can turn pentadiagonal-form
+                powered = hadamard_power(a, r) if isinstance(a, BandSymMatrix) else np.power(dense, r)
+                form = _tridiagonal_form(*_forms(powered))
+            if _form_class(*form, tol)[1] == INDEFINITE:
+                return False
     return True
 
 

@@ -113,6 +113,12 @@ class TestHadamardPower:
         with pytest.raises(ValueError):
             hadamard_power(a01, -1.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_rejected(self, a01, r):
+        for a in (a01, a01.dense(), DenseSymMatrix(a01.dense())):
+            with pytest.raises(ValueError, match="^exponent must be finite$"):
+                hadamard_power(a, r)
+
     def test_band_structure_preserved(self, p_matrix):
         powered = hadamard_power(p_matrix, 2.0)
         assert isinstance(powered, BandSymMatrix)

@@ -129,6 +129,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert "tol must be positive and finite" in err
 
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["hadamard", "data/a01.json"], ["probe", "--family", "tridiagonal", "-n", "5"]],
+        ids=["hadamard", "probe"],
+    )
+    def test_non_finite_exponent_is_usage_error(self, capsys, argv, r):
+        code, out, err = run_cli(capsys, *argv, "-r", r)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: exponent must be finite\n"
+
     def test_chain_parse_failure(self, capsys):
         code, _, err = run_cli(capsys, "chain", "1,junk,3")
         assert code == EXIT_FORMAT and err

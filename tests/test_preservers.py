@@ -2,6 +2,7 @@
 infinite divisibility, and polynomial closure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,48 @@ class TestProbe:
         with pytest.raises(ValueError):
             probe_preserves("graph", 1.5, 10, seed=1)
 
+    @pytest.mark.parametrize(
+        "family,order_range",
+        [
+            ("tridiagonal", (0, 3)),
+            ("tridiagonal", (-2, 4)),
+            ("tridiagonal", (5, 3)),
+            ("tridiagonal", (2.5, 4)),
+            ("tridiagonal", (3,)),
+            ("pentadiagonal", (1, 4)),
+            ("pentadiagonal", (2, 6)),
+            ("pentadiagonal", (8, 5)),
+        ],
+    )
+    def test_order_range_refused_up_front(self, family, order_range):
+        # before, a bad range failed only on the seeds that drew a bad order,
+        # or leaked numpy's "low >= high"
+        for seed in range(6):
+            with pytest.raises(ValueError, match="^order_range must"):
+                probe_preserves(family, 2.0, 8, seed, order_range=order_range)
+
+    def test_smallest_order_ranges_accepted(self):
+        tri = probe_preserves("tridiagonal", 2.0, 8, 0, order_range=(1, 1))
+        assert tri.worst_case.order == 1
+        penta = probe_preserves("pentadiagonal", 2.0, 8, 0, order_range=(3, 3))
+        assert penta.worst_case.order == 3 and penta.worst_case.is_pentadiagonal_form
+        assert probe_preserves("tridiagonal", 2.0, 8, 0, order_range=(np.int64(3), 4)).samples == 8
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_exponent_refused(self, r):
+        for family, graph in (("tridiagonal", None), ("pentadiagonal", None), ("graph", path_graph(4))):
+            with pytest.raises(ValueError, match="^exponent must be finite$"):
+                probe_preserves(family, r, 5, seed=1, graph=graph)
+
+    @pytest.mark.parametrize(
+        "family,graph", [("tridiagonal", None), ("pentadiagonal", None), ("graph", path_graph(4))]
+    )
+    def test_overflowing_power_refused_without_warning(self, family, graph):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^all entries must be finite$"):
+                probe_preserves(family, 700.0, 5, seed=1, graph=graph)
+
     def test_report_json_round_trip(self):
         report = probe_preserves("tridiagonal", 1.3, 20, seed=5)
         obj = report.to_json_obj()
@@ -318,13 +361,13 @@ class TestIdVerdict:
         from bandpos import preservers
 
         seen = []
-        real = preservers.classify_positivity
+        real = preservers._form_class
 
-        def spy(t, *args):
-            seen.append(t.order)
-            return real(t, *args)
+        def spy(diag, *args):
+            seen.append(diag.shape[0])
+            return real(diag, *args)
 
-        monkeypatch.setattr(preservers, "classify_positivity", spy)
+        monkeypatch.setattr(preservers, "_form_class", spy)
         assert id_verdict(make_pentadiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.5, 0.0])).infinitely_divisible
         assert seen == [3, 2]
         seen.clear()
@@ -356,6 +399,25 @@ class TestNumericProbe:
     def test_bad_grid(self, a01):
         with pytest.raises(ValueError):
             id_numeric_probe(a01, r_grid=[0.5, 0.0])
+
+    def test_empty_grid_refused(self, a01):
+        # before, an empty grid returned True with nothing tested
+        with pytest.raises(ValueError, match="at least one exponent"):
+            id_numeric_probe(a01, r_grid=[])
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_grid_refused(self, a01, r):
+        for a in (a01, a01.dense()):
+            with pytest.raises(ValueError, match="^exponent must be finite$"):
+                id_numeric_probe(a, r_grid=[0.5, r])
+
+    def test_overflowing_power_refused_without_warning(self):
+        t = make_tridiagonal([1e200, 1e200, 1e200], [1e199, 0.0])
+        for a in (t, t.dense(), DenseSymMatrix(t.dense()[[2, 0, 1]][:, [2, 0, 1]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^all entries must be finite$"):
+                    id_numeric_probe(a)
 
     def test_negative_entries_rejected(self):
         m = DenseSymMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
