@@ -472,7 +472,8 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
         for r in grid:
             form = _powered_form(diag, off, r) if lean else None
             if form is None or (band is None and np.count_nonzero(form[1]) < couplings):
-                # a band matrix of this kind can turn pentadiagonal-form
+                # a bandwidth-2 matrix whose first off-diagonal underflows
+                # powers to pentadiagonal form: hadamard_power keeps its route
                 powered = hadamard_power(a, r) if isinstance(a, BandSymMatrix) else np.power(dense, r)
                 form = _tridiagonal_form(*_forms(powered))
             if _form_class(*form, tol)[1] == INDEFINITE:
