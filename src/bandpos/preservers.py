@@ -9,16 +9,11 @@ fail below exponent 1, decides infinite divisibility, and provides a seeded
 random probe that searches for falsifying matrices.
 
 The probe and the infinite-divisibility grid classify many Hadamard powers,
-so they skip the matrix objects: each power goes straight to the tridiagonal
-form the oracle bisects (positivity._tridiagonal_form) and only its smallest
-eigenvalue and class are computed.  A band sample is drawn as the two
-diagonals of that form, in the oracle's order (for the pentadiagonal family
-its odd block, an exactly zero coupling, then its even block), and powered
-entrywise; only the probe's worst sample becomes a matrix object.  The grid
-finds its input's route once and powers the same two diagonals for each
-exponent, unless the input needs a Householder reduction.  The values are
-those of min_eigenvalue and classify_positivity on hadamard_power's result,
-bit for bit.
+so they build no matrix object per power: they power the two diagonals of
+the tridiagonal form the oracle bisects (positivity._tridiagonal_form) and
+compute only its smallest eigenvalue and class, the values of
+min_eigenvalue and classify_positivity on hadamard_power's result, bit for
+bit.  Only the probe's worst sample becomes a matrix object.
 """
 
 from __future__ import annotations
@@ -42,15 +37,7 @@ from .bandmat import (
     to_dense_array,
 )
 from .chainseq import split_at_zero_offdiag
-from .positivity import (
-    DEFAULT_TOL,
-    INDEFINITE,
-    _checked_tol,
-    _form_class,
-    _forms,
-    _max_abs,
-    _tridiagonal_form,
-)
+from .positivity import DEFAULT_TOL, INDEFINITE, _checked_tol, _form_class, _forms, _max_abs, _tridiagonal_form
 
 __all__ = [
     "PowerSet",
@@ -192,13 +179,8 @@ def _draw_band(rng: np.random.Generator, family: str, order: int) -> tuple[np.nd
     """Diagonal and off-diagonal of a random PD matrix of the band family,
     in the oracle's tridiagonal order: a tridiagonal sample as it is, a
     pentadiagonal one as its odd block, an exactly zero coupling, then its
-    even block.
-
-    Each tridiagonal block draws parameters g_k in (0, 1) first and turns
-    them into the chain sequence (1 - g_{k-1}) g_k of off-diagonal ratios,
-    so the chain-sequence PD criterion holds with no rejection step and
-    samples reach arbitrarily close to the PSD boundary.
-    """
+    even block.  Each tridiagonal block is drawn as random_pd_tridiagonal
+    describes."""
     blocks = (order,) if family == "tridiagonal" else ((order + 1) // 2, order // 2)
     diags, offs = [], []
     for k in blocks:
@@ -221,8 +203,13 @@ def _band_matrix(family: str, diag: np.ndarray, off: np.ndarray) -> BandSymMatri
 
 
 def random_pd_tridiagonal(rng: np.random.Generator, order: int) -> BandSymMatrix:
-    """Random PD tridiagonal matrix, PD by construction from a chain
-    sequence (see _draw_band)."""
+    """Random PD tridiagonal matrix, PD by construction.
+
+    Parameters g_k in (0, 1) are drawn first and turned into the chain
+    sequence (1 - g_{k-1}) g_k of off-diagonal ratios, so the chain-sequence
+    PD criterion holds with no rejection step and samples reach arbitrarily
+    close to the PSD boundary.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
     return _band_matrix("tridiagonal", *_draw_band(rng, "tridiagonal", order))
@@ -321,6 +308,7 @@ def probe_preserves(
     if family != "graph":
         lo, hi = _checked_order_range(family, order_range)
     inject = family != "graph" and r < 1
+    counterexample = counterexample_tridiagonal if family == "tridiagonal" else counterexample_pentadiagonal
     best: float | None = None
     worst = None
     # a power that overflows is refused with the matrix classes' message,
@@ -333,11 +321,7 @@ def probe_preserves(
                 form = _tridiagonal_form(*_forms(np.power(sample, r)))
             else:
                 if i == 0 and inject:
-                    sample = (
-                        counterexample_tridiagonal(r)
-                        if family == "tridiagonal"
-                        else counterexample_pentadiagonal(r)
-                    )
+                    sample = counterexample(r)
                     diag, off, _ = _tridiagonal_form(*_forms(sample))
                 else:
                     sample = diag, off = _draw_band(rng, family, int(rng.integers(lo, hi + 1)))

@@ -29,7 +29,6 @@ from bandpos import (
     make_pentadiagonal,
     make_tridiagonal,
     min_eigenvalue,
-    path_graph,
     probe_preserves,
     to_dense_array,
 )
@@ -45,7 +44,6 @@ GRAPHS = {
     "K4": complete_graph(4),
     "C5": graph_from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
     "band(7,2)": band_graph(7, 2),
-    "P6": path_graph(6),
 }
 
 
