@@ -1,6 +1,6 @@
 """Symmetric band matrices stored by diagonals, and the operations on them:
-entrywise (Hadamard) powers, permutation congruence, the even/odd split of
-pentadiagonal matrices, and zero-pattern checks against a graph.
+entrywise (Hadamard) powers, the odd/even split of pentadiagonal matrices
+into two tridiagonal blocks, and the JSON wire format.
 
 Band matrices of bandwidth 1 (tridiagonal) and 2 (pentadiagonal) are the
 only bandwidths supported.  The pentadiagonal family here always has a zero
@@ -13,29 +13,20 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .graphs import SimpleGraph
 
 __all__ = [
     "BandSymMatrix",
     "DenseSymMatrix",
-    "PermutationSpec",
     "Matrix",
     "make_tridiagonal",
     "make_pentadiagonal",
     "hadamard_power",
-    "even_odd_permutation",
-    "conjugate_by_permutation",
     "split_pentadiagonal",
     "join_pentadiagonal",
-    "pattern_check",
-    "superadditive_gap",
     "to_dense_array",
-    "matrix_to_json",
     "matrix_from_json",
     "ExactBand",
     "exact_matrix_from_json",
@@ -112,9 +103,6 @@ class BandSymMatrix:
         vals = [self.main_diag.min()] + [o.min() for o in self.off_diags if o.size]
         return float(min(vals))
 
-    def to_json(self) -> str:
-        return matrix_to_json(self)
-
 
 def check_dense(a: np.ndarray, symmetric: bool = True) -> np.ndarray:
     """The square float array a, refused unless its order is at least 1 and
@@ -157,43 +145,8 @@ class DenseSymMatrix:
     def min_entry(self) -> float:
         return float(self.entries.min())
 
-    def to_json(self) -> str:
-        return matrix_to_json(self)
-
 
 Matrix = Union[BandSymMatrix, DenseSymMatrix]
-
-
-@dataclass(frozen=True)
-class PermutationSpec:
-    """Permutation of 1..n; row k of the permutation matrix is row image[k]
-    of the identity."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if n < 1:
-            raise ValueError("permutation must have at least one element")
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError("image must be a bijection on 1..n")
-        object.__setattr__(self, "image", tuple(int(i) for i in self.image))
-
-    @property
-    def order(self) -> int:
-        return len(self.image)
-
-    def inverse(self) -> "PermutationSpec":
-        inv = [0] * self.order
-        for pos, img in enumerate(self.image, start=1):
-            inv[img - 1] = pos
-        return PermutationSpec(tuple(inv))
-
-    def matrix(self) -> np.ndarray:
-        x = np.zeros((self.order, self.order))
-        for pos, img in enumerate(self.image):
-            x[pos, img - 1] = 1.0
-        return x
 
 
 def make_tridiagonal(diag, offdiag) -> BandSymMatrix:
@@ -263,7 +216,8 @@ def hadamard_power(a, r: float):
     For r > 0 with nonnegative entries this is the usual entrywise power;
     positive integer r is allowed for entries of any sign.  At r = 0 every
     entry maps to 1 under the convention 0**0 := 1, so the result is the
-    all-ones matrix (dense, regardless of the input's band structure).
+    all-ones matrix (dense, regardless of the input's band structure).  A
+    power that overflows is refused as non-finite, with no warning first.
     """
     r = float(r)
     if not math.isfinite(r):
@@ -272,49 +226,36 @@ def hadamard_power(a, r: float):
         _validate_power_entries(a.min_entry(), r)
         if r == 0.0:
             return DenseSymMatrix(np.ones(a.shape))
-        return BandSymMatrix(
-            a.order,
-            a.bandwidth,
-            np.power(a.main_diag, r),
-            tuple(np.power(o, r) for o in a.off_diags),
-        )
+        with np.errstate(over="ignore"):
+            main, offs = np.power(a.main_diag, r), tuple(np.power(o, r) for o in a.off_diags)
+        return BandSymMatrix(a.order, a.bandwidth, main, offs)
     if isinstance(a, DenseSymMatrix):
         _validate_power_entries(a.min_entry(), r)
         if r == 0.0:
             return DenseSymMatrix(np.ones(a.shape))
-        return DenseSymMatrix(np.power(a.entries, r))
+        with np.errstate(over="ignore"):
+            return DenseSymMatrix(np.power(a.entries, r))
     arr = check_dense(to_dense_array(a), symmetric=False)
     _validate_power_entries(float(arr.min()), r)
     if r == 0.0:
         return np.ones(arr.shape)
-    return np.power(arr, r)
+    with np.errstate(over="ignore"):
+        return check_dense(np.power(arr, r), symmetric=False)
 
 
-def even_odd_permutation(n: int) -> PermutationSpec:
-    """Permutation listing the odd labels 1,3,5,... then the even ones.
-
-    Conjugating a pentadiagonal matrix (zero first off-diagonal) by this
-    permutation produces a block-diagonal matrix of two tridiagonal blocks.
-    """
-    if n < 2:
-        raise ValueError("permutation needs n >= 2")
-    return PermutationSpec(tuple(range(1, n + 1, 2)) + tuple(range(2, n + 1, 2)))
+def _parity_blocks(diag, second) -> tuple[tuple, tuple]:
+    """(diagonal, off-diagonal) of the odd and of the even tridiagonal block
+    of a pentadiagonal-form matrix with main diagonal diag and second
+    diagonal second (arrays or tuples), in that order."""
+    return (diag[0::2], second[0::2]), (diag[1::2], second[1::2])
 
 
-def conjugate_by_permutation(a, p: PermutationSpec):
-    """Return ``X a X^T`` for the permutation matrix X described by p.
-
-    The eigenvalue multiset is preserved.  Band inputs are densified since
-    permutation generally destroys the band structure.
-    """
-    dense = to_dense_array(a)
-    if dense.shape[0] != p.order:
-        raise ValueError("matrix order does not match permutation size")
-    idx = np.asarray(p.image, dtype=int) - 1
-    out = dense[np.ix_(idx, idx)]
-    if isinstance(a, np.ndarray):
-        return out
-    return DenseSymMatrix(out)
+def _direct_sum(odd: tuple, even: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal direct sum of two
+    (diagonal, off-diagonal) blocks: the odd block, an exactly zero
+    coupling, then the even block.  Its spectrum is that of the
+    pentadiagonal matrix whose _parity_blocks they are."""
+    return np.concatenate((odd[0], even[0])), np.concatenate((odd[1], [0.0], even[1]))
 
 
 def split_pentadiagonal(p: BandSymMatrix) -> tuple[BandSymMatrix, BandSymMatrix]:
@@ -322,18 +263,15 @@ def split_pentadiagonal(p: BandSymMatrix) -> tuple[BandSymMatrix, BandSymMatrix]
 
     For p of order n with zero first off-diagonal, returns the tridiagonal
     pair (A_odd, A_even) on labels {1,3,...} and {2,4,...}; their sizes are
-    (k, k) for n = 2k and (k+1, k) for n = 2k+1.  Conjugating p by
-    even_odd_permutation(n) produces exactly blockdiag(A_odd, A_even).
+    (k, k) for n = 2k and (k+1, k) for n = 2k+1.  Relabelling p odd labels
+    first, then even ones, gives exactly blockdiag(A_odd, A_even).
     """
     if not isinstance(p, BandSymMatrix) or p.bandwidth != 2:
         raise ValueError("expected a pentadiagonal BandSymMatrix")
     if not p.is_pentadiagonal_form:
         raise ValueError("first off-diagonal must be zero to split")
-    diag = p.main_diag
-    second = p.off_diags[1]
-    odd = make_tridiagonal(diag[0::2], second[0::2])
-    even = make_tridiagonal(diag[1::2], second[1::2])
-    return odd, even
+    odd, even = _parity_blocks(p.main_diag, p.off_diags[1])
+    return make_tridiagonal(*odd), make_tridiagonal(*even)
 
 
 def join_pentadiagonal(odd: BandSymMatrix, even: BandSymMatrix) -> BandSymMatrix:
@@ -354,31 +292,6 @@ def join_pentadiagonal(odd: BandSymMatrix, even: BandSymMatrix) -> BandSymMatrix
     return make_pentadiagonal(diag, second)
 
 
-def pattern_check(a, g: "SimpleGraph") -> bool:
-    """True iff every off-diagonal nonzero of a sits on an edge of g."""
-    dense = to_dense_array(a)
-    n = dense.shape[0]
-    if n != g.n:
-        raise ValueError("matrix order does not match graph vertex count")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dense[i, j] != 0.0 and not g.has_edge(i + 1, j + 1):
-                return False
-    return True
-
-
-def superadditive_gap(a: float, b: float, r: float) -> float:
-    """The superadditivity gap (a+b)**r - a**r - b**r, nonnegative for r >= 1."""
-    a, b, r = float(a), float(b), float(r)
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("(a, b) must not both be zero")
-    if r < 1:
-        raise ValueError("exponent must be at least 1")
-    return max((a + b) ** r - a**r - b**r, 0.0)
-
-
 _JSON_FIELDS = {
     "tridiagonal": {"kind", "diag", "offdiag"},
     "pentadiagonal": {"kind", "diag", "second"},
@@ -386,17 +299,13 @@ _JSON_FIELDS = {
 }
 
 
-def matrix_to_json(m) -> str:
-    """Serialize a matrix to the JSON wire format.
+def matrix_to_json_obj(m) -> dict:
+    """A matrix as a JSON-ready object in the wire format.
 
     Kinds: {"kind":"tridiagonal","diag":[...],"offdiag":[...]},
     {"kind":"pentadiagonal","diag":[...],"second":[...]}, and
     {"kind":"dense","rows":[[...]]}.
     """
-    return json.dumps(matrix_to_json_obj(m))
-
-
-def matrix_to_json_obj(m) -> dict:
     if isinstance(m, BandSymMatrix):
         if m.bandwidth == 1:
             return {

@@ -1,6 +1,7 @@
-"""Simple graphs on labels 1..n: band and pentadiagonal support patterns,
-chordality recognition with certificates, near-clique numbers, and the
-critical-exponent set for chordal zero patterns.
+"""Simple graphs on labels 1..n, read from a plain-text edge list: band and
+pentadiagonal support patterns, chordality recognition with certificates,
+near-clique numbers, and the critical-exponent set for chordal zero
+patterns.
 
 Chordality is decided by lexicographic BFS followed by verification of the
 candidate perfect elimination ordering; failures are certified by an
@@ -22,15 +23,12 @@ __all__ = [
     "complete_graph",
     "penta_support_graph",
     "graph_from_edges",
-    "is_connected",
-    "induced_subgraph",
     "lex_bfs",
     "is_chordal",
     "clique_number",
     "max_near_clique",
     "chordal_critical_exponent",
     "graph_from_text",
-    "graph_to_text",
 ]
 
 @dataclass(frozen=True)
@@ -125,31 +123,6 @@ def penta_support_graph(n: int) -> SimpleGraph:
     if n < 3:
         raise ValueError("pentadiagonal support needs n >= 3")
     return SimpleGraph(n, tuple((i, i + 2) for i in range(1, n - 1)))
-
-
-def is_connected(g: SimpleGraph) -> bool:
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
-
-
-def induced_subgraph(g: SimpleGraph, vertices) -> SimpleGraph:
-    """Subgraph induced by the given vertices, relabeled to 1..k in
-    increasing order of the original labels."""
-    vs = sorted(set(int(v) for v in vertices))
-    if not vs:
-        raise ValueError("vertex set must be nonempty")
-    if vs[0] < 1 or vs[-1] > g.n:
-        raise ValueError("vertex out of range")
-    relabel = {v: k for k, v in enumerate(vs, start=1)}
-    edges = [(relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel]
-    return SimpleGraph(len(vs), tuple(edges))
 
 
 def lex_bfs(g: SimpleGraph) -> tuple[int, ...]:
@@ -359,8 +332,3 @@ def graph_from_text(text: str) -> SimpleGraph:
     except ValueError as exc:
         raise ValueError(f"graph file: {exc}") from exc
 
-
-def graph_to_text(g: SimpleGraph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{i} {j}" for i, j in g.edges)
-    return "\n".join(lines) + "\n"

@@ -45,6 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bandmat import BandSymMatrix, DenseSymMatrix, ExactBand, check_dense, overflow_exponent, to_dense_array
+from .bandmat import _direct_sum, _parity_blocks
 
 __all__ = [
     "PD",
@@ -58,7 +59,6 @@ __all__ = [
     "classify_positivity",
     "leading_principal_minors",
     "determinant",
-    "shift_to_pd",
     "shift_to_boundary",
 ]
 
@@ -103,10 +103,6 @@ class PositivityVerdict:
     scale: float
     certificate: tuple[float, ...]
     threshold: float
-
-    @property
-    def is_psd(self) -> bool:
-        return self.classification in (PD, PSD_BOUNDARY)
 
 
 def _negcounts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray, pivmin: float) -> np.ndarray:
@@ -336,13 +332,6 @@ def _max_abs(*arrays: np.ndarray) -> float:
     return max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
 
 
-def _odd_even_blocks(diag, second) -> tuple[tuple, tuple]:
-    """(diagonal, off-diagonal) of the odd and of the even tridiagonal block
-    of a pentadiagonal-form matrix with the given main and second
-    diagonals (arrays or tuples), in that order."""
-    return (diag[0::2], second[0::2]), (diag[1::2], second[1::2])
-
-
 def _band_diagonals(a) -> tuple[np.ndarray, np.ndarray, int] | None:
     """The main diagonal, the stored off-diagonal and its offset (1 or 2)
     of tridiagonal or pentadiagonal-form input, as float arrays; None for
@@ -421,9 +410,7 @@ def _tridiagonal_form(band, dense, order) -> tuple[np.ndarray, np.ndarray, float
         diag, off, offset = band
         scale = _max_abs(diag, off)
         if offset == 2:
-            (d_odd, e_odd), (d_even, e_even) = _odd_even_blocks(diag, off)
-            diag = np.concatenate((d_odd, d_even))
-            off = np.concatenate((e_odd, [0.0], e_even))
+            diag, off = _direct_sum(*_parity_blocks(diag, off))
         return diag, off, scale
     scale = float(np.abs(dense).max())
     if order is not None:
@@ -520,7 +507,7 @@ def _band_minors(diag: np.ndarray, off: np.ndarray, offset: int) -> list[tuple[f
         return _continuant(diag, off)
     # the order-k leading block is blockdiag(odd block of order ceil(k/2),
     # even block of order floor(k/2)) up to a permutation
-    odd, even = ([(1.0, 0)] + _continuant(*block) for block in _odd_even_blocks(diag, off))
+    odd, even = ([(1.0, 0)] + _continuant(*block) for block in _parity_blocks(diag, off))
     pairs = []
     for k in range(1, diag.shape[0] + 1):
         (m_odd, e_odd), (m_even, e_even) = odd[(k + 1) // 2], even[k // 2]
@@ -548,7 +535,7 @@ def _exact_band_minors(band: ExactBand) -> list[Fraction]:
     """_band_minors of exact band input, in Fractions and O(n)."""
     if band.offset == 1:
         return _exact_continuant(band.diag, band.off)
-    odd, even = ([Fraction(1)] + _exact_continuant(*block) for block in _odd_even_blocks(band.diag, band.off))
+    odd, even = ([Fraction(1)] + _exact_continuant(*block) for block in _parity_blocks(band.diag, band.off))
     return [odd[(k + 1) // 2] * even[k // 2] for k in range(1, band.order + 1)]
 
 
@@ -738,23 +725,6 @@ def determinant(a) -> float:
     return _det_float(_checked_dense(a, symmetric=False))
 
 
-def _add_to_diagonal(a, t: float):
-    if isinstance(a, BandSymMatrix):
-        return BandSymMatrix(a.order, a.bandwidth, a.main_diag + t, a.off_diags)
-    if isinstance(a, DenseSymMatrix):
-        return DenseSymMatrix(a.entries + t * np.eye(a.order))
-    dense = np.asarray(a, dtype=float)
-    return dense + t * np.eye(dense.shape[0])
-
-
-def shift_to_pd(a, eps: float):
-    """Return a + eps*I (eps > 0).  A PSD input becomes PD; the
-    off-diagonal zero pattern is unchanged."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return _add_to_diagonal(a, float(eps))
-
-
 def shift_to_boundary(a, tol: float = DEFAULT_TOL):
     """For PD input A, return (A - lam*I, lam) where lam is the smallest
     eigenvalue; the first component is PSD with minimum eigenvalue 0
@@ -763,4 +733,9 @@ def shift_to_boundary(a, tol: float = DEFAULT_TOL):
     if verdict.classification != PD:
         raise ValueError("matrix is not positive definite")
     lam = verdict.min_eigenvalue
-    return _add_to_diagonal(a, -lam), lam
+    if isinstance(a, BandSymMatrix):
+        return BandSymMatrix(a.order, a.bandwidth, a.main_diag - lam, a.off_diags), lam
+    if isinstance(a, DenseSymMatrix):
+        return DenseSymMatrix(a.entries - lam * np.eye(a.order)), lam
+    dense = np.asarray(a, dtype=float)
+    return dense - lam * np.eye(dense.shape[0]), lam

@@ -28,6 +28,8 @@ from .bandmat import (
     BandSymMatrix,
     DenseSymMatrix,
     Matrix,
+    _direct_sum,
+    check_dense,
     hadamard_power,
     join_pentadiagonal,
     make_pentadiagonal,
@@ -178,20 +180,16 @@ def counterexample_pentadiagonal(r: float) -> BandSymMatrix:
 def _draw_band(rng: np.random.Generator, family: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of a random PD matrix of the band family,
     in the oracle's tridiagonal order: a tridiagonal sample as it is, a
-    pentadiagonal one as its odd block, an exactly zero coupling, then its
-    even block.  Each tridiagonal block is drawn as random_pd_tridiagonal
-    describes."""
-    blocks = (order,) if family == "tridiagonal" else ((order + 1) // 2, order // 2)
-    diags, offs = [], []
-    for k in blocks:
+    pentadiagonal one as the _direct_sum of its odd and even blocks.  Each
+    tridiagonal block is drawn as random_pd_tridiagonal describes."""
+    sizes = (order,) if family == "tridiagonal" else ((order + 1) // 2, order // 2)
+    blocks = []
+    for k in sizes:
         g = rng.uniform(0.05, 0.95, size=k)
         diag = rng.uniform(0.2, 3.0, size=k)
         ratios = (1.0 - g[:-1]) * g[1:]
-        diags.append(diag)
-        offs.append(np.sqrt(ratios * diag[:-1] * diag[1:]))
-    if family == "tridiagonal":
-        return diags[0], offs[0]
-    return np.concatenate(diags), np.concatenate((offs[0], [0.0], offs[1]))
+        blocks.append((diag, np.sqrt(ratios * diag[:-1] * diag[1:])))
+    return blocks[0] if family == "tridiagonal" else _direct_sum(*blocks)
 
 
 def _band_matrix(family: str, diag: np.ndarray, off: np.ndarray) -> BandSymMatrix:
@@ -442,7 +440,10 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("probe grid must contain positive exponents only")
     if not all(map(math.isfinite, grid)):
         raise ValueError("exponent must be finite")
-    low = a.min_entry() if isinstance(a, (BandSymMatrix, DenseSymMatrix)) else to_dense_array(a).min()
+    if isinstance(a, (BandSymMatrix, DenseSymMatrix)):
+        low = a.min_entry()
+    else:
+        low = check_dense(to_dense_array(a), symmetric=False).min()
     if low < 0:
         raise ValueError("matrix has a negative entry")
     tol = _checked_tol(tol)

@@ -1,7 +1,9 @@
-"""Band matrix construction, Hadamard powers, the even/odd permutation
-split, pattern checks, and the JSON wire format."""
+"""Band matrix construction, Hadamard powers, the odd/even split of
+pentadiagonal matrices, and the JSON wire format."""
 
+import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,21 +13,13 @@ from bandpos import (
     BandSymMatrix,
     DenseSymMatrix,
     ExactBand,
-    PermutationSpec,
-    conjugate_by_permutation,
-    even_odd_permutation,
     exact_matrix_from_json,
     hadamard_power,
     join_pentadiagonal,
     make_pentadiagonal,
     make_tridiagonal,
     matrix_from_json,
-    matrix_to_json,
-    pattern_check,
-    path_graph,
-    penta_support_graph,
     split_pentadiagonal,
-    superadditive_gap,
     sym_eigenvalues,
 )
 from bandpos.bandmat import matrix_from_json_obj, matrix_to_json_obj
@@ -133,6 +127,14 @@ class TestHadamardPower:
         with pytest.raises(ValueError, match="all entries must be finite"):
             hadamard_power(np.array([[1.0, bad], [bad, 1.0]]), 2)
 
+    def test_overflowing_power_refused_without_warning(self):
+        big = np.array([[1e200, 0.0], [0.0, 1.0]])
+        for a in (big, DenseSymMatrix(big), make_tridiagonal([1e200, 1.0], [0.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^all entries must be finite$"):
+                    hadamard_power(a, 2)
+
     def test_raw_array_need_not_be_symmetric(self):
         powered = hadamard_power(np.array([[1.0, 2.0], [3.0, 4.0]]), 2)
         np.testing.assert_array_equal(powered, [[1.0, 4.0], [9.0, 16.0]])
@@ -156,64 +158,34 @@ def _random_symmetric_positive(rng, n):
     return 0.5 * (a + a.T)
 
 
+def _odd_then_even(n):
+    """Indices 0..n-1 relabelled odd labels first (0, 2, ...), then even."""
+    return np.r_[0:n:2, 1:n:2]
+
+
 class TestPermutation:
-    def test_even_odd_images(self):
-        assert even_odd_permutation(5).image == (1, 3, 5, 2, 4)
-        assert even_odd_permutation(2).image == (1, 2)
-        assert even_odd_permutation(6).image == (1, 3, 5, 2, 4, 6)
-
-    def test_even_odd_needs_two(self):
-        with pytest.raises(ValueError):
-            even_odd_permutation(1)
-
-    def test_image_must_be_bijection(self):
-        with pytest.raises(ValueError):
-            PermutationSpec((1, 1, 3))
-
-    def test_matrix_is_orthogonal(self):
-        p = even_odd_permutation(7)
-        x = p.matrix()
-        np.testing.assert_array_equal(x @ x.T, np.eye(7))
-
-    def test_conjugation_matches_matrix_product(self, p_matrix):
-        p = even_odd_permutation(5)
-        x = p.matrix()
-        expected = x @ p_matrix.dense() @ x.T
-        got = conjugate_by_permutation(p_matrix, p)
-        np.testing.assert_array_equal(got.entries, expected)
-
     def test_p_matrix_block_form(self, p_matrix):
-        m = conjugate_by_permutation(p_matrix, even_odd_permutation(5)).entries
+        idx = _odd_then_even(5)
+        m = p_matrix.dense()[np.ix_(idx, idx)]
         a_odd = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
         a_even = np.array([[2.0, 1.0], [1.0, 1.0]])
         np.testing.assert_array_equal(m[:3, :3], a_odd)
         np.testing.assert_array_equal(m[3:, 3:], a_even)
         np.testing.assert_array_equal(m[:3, 3:], np.zeros((3, 2)))
-
-    def test_identity_permutation(self, a01):
-        p = PermutationSpec((1, 2, 3))
-        np.testing.assert_array_equal(conjugate_by_permutation(a01, p).entries, a01.dense())
-
-    def test_inverse_round_trip(self, p_matrix):
-        p = even_odd_permutation(5)
-        once = conjugate_by_permutation(p_matrix, p)
-        back = conjugate_by_permutation(once, p.inverse())
-        np.testing.assert_array_equal(back.entries, p_matrix.dense())
+        odd, even = split_pentadiagonal(p_matrix)
+        np.testing.assert_array_equal(odd.dense(), a_odd)
+        np.testing.assert_array_equal(even.dense(), a_even)
 
     def test_eigenvalues_preserved(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             n = int(rng.integers(2, 8))
             a = DenseSymMatrix(_random_symmetric_positive(rng, n))
-            image = tuple(int(v) for v in rng.permutation(n) + 1)
-            conj = conjugate_by_permutation(a, PermutationSpec(image))
+            perm = rng.permutation(n)
+            conj = DenseSymMatrix(a.entries[np.ix_(perm, perm)])
             np.testing.assert_allclose(
                 sym_eigenvalues(conj, 1e-12), sym_eigenvalues(a, 1e-12), atol=1e-12
             )
-
-    def test_size_mismatch(self, a01):
-        with pytest.raises(ValueError):
-            conjugate_by_permutation(a01, even_odd_permutation(5))
 
 
 class TestSplit:
@@ -268,93 +240,25 @@ class TestSplit:
         block = np.zeros((5, 5))
         block[:3, :3] = odd.dense()
         block[3:, 3:] = even.dense()
-        p = even_odd_permutation(5)
-        back = conjugate_by_permutation(DenseSymMatrix(block), p.inverse())
-        np.testing.assert_array_equal(back.entries, p_matrix.dense())
-
-
-class TestPatternCheck:
-    def test_tridiagonal_on_path(self):
-        rng = np.random.default_rng(2)
-        for n in (2, 5, 9):
-            t = make_tridiagonal(rng.uniform(1, 2, n), rng.uniform(0.1, 1, n - 1))
-            assert pattern_check(t, path_graph(n))
-
-    def test_p_matrix_on_penta_support(self, p_matrix):
-        assert pattern_check(p_matrix, penta_support_graph(5))
-
-    def test_dense_positive_not_path(self):
-        dense = DenseSymMatrix(np.ones((4, 4)))
-        assert not pattern_check(dense, path_graph(4))
-
-    def test_size_mismatch(self, a01):
-        with pytest.raises(ValueError):
-            pattern_check(a01, path_graph(4))
-
-    def test_monotone_under_edge_addition(self):
-        rng = np.random.default_rng(17)
-        from bandpos import SimpleGraph
-
-        for _ in range(40):
-            n = int(rng.integers(2, 8))
-            a = np.zeros((n, n))
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            edges = []
-            for i, j in pairs:
-                if rng.random() < 0.4:
-                    a[i, j] = a[j, i] = rng.uniform(0.1, 1)
-                    edges.append((i + 1, j + 1))
-            g = SimpleGraph(n, tuple(edges))
-            assert pattern_check(DenseSymMatrix(a), g)
-            extra = [(i + 1, j + 1) for i, j in pairs if rng.random() < 0.5]
-            bigger = SimpleGraph(n, tuple(edges) + tuple(extra))
-            assert pattern_check(DenseSymMatrix(a), bigger)
-
-
-class TestSuperadditiveGap:
-    def test_known_values(self):
-        assert superadditive_gap(1.0, 1.0, 2.0) == pytest.approx(2.0)
-        assert superadditive_gap(0.0, 3.0, 1.5) == pytest.approx(0.0)
-        assert superadditive_gap(1.0, 2.0, 1.0) == pytest.approx(0.0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            superadditive_gap(-1.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            superadditive_gap(0.0, 0.0, 2.0)
-        with pytest.raises(ValueError):
-            superadditive_gap(1.0, 1.0, 0.5)
-
-    def test_nonnegative_on_random_samples(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10_000):
-            a, b = rng.uniform(0.0, 5.0, size=2)
-            r = rng.uniform(1.0, 6.0)
-            assert superadditive_gap(a, b, r) >= 0.0
-
-    def test_equality_exactly_at_linear_or_degenerate(self):
-        rng = np.random.default_rng(29)
-        for _ in range(200):
-            a, b = rng.uniform(0.01, 5.0, size=2)
-            assert superadditive_gap(a, b, 1.0) <= 1e-12
-            assert superadditive_gap(0.0, b, rng.uniform(1.0, 6.0)) <= 1e-12 * (1 + b) ** 6
-            assert superadditive_gap(a, b, rng.uniform(1.01, 6.0)) > 1e-12
+        inverse = np.argsort(_odd_then_even(5))
+        back = block[np.ix_(inverse, inverse)]
+        np.testing.assert_array_equal(back, p_matrix.dense())
 
 
 class TestJsonFormat:
     def test_round_trip_tridiagonal(self, a01):
-        parsed = matrix_from_json(matrix_to_json(a01))
+        parsed = matrix_from_json(json.dumps(matrix_to_json_obj(a01)))
         assert isinstance(parsed, BandSymMatrix) and parsed.bandwidth == 1
         np.testing.assert_array_equal(parsed.dense(), a01.dense())
 
     def test_round_trip_pentadiagonal(self, p_matrix):
-        parsed = matrix_from_json(matrix_to_json(p_matrix))
+        parsed = matrix_from_json(json.dumps(matrix_to_json_obj(p_matrix)))
         assert isinstance(parsed, BandSymMatrix) and parsed.is_pentadiagonal_form
         np.testing.assert_array_equal(parsed.dense(), p_matrix.dense())
 
     def test_round_trip_dense(self):
         m = DenseSymMatrix(np.array([[1.0, 0.25], [0.25, 2.0]]))
-        parsed = matrix_from_json(matrix_to_json(m))
+        parsed = matrix_from_json(json.dumps(matrix_to_json_obj(m)))
         assert isinstance(parsed, DenseSymMatrix)
         np.testing.assert_array_equal(parsed.entries, m.entries)
 

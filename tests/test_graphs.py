@@ -20,14 +20,10 @@ from bandpos import (
     complete_graph,
     graph_from_edges,
     graph_from_text,
-    graph_to_text,
-    induced_subgraph,
     is_chordal,
-    is_connected,
     make_tridiagonal,
     max_near_clique,
     path_graph,
-    pattern_check,
     penta_support_graph,
 )
 from bandpos import graphs
@@ -156,8 +152,9 @@ class TestConstructions:
             penta_support_graph(2)
 
     def test_penta_support_disconnected(self):
-        assert not is_connected(penta_support_graph(5))
-        assert is_connected(path_graph(5))
+        # no edge joins an odd label to an even one: two components
+        assert all((i - j) % 2 == 0 for i, j in penta_support_graph(5).edges)
+        assert any((i - j) % 2 for i, j in path_graph(5).edges)
 
     def test_no_self_loops(self):
         with pytest.raises(ValueError):
@@ -170,15 +167,6 @@ class TestConstructions:
     def test_canonical_edges(self):
         g = SimpleGraph(3, ((3, 1), (2, 1), (1, 3)))
         assert g.edges == ((1, 2), (1, 3))
-
-    def test_induced_subgraph(self):
-        assert induced_subgraph(path_graph(4), [1, 2, 3]).edges == path_graph(3).edges
-        # relabeling preserves order: {2, 4} of P4 has no edge
-        assert induced_subgraph(path_graph(4), [2, 4]).edges == ()
-        with pytest.raises(ValueError):
-            induced_subgraph(path_graph(4), [])
-        with pytest.raises(ValueError):
-            induced_subgraph(path_graph(4), [0, 1])
 
 
 class TestChordality:
@@ -335,8 +323,11 @@ class TestCriticalExponent:
         for _ in range(200):
             g = random_chordal_graph(rng, rng.randint(3, 12))
             sub_size = rng.randint(3, g.n)
-            vertices = rng.sample(range(1, g.n + 1), sub_size)
-            h = induced_subgraph(g, vertices)
+            vertices = sorted(rng.sample(range(1, g.n + 1), sub_size))
+            relabel = {v: k for k, v in enumerate(vertices, start=1)}
+            h = graph_from_edges(
+                sub_size, [(relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel]
+            )
             cert = is_chordal(h)
             assert cert.is_chordal  # induced subgraphs of chordal graphs stay chordal
             tail_g = chordal_critical_exponent(g).tail_threshold
@@ -349,7 +340,7 @@ class TestCriticalExponent:
 class TestGraphText:
     def test_round_trip(self):
         g = penta_support_graph(6)
-        parsed = graph_from_text(graph_to_text(g))
+        parsed = graph_from_text(f"{g.n}\n" + "".join(f"{i} {j}\n" for i, j in g.edges))
         assert parsed.n == g.n and parsed.edges == g.edges
 
     def test_comments_and_blank_lines(self):
@@ -368,12 +359,19 @@ class TestGraphText:
             graph_from_text("2\n1 3\n")
 
 
+def _support_on(m, g):
+    """Whether every off-diagonal nonzero of the matrix m sits on an edge of g."""
+    dense = m.dense()
+    rows, cols = np.nonzero(dense - np.diag(np.diag(dense)))
+    return all(g.has_edge(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist()))
+
+
 class TestPatternBridge:
     def test_tridiagonal_on_band_graph(self):
         rng = np.random.default_rng(31)
         for n in (3, 6, 10):
             t = make_tridiagonal(rng.uniform(1, 2, n), rng.uniform(0.1, 1, n - 1))
-            assert pattern_check(t, band_graph(n, 1))
+            assert _support_on(t, band_graph(n, 1))
 
     def test_p_matrix_on_support(self, p_matrix):
-        assert pattern_check(p_matrix, penta_support_graph(5))
+        assert _support_on(p_matrix, penta_support_graph(5))

@@ -27,7 +27,6 @@ from bandpos import (
     make_tridiagonal,
     min_eigenvalue,
     shift_to_boundary,
-    shift_to_pd,
     split_pentadiagonal,
     sym_eigenvalues,
     sym_tridiag_eigenvalues,
@@ -229,24 +228,6 @@ class TestMinors:
 
 
 class TestShifts:
-    def test_shift_p_matrix_to_pd(self, p_matrix):
-        shifted = shift_to_pd(p_matrix, 0.5)
-        assert isinstance(shifted, BandSymMatrix)
-        assert shifted.is_pentadiagonal_form
-        assert classify_positivity(shifted).classification == PD
-        assert min_eigenvalue(shifted) == pytest.approx(0.5, abs=1e-9)
-
-    def test_zero_matrix_to_identity(self):
-        z = DenseSymMatrix(np.zeros((3, 3)))
-        np.testing.assert_array_equal(shift_to_pd(z, 1.0).entries, np.eye(3))
-
-    def test_pd_stays_pd(self, a01):
-        assert classify_positivity(shift_to_pd(a01, 0.25)).classification == PD
-
-    def test_bad_eps(self, a01):
-        with pytest.raises(ValueError):
-            shift_to_pd(a01, 0.0)
-
     def test_boundary_identity(self):
         b, lam = shift_to_boundary(np.eye(3))
         assert lam == pytest.approx(1.0, abs=1e-10)
@@ -270,8 +251,8 @@ class TestShifts:
 
     def test_boundary_then_shift_reconstructs(self, a01):
         b, lam = shift_to_boundary(a01)
-        back = shift_to_pd(b, lam)
-        np.testing.assert_allclose(back.dense(), a01.dense(), atol=1e-12)
+        back = b.dense() + lam * np.eye(a01.order)
+        np.testing.assert_allclose(back, a01.dense(), atol=1e-12)
 
 
 class TestOracleInvariants:

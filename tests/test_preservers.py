@@ -26,7 +26,6 @@ from bandpos import (
     make_pentadiagonal,
     make_tridiagonal,
     path_graph,
-    pattern_check,
     penta_preserver_set,
     polynomial_apply,
     probe_preserves,
@@ -173,7 +172,9 @@ class TestGenerators:
             rng = np.random.default_rng([107, i])
             m = random_pd_pattern(rng, g)
             assert classify_positivity(m).classification == PD
-            assert pattern_check(m, g)
+            # every off-diagonal nonzero sits on an edge of g
+            rows, cols = np.nonzero(m.entries - np.diag(np.diag(m.entries)))
+            assert all(g.has_edge(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist()))
 
 
 class TestProbe:
@@ -423,6 +424,14 @@ class TestNumericProbe:
         m = DenseSymMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
         with pytest.raises(ValueError):
             id_numeric_probe(m)
+
+    def test_empty_array_refused(self):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            id_numeric_probe(np.zeros((0, 0)))
+
+    def test_non_symmetric_array_with_negative_entry_refused_as_negative(self):
+        with pytest.raises(ValueError, match="^matrix has a negative entry$"):
+            id_numeric_probe(np.array([[1.0, -0.5], [0.25, 1.0]]))
 
 
 class TestPolynomialApply:
