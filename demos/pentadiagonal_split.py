@@ -32,8 +32,8 @@ banner("The 5x5 witness and its split")
 p = make_pentadiagonal([1, 2, 2, 1, 1], [1, 1, 1])
 print("P =\n", p.dense().astype(int))
 odd, even = split_pentadiagonal(p)
-print("odd block: diag", odd.main_diag, "off", odd.off_diags[0])
-print("even block: diag", even.main_diag, "off", even.off_diags[0])
+print("odd block: diag", odd.main_diag, "off", odd.off)
+print("even block: diag", even.main_diag, "off", even.off)
 idx = np.r_[0:5:2, 1:5:2]
 print("relabel odd-then-even:", (idx + 1).tolist())
 m = p.dense()[np.ix_(idx, idx)]

@@ -2,9 +2,11 @@
 entrywise (Hadamard) powers, the odd/even split of pentadiagonal matrices
 into two tridiagonal blocks, and the JSON wire format.
 
-Band matrices of bandwidth 1 (tridiagonal) and 2 (pentadiagonal) are the
-only bandwidths supported.  The pentadiagonal family here always has a zero
-first off-diagonal, i.e. nonzeros only on the main and second diagonals.
+The band families are the paper's two: tridiagonal matrices (bandwidth 1)
+and pentadiagonal matrices whose first off-diagonal is zero (bandwidth 2).
+Each has one nonzero off-diagonal, and a BandSymMatrix stores just that one.
+A matrix with both off-diagonals nonzero is dense input: a DenseSymMatrix
+or a raw array.
 """
 
 from __future__ import annotations
@@ -35,73 +37,66 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BandSymMatrix:
-    """Symmetric band matrix of bandwidth 1 or 2, stored by upper diagonals.
+    """Symmetric tridiagonal or pentadiagonal-form matrix, stored as its main
+    diagonal and its one nonzero off-diagonal, at offset bandwidth.
 
-    Only the main diagonal and the upper off-diagonals are kept, so the
-    matrix is symmetric by construction.  Arrays are frozen after
-    validation; instances are safe to share across threads.
+    Only the upper off-diagonal is kept, so the matrix is symmetric by
+    construction.  A matrix with both off-diagonals nonzero is not a band
+    matrix here; it is dense input (DenseSymMatrix).  Arrays are frozen
+    after validation; instances are safe to share across threads.
 
     Attributes
     ----------
-    order : int
-        Matrix dimension n.
     bandwidth : int
-        1 (tridiagonal) or 2 (pentadiagonal).
+        1 (tridiagonal) or 2 (pentadiagonal, zero first off-diagonal).
     main_diag : numpy.ndarray
         The n main-diagonal entries.
-    off_diags : tuple of numpy.ndarray
-        One array per offset 1..bandwidth; offset k holds n-k entries.
+    off : numpy.ndarray
+        The n - bandwidth entries at offset bandwidth.
     """
 
-    order: int
     bandwidth: int
     main_diag: np.ndarray
-    off_diags: tuple[np.ndarray, ...]
+    off: np.ndarray
 
     def __post_init__(self):
-        n, d = self.order, self.bandwidth
-        if n < 1:
-            raise ValueError("order must be at least 1")
+        d = self.bandwidth
         if d not in (1, 2):
             raise ValueError("bandwidth must be 1 or 2")
+        main = np.atleast_1d(np.array(self.main_diag, dtype=float))
+        off = np.array(self.off, dtype=float)
+        n = main.shape[0]
         if d == 2 and n < 3:
             raise ValueError("pentadiagonal matrices need order >= 3")
-        main = np.array(self.main_diag, dtype=float)
-        offs = tuple(np.array(o, dtype=float) for o in self.off_diags)
-        if main.shape != (n,):
+        if off.shape != (n - d,):
+            name = "off-diagonal" if d == 1 else "second diagonal"
+            raise ValueError(f"{name} must have {n - d} entries, got {off.size}")
+        if main.ndim != 1:
             raise ValueError(f"main diagonal must have {n} entries")
-        if len(offs) != d:
-            raise ValueError(f"expected {d} off-diagonal arrays, got {len(offs)}")
-        for k, off in enumerate(offs, start=1):
-            if off.shape != (n - k,):
-                raise ValueError(f"off-diagonal at offset {k} must have {n - k} entries")
-        if not np.isfinite(main).all() or any(not np.isfinite(o).all() for o in offs):
+        if not (np.isfinite(main).all() and np.isfinite(off).all()):
             raise ValueError("all entries must be finite")
         main.setflags(write=False)
-        for off in offs:
-            off.setflags(write=False)
+        off.setflags(write=False)
         object.__setattr__(self, "main_diag", main)
-        object.__setattr__(self, "off_diags", offs)
+        object.__setattr__(self, "off", off)
+
+    @property
+    def order(self) -> int:
+        return self.main_diag.shape[0]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.order, self.order)
 
-    @property
-    def is_pentadiagonal_form(self) -> bool:
-        """True when bandwidth is 2 and the first off-diagonal is all zero."""
-        return self.bandwidth == 2 and not self.off_diags[0].any()
-
     def dense(self) -> np.ndarray:
         """Expand to a full symmetric array."""
+        k = self.bandwidth
         a = np.diag(self.main_diag)
-        for k, off in enumerate(self.off_diags, start=1):
-            a += np.diag(off, k) + np.diag(off, -k)
+        a += np.diag(self.off, k) + np.diag(self.off, -k)
         return a
 
     def min_entry(self) -> float:
-        vals = [self.main_diag.min()] + [o.min() for o in self.off_diags if o.size]
-        return float(min(vals))
+        return float(self.off.min(initial=self.main_diag.min()))
 
 
 def check_dense(a: np.ndarray, symmetric: bool = True) -> np.ndarray:
@@ -119,7 +114,8 @@ def check_dense(a: np.ndarray, symmetric: bool = True) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DenseSymMatrix:
     """Full symmetric matrix; used for Hadamard powers of band matrices at
-    exponent 0, permuted matrices, and other patterns that leave the band."""
+    exponent 0, permuted matrices, matrices with both off-diagonals nonzero,
+    and other patterns that leave the two band families."""
 
     entries: np.ndarray
 
@@ -151,25 +147,13 @@ Matrix = Union[BandSymMatrix, DenseSymMatrix]
 
 def make_tridiagonal(diag, offdiag) -> BandSymMatrix:
     """Symmetric tridiagonal matrix from its main and first diagonals."""
-    diag = np.atleast_1d(np.asarray(diag, dtype=float))
-    offdiag = np.asarray(offdiag, dtype=float).reshape(-1)
-    n = diag.shape[0]
-    if offdiag.shape != (n - 1,):
-        raise ValueError(f"off-diagonal must have {n - 1} entries, got {offdiag.shape[0]}")
-    return BandSymMatrix(n, 1, diag, (offdiag,))
+    return BandSymMatrix(1, np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float).reshape(-1))
 
 
 def make_pentadiagonal(diag, second_diag) -> BandSymMatrix:
     """Pentadiagonal matrix with nonzeros only on the main and second
     diagonals (the first off-diagonal is identically zero)."""
-    diag = np.atleast_1d(np.asarray(diag, dtype=float))
-    second = np.asarray(second_diag, dtype=float).reshape(-1)
-    n = diag.shape[0]
-    if n < 3:
-        raise ValueError("pentadiagonal matrices need order >= 3")
-    if second.shape != (n - 2,):
-        raise ValueError(f"second diagonal must have {n - 2} entries, got {second.shape[0]}")
-    return BandSymMatrix(n, 2, diag, (np.zeros(n - 1), second))
+    return BandSymMatrix(2, np.asarray(diag, dtype=float), np.asarray(second_diag, dtype=float).reshape(-1))
 
 
 # Squares and pairwise products of entries overflow once entries pass about
@@ -193,9 +177,7 @@ def overflow_exponent(*arrays: np.ndarray, underflow: bool = False) -> int:
 
 def to_dense_array(a) -> np.ndarray:
     """Dense float array from a band matrix, dense matrix, or array-like."""
-    if isinstance(a, BandSymMatrix):
-        return a.dense()
-    if isinstance(a, DenseSymMatrix):
+    if isinstance(a, (BandSymMatrix, DenseSymMatrix)):
         return a.dense()
     arr = np.array(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -227,8 +209,8 @@ def hadamard_power(a, r: float):
         if r == 0.0:
             return DenseSymMatrix(np.ones(a.shape))
         with np.errstate(over="ignore"):
-            main, offs = np.power(a.main_diag, r), tuple(np.power(o, r) for o in a.off_diags)
-        return BandSymMatrix(a.order, a.bandwidth, main, offs)
+            main, off = np.power(a.main_diag, r), np.power(a.off, r)
+        return BandSymMatrix(a.bandwidth, main, off)
     if isinstance(a, DenseSymMatrix):
         _validate_power_entries(a.min_entry(), r)
         if r == 0.0:
@@ -261,16 +243,14 @@ def _direct_sum(odd: tuple, even: tuple) -> tuple[np.ndarray, np.ndarray]:
 def split_pentadiagonal(p: BandSymMatrix) -> tuple[BandSymMatrix, BandSymMatrix]:
     """Odd- and even-indexed principal submatrices of a pentadiagonal matrix.
 
-    For p of order n with zero first off-diagonal, returns the tridiagonal
-    pair (A_odd, A_even) on labels {1,3,...} and {2,4,...}; their sizes are
-    (k, k) for n = 2k and (k+1, k) for n = 2k+1.  Relabelling p odd labels
-    first, then even ones, gives exactly blockdiag(A_odd, A_even).
+    For p of order n, returns the tridiagonal pair (A_odd, A_even) on
+    labels {1,3,...} and {2,4,...}; their sizes are (k, k) for n = 2k and
+    (k+1, k) for n = 2k+1.  Relabelling p odd labels first, then even
+    ones, gives exactly blockdiag(A_odd, A_even).
     """
     if not isinstance(p, BandSymMatrix) or p.bandwidth != 2:
         raise ValueError("expected a pentadiagonal BandSymMatrix")
-    if not p.is_pentadiagonal_form:
-        raise ValueError("first off-diagonal must be zero to split")
-    odd, even = _parity_blocks(p.main_diag, p.off_diags[1])
+    odd, even = _parity_blocks(p.main_diag, p.off)
     return make_tridiagonal(*odd), make_tridiagonal(*even)
 
 
@@ -287,8 +267,8 @@ def join_pentadiagonal(odd: BandSymMatrix, even: BandSymMatrix) -> BandSymMatrix
     diag[0::2] = odd.main_diag
     diag[1::2] = even.main_diag
     second = np.empty(n - 2)
-    second[0::2] = odd.off_diags[0]
-    second[1::2] = even.off_diags[0]
+    second[0::2] = odd.off
+    second[1::2] = even.off
     return make_pentadiagonal(diag, second)
 
 
@@ -307,21 +287,9 @@ def matrix_to_json_obj(m) -> dict:
     {"kind":"dense","rows":[[...]]}.
     """
     if isinstance(m, BandSymMatrix):
-        if m.bandwidth == 1:
-            return {
-                "kind": "tridiagonal",
-                "diag": m.main_diag.tolist(),
-                "offdiag": m.off_diags[0].tolist(),
-            }
-        if m.is_pentadiagonal_form:
-            return {
-                "kind": "pentadiagonal",
-                "diag": m.main_diag.tolist(),
-                "second": m.off_diags[1].tolist(),
-            }
-        return {"kind": "dense", "rows": m.dense().tolist()}
-    dense = to_dense_array(m)
-    return {"kind": "dense", "rows": dense.tolist()}
+        kind, key = ("tridiagonal", "offdiag") if m.bandwidth == 1 else ("pentadiagonal", "second")
+        return {"kind": kind, "diag": m.main_diag.tolist(), key: m.off.tolist()}
+    return {"kind": "dense", "rows": to_dense_array(m).tolist()}
 
 
 def matrix_from_json(text: str) -> Matrix:

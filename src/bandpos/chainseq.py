@@ -141,7 +141,7 @@ def tridiag_ratio_sequence(t: BandSymMatrix) -> np.ndarray:
         raise ValueError("expected a tridiagonal BandSymMatrix")
     if not (t.main_diag > 0).all():
         raise ValueError("ratio criterion requires positive diagonal entries")
-    return ratio_sequence(t.main_diag, t.off_diags[0])
+    return ratio_sequence(t.main_diag, t.off)
 
 
 def split_at_zero_offdiag(t: BandSymMatrix, tol: float = 0.0) -> list[BandSymMatrix]:
@@ -150,7 +150,7 @@ def split_at_zero_offdiag(t: BandSymMatrix, tol: float = 0.0) -> list[BandSymMat
     if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
         raise ValueError("expected a tridiagonal BandSymMatrix")
     diag = t.main_diag
-    off = t.off_diags[0]
+    off = t.off
     blocks = []
     start = 0
     for j in range(off.shape[0]):

@@ -228,7 +228,7 @@ def _cmd_check_positivity(args) -> RunReport:
         else:
             # the criterion takes nonnegative entries; diag(+-1) carries m to
             # its signless matrix, which has the same spectrum
-            ww = wall_wetzel_pd(make_tridiagonal(m.main_diag, np.abs(m.off_diags[0])))
+            ww = wall_wetzel_pd(make_tridiagonal(m.main_diag, np.abs(m.off)))
             verdicts["wall_wetzel_pd"] = ww
             if ww == (verdict.classification == PD):
                 verdicts["oracle_agreement"] = "yes"

@@ -320,10 +320,11 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_dense(a, symmetric: bool = True) -> np.ndarray:
-    """to_dense_array, with DenseSymMatrix's checks (bandmat.check_dense)
-    for raw arrays; the symmetry check only when symmetric."""
+    """The dense array of a DenseSymMatrix or of a raw array, the latter
+    with DenseSymMatrix's checks (bandmat.check_dense); the symmetry check
+    only when symmetric."""
     dense = to_dense_array(a)
-    if isinstance(a, (BandSymMatrix, DenseSymMatrix)):
+    if isinstance(a, DenseSymMatrix):
         return dense
     return check_dense(dense, symmetric)
 
@@ -334,16 +335,11 @@ def _max_abs(*arrays: np.ndarray) -> float:
 
 def _band_diagonals(a) -> tuple[np.ndarray, np.ndarray, int] | None:
     """The main diagonal, the stored off-diagonal and its offset (1 or 2)
-    of tridiagonal or pentadiagonal-form input, as float arrays; None for
-    other input."""
+    of band input, as float arrays; None for dense input."""
     if isinstance(a, ExactBand):
         return np.array(a.diag, dtype=float), np.array(a.off, dtype=float), a.offset
-    if not isinstance(a, BandSymMatrix):
-        return None
-    if a.bandwidth == 1:
-        return a.main_diag, a.off_diags[0], 1
-    if a.is_pentadiagonal_form:
-        return a.main_diag, a.off_diags[1], 2
+    if isinstance(a, BandSymMatrix):
+        return a.main_diag, a.off, a.bandwidth
     return None
 
 
@@ -734,7 +730,7 @@ def shift_to_boundary(a, tol: float = DEFAULT_TOL):
         raise ValueError("matrix is not positive definite")
     lam = verdict.min_eigenvalue
     if isinstance(a, BandSymMatrix):
-        return BandSymMatrix(a.order, a.bandwidth, a.main_diag - lam, a.off_diags), lam
+        return BandSymMatrix(a.bandwidth, a.main_diag - lam, a.off), lam
     if isinstance(a, DenseSymMatrix):
         return DenseSymMatrix(a.entries - lam * np.eye(a.order)), lam
     dense = np.asarray(a, dtype=float)

@@ -30,7 +30,6 @@ from .bandmat import (
     Matrix,
     _direct_sum,
     check_dense,
-    hadamard_power,
     join_pentadiagonal,
     make_pentadiagonal,
     make_tridiagonal,
@@ -159,11 +158,17 @@ def counterexample_tridiagonal(r: float) -> BandSymMatrix:
     """A PD tridiagonal matrix whose Hadamard r-th power (0 < r < 1) is
     indefinite: tridiag([1, 2+eps, 1], [1, 1]) whose powered determinant is
     (2+eps)**r - 2.  eps is fixed at the midpoint of the open window
-    (0, 2**(1/r) - 2) where that determinant is negative."""
+    (0, 2**(1/r) - 2) where that determinant is negative, with the window's
+    top capped at 2**1023 where 2**(1/r) is not a finite float."""
     r = float(r)
     if not 0 < r < 1:
         raise ValueError("counterexamples exist only for 0 < r < 1")
-    eps = (2.0 ** (1.0 / r) - 2.0) / 2.0
+    try:
+        top = 2.0 ** (1.0 / r)
+    except OverflowError:
+        # r below about 1/1024: any 2+eps <= 2**1023 still has (2+eps)**r < 2
+        top = 2.0**1023
+    eps = (top - 2.0) / 2.0
     return make_tridiagonal([1.0, 2.0 + eps, 1.0], [1.0, 1.0])
 
 
@@ -177,11 +182,11 @@ def counterexample_pentadiagonal(r: float) -> BandSymMatrix:
     return make_pentadiagonal([1.0, 2.0, 2.0, 1.0, 1.0], [1.0, 1.0, 1.0])
 
 
-def _draw_band(rng: np.random.Generator, family: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of a random PD matrix of the band family,
-    in the oracle's tridiagonal order: a tridiagonal sample as it is, a
-    pentadiagonal one as the _direct_sum of its odd and even blocks.  Each
-    tridiagonal block is drawn as random_pd_tridiagonal describes."""
+def _draw_band(rng: np.random.Generator, family: str, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(diagonal, off-diagonal) of each tridiagonal block of a random PD
+    matrix of the band family: the matrix itself for a tridiagonal sample,
+    its odd and even blocks for a pentadiagonal one.  Each block is drawn as
+    random_pd_tridiagonal describes."""
     sizes = (order,) if family == "tridiagonal" else ((order + 1) // 2, order // 2)
     blocks = []
     for k in sizes:
@@ -189,15 +194,13 @@ def _draw_band(rng: np.random.Generator, family: str, order: int) -> tuple[np.nd
         diag = rng.uniform(0.2, 3.0, size=k)
         ratios = (1.0 - g[:-1]) * g[1:]
         blocks.append((diag, np.sqrt(ratios * diag[:-1] * diag[1:])))
-    return blocks[0] if family == "tridiagonal" else _direct_sum(*blocks)
+    return blocks
 
 
-def _band_matrix(family: str, diag: np.ndarray, off: np.ndarray) -> BandSymMatrix:
-    """The matrix of the band family whose diagonals _draw_band laid out."""
-    if family == "tridiagonal":
-        return make_tridiagonal(diag, off)
-    k = (diag.shape[0] + 1) // 2
-    return join_pentadiagonal(make_tridiagonal(diag[:k], off[: k - 1]), make_tridiagonal(diag[k:], off[k:]))
+def _band_matrix(blocks: list) -> BandSymMatrix:
+    """The band matrix whose blocks _draw_band drew."""
+    tridiagonals = [make_tridiagonal(*block) for block in blocks]
+    return tridiagonals[0] if len(tridiagonals) == 1 else join_pentadiagonal(*tridiagonals)
 
 
 def random_pd_tridiagonal(rng: np.random.Generator, order: int) -> BandSymMatrix:
@@ -210,7 +213,7 @@ def random_pd_tridiagonal(rng: np.random.Generator, order: int) -> BandSymMatrix
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    return _band_matrix("tridiagonal", *_draw_band(rng, "tridiagonal", order))
+    return _band_matrix(_draw_band(rng, "tridiagonal", order))
 
 
 def random_pd_pentadiagonal(rng: np.random.Generator, order: int) -> BandSymMatrix:
@@ -218,7 +221,7 @@ def random_pd_pentadiagonal(rng: np.random.Generator, order: int) -> BandSymMatr
     PD tridiagonal blocks via the even/odd interleaving."""
     if order < 3:
         raise ValueError("order must be at least 3")
-    return _band_matrix("pentadiagonal", *_draw_band(rng, "pentadiagonal", order))
+    return _band_matrix(_draw_band(rng, "pentadiagonal", order))
 
 
 def _draw_pattern(rng: np.random.Generator, graph) -> np.ndarray:
@@ -322,14 +325,16 @@ def probe_preserves(
                     sample = counterexample(r)
                     diag, off, _ = _tridiagonal_form(*_forms(sample))
                 else:
-                    sample = diag, off = _draw_band(rng, family, int(rng.integers(lo, hi + 1)))
+                    sample = _draw_band(rng, family, int(rng.integers(lo, hi + 1)))
+                    # the tridiagonal form the oracle bisects
+                    diag, off = sample[0] if len(sample) == 1 else _direct_sum(*sample)
                 form = _powered_form(diag, off, r)
             lam = _form_class(*form, tol)[0]
             if best is None or lam < best:
                 best = lam
                 worst = sample
-    if isinstance(worst, tuple):
-        worst = _band_matrix(family, *worst)
+    if isinstance(worst, list):
+        worst = _band_matrix(worst)
     elif isinstance(worst, np.ndarray):
         worst = DenseSymMatrix(worst)
     return ProbeReport(samples, r, best, worst, seed)
@@ -366,19 +371,19 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
     the pattern test runs on each parity subsequence of the second
     diagonal, and each block is classified on its own order and scale.
     """
-    if not isinstance(m, BandSymMatrix) or not (m.bandwidth == 1 or m.is_pentadiagonal_form):
+    if not isinstance(m, BandSymMatrix):
         raise ValueError("expected a tridiagonal or pentadiagonal-form BandSymMatrix")
     if m.min_entry() < 0:
         raise ValueError("matrix has a negative entry")
     if m.bandwidth == 1:
-        bad = _consecutive_nonzero(m.off_diags[0], tol)
+        bad = _consecutive_nonzero(m.off, tol)
         if bad is not None:
             return IdVerdict(False, f"not ID: off-diagonal entries {bad} and {bad + 1} are both nonzero")
         tridiagonals = (m,)
     else:
         tridiagonals = split_pentadiagonal(m)
         for parity, block in zip(("odd", "even"), tridiagonals):
-            if _consecutive_nonzero(block.off_diags[0], tol) is not None:
+            if _consecutive_nonzero(block.off, tol) is not None:
                 return IdVerdict(
                     False,
                     "not ID: consecutive nonzero entries in the "
@@ -401,7 +406,7 @@ def is_id_pentadiagonal(p: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> bool:
     """id_verdict of a pentadiagonal matrix with zero first off-diagonal:
     both parity subsequences of the second diagonal must avoid consecutive
     nonzeros and both tridiagonal blocks must be PSD."""
-    if not isinstance(p, BandSymMatrix) or not p.is_pentadiagonal_form:
+    if not isinstance(p, BandSymMatrix) or p.bandwidth != 2:
         raise ValueError("expected a pentadiagonal BandSymMatrix with zero first off-diagonal")
     return id_verdict(p, tol).infinitely_divisible
 
@@ -457,10 +462,7 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
         for r in grid:
             form = _powered_form(diag, off, r) if lean else None
             if form is None or (band is None and np.count_nonzero(form[1]) < couplings):
-                # a bandwidth-2 matrix whose first off-diagonal underflows
-                # powers to pentadiagonal form: hadamard_power keeps its route
-                powered = hadamard_power(a, r) if isinstance(a, BandSymMatrix) else np.power(dense, r)
-                form = _tridiagonal_form(*_forms(powered))
+                form = _tridiagonal_form(*_forms(np.power(dense, r)))
             if _form_class(*form, tol)[1] == INDEFINITE:
                 return False
     return True

@@ -3,6 +3,7 @@ pentadiagonal matrices, and the JSON wire format."""
 
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -25,6 +26,12 @@ from bandpos import (
 from bandpos.bandmat import matrix_from_json_obj, matrix_to_json_obj
 
 from conftest import P_DENSE
+
+
+def _band_json(kind, diag, off):
+    """matrix_from_json of a band kind with the given diagonals."""
+    key = "offdiag" if kind == "tridiagonal" else "second"
+    return matrix_from_json(json.dumps({"kind": kind, "diag": diag, key: off}))
 
 
 class TestConstruction:
@@ -62,6 +69,28 @@ class TestConstruction:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             make_tridiagonal([1.0, np.nan], [0.5])
+
+    @pytest.mark.parametrize(
+        "build,args,message",
+        [
+            (BandSymMatrix, (1, [[1, 2], [3, 4]], [5]), "main diagonal must have 2 entries"),
+            (_band_json, ("tridiagonal", [[1, 2], [3, 4]], [5]), "main diagonal must have 2 entries"),
+            (_band_json, ("pentadiagonal", [[1, 2], [3, 4], [5, 6]], [1]), "main diagonal must have 3 entries"),
+            (make_tridiagonal, ([1, 2, 3], [1]), "off-diagonal must have 2 entries, got 1"),
+            (_band_json, ("tridiagonal", [1, 2], [1, 1]), "off-diagonal must have 1 entries, got 2"),
+            (make_pentadiagonal, ([1, 1, 1], [1, 1]), "second diagonal must have 1 entries, got 2"),
+            (_band_json, ("pentadiagonal", [1, 1, 1, 1], [1]), "second diagonal must have 2 entries, got 1"),
+            (BandSymMatrix, (3, np.ones(4), [1.0]), "bandwidth must be 1 or 2"),
+            (make_pentadiagonal, ([1, 1], []), "pentadiagonal matrices need order >= 3"),
+            (_band_json, ("pentadiagonal", [1], []), "pentadiagonal matrices need order >= 3"),
+            (make_tridiagonal, ([1, np.nan], [0.5]), "all entries must be finite"),
+            (make_pentadiagonal, ([1, 1, 1], [np.inf]), "all entries must be finite"),
+            (_band_json, ("tridiagonal", [1, 1e400], [1]), "all entries must be finite"),
+        ],
+    )
+    def test_refusals(self, build, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(*args)
 
     def test_dense_requires_symmetry(self):
         with pytest.raises(ValueError):
@@ -116,7 +145,7 @@ class TestHadamardPower:
     def test_band_structure_preserved(self, p_matrix):
         powered = hadamard_power(p_matrix, 2.0)
         assert isinstance(powered, BandSymMatrix)
-        assert powered.is_pentadiagonal_form
+        assert powered.bandwidth == 2
 
     def test_raw_array_of_order_zero_refused(self):
         with pytest.raises(ValueError, match="order must be at least 1"):
@@ -196,9 +225,9 @@ class TestSplit:
         np.testing.assert_array_equal(odd.dense(), dense[np.ix_([0, 2, 4], [0, 2, 4])])
         np.testing.assert_array_equal(even.dense(), dense[np.ix_([1, 3], [1, 3])])
         np.testing.assert_array_equal(odd.main_diag, [1.0, 2.0, 1.0])
-        np.testing.assert_array_equal(odd.off_diags[0], [1.0, 1.0])
+        np.testing.assert_array_equal(odd.off, [1.0, 1.0])
         np.testing.assert_array_equal(even.main_diag, [2.0, 1.0])
-        np.testing.assert_array_equal(even.off_diags[0], [1.0])
+        np.testing.assert_array_equal(even.off, [1.0])
 
     def test_smallest_case(self):
         m = make_pentadiagonal([2.0, 3.0, 4.0], [0.7])
@@ -221,9 +250,6 @@ class TestSplit:
             assert even.order == n // 2
 
     def test_requires_penta_form(self):
-        bad = BandSymMatrix(3, 2, np.ones(3), (np.array([0.5, 0.0]), np.array([0.2])))
-        with pytest.raises(ValueError):
-            split_pentadiagonal(bad)
         with pytest.raises(ValueError):
             split_pentadiagonal(make_tridiagonal([1.0, 1.0], [0.5]))
 
@@ -253,7 +279,7 @@ class TestJsonFormat:
 
     def test_round_trip_pentadiagonal(self, p_matrix):
         parsed = matrix_from_json(json.dumps(matrix_to_json_obj(p_matrix)))
-        assert isinstance(parsed, BandSymMatrix) and parsed.is_pentadiagonal_form
+        assert isinstance(parsed, BandSymMatrix) and parsed.bandwidth == 2
         np.testing.assert_array_equal(parsed.dense(), p_matrix.dense())
 
     def test_round_trip_dense(self):
@@ -301,7 +327,7 @@ class TestJsonFormat:
             assert isinstance(exact, ExactBand)
             assert exact.offset == want.bandwidth
             entries = [*exact.diag, *exact.off]
-            floats = [*want.main_diag, *want.off_diags[exact.offset - 1]]
+            floats = [*want.main_diag, *want.off]
         else:
             entries = [x for row in exact for x in row]
             floats = want.dense().ravel().tolist()
@@ -326,9 +352,3 @@ class TestJsonFormat:
         for text in ('{"kind": "toeplitz", "diag": [1]}', "{kind: nope}", '{"kind": "dense", "rows": [[1, 2], [3, 4]]}'):
             with pytest.raises(ValueError):
                 exact_matrix_from_json(text)
-
-    def test_bandwidth_two_general_serializes_dense(self):
-        m = BandSymMatrix(3, 2, np.ones(3), (np.array([0.5, 0.5]), np.array([0.2])))
-        obj = matrix_to_json_obj(m)
-        assert obj["kind"] == "dense"
-        np.testing.assert_array_equal(np.array(obj["rows"]), m.dense())

@@ -150,7 +150,7 @@ class TestRatioSequence:
 
     def test_float_ratios_are_the_matrix_ratios(self, a01):
         np.testing.assert_array_equal(
-            ratio_sequence(a01.main_diag, a01.off_diags[0]), tridiag_ratio_sequence(a01)
+            ratio_sequence(a01.main_diag, a01.off), tridiag_ratio_sequence(a01)
         )
 
     def test_nonpositive_diagonal_rejected(self):

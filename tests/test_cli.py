@@ -6,7 +6,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from bandpos import hadamard_power, probe_preserves
+from bandpos import (
+    INDEFINITE,
+    classify_positivity,
+    counterexample_tridiagonal,
+    determinant,
+    hadamard_power,
+    probe_preserves,
+)
 from bandpos.bandmat import matrix_from_json_obj
 from bandpos import cli
 from bandpos.cli import CONVENTION_EXACT_LIMIT, EXIT_FORMAT, EXIT_OK, EXIT_USAGE, main
@@ -180,6 +187,21 @@ class TestJsonMode:
         # with one sample at r < 1 the injected counterexample is the worst case
         np.testing.assert_allclose(worst.main_diag, [1.0, 3.0, 1.0], rtol=1e-11)
         assert report["verdicts"]["falsified"] is True
+
+
+class TestTinyExponentCounterexample:
+    # below r = 1/1024, 2**(1/r) is not a finite float; the window's top is
+    # capped at 2**1023, where (2+eps)**r < 2 still holds
+    @pytest.mark.parametrize("r", [1 / 1023.5, 1 / 1024, 1e-4, 1e-300])
+    def test_counterexample_and_probe(self, capsys, r):
+        m = counterexample_tridiagonal(r)
+        assert np.isfinite(m.main_diag).all() and determinant(m) > 0
+        assert classify_positivity(hadamard_power(m, r)).classification == INDEFINITE
+        code, out, err = run_cli(capsys, "counterexample", "--family", "tridiagonal", "-r", repr(r))
+        assert code == EXIT_OK and err == ""
+        assert "powered_classification: INDEFINITE" in out
+        code, _, err = run_cli(capsys, "probe", "--family", "tridiagonal", "-r", repr(r), "-n", "3")
+        assert code == EXIT_OK and err == ""
 
 
 class TestOracleAgreement:

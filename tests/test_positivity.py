@@ -243,7 +243,7 @@ class TestShifts:
         assert lam == pytest.approx(A01_EIGS[0], abs=1e-9)
         assert abs(min_eigenvalue(b)) <= 1e-9
         assert isinstance(b, BandSymMatrix)
-        np.testing.assert_array_equal(b.off_diags[0], a01.off_diags[0])
+        np.testing.assert_array_equal(b.off, a01.off)
 
     def test_boundary_rejects_non_pd(self, p_matrix):
         with pytest.raises(ValueError, match="not positive definite"):
@@ -388,7 +388,7 @@ def sturm_form(a):
         return (*frozen_householder_tridiagonalize(a), float(np.abs(a).max()))
     blocks = (a,) if a.bandwidth == 1 else split_pentadiagonal(a)
     diag = np.concatenate([b.main_diag for b in blocks])
-    off = np.concatenate([blocks[0].off_diags[0]] + [np.r_[0.0, b.off_diags[0]] for b in blocks[1:]])
+    off = np.concatenate([blocks[0].off] + [np.r_[0.0, b.off] for b in blocks[1:]])
     return diag, off, float(np.abs(a.dense()).max())
 
 

@@ -150,11 +150,12 @@ def _id_inputs():
             second = np.where(rng.uniform(size=n - 2) < 0.5, rng.uniform(0.1, 2.0, n - 2), 0.0)
             p = make_pentadiagonal(diag, second)
             inputs += [("pentadiagonal", p), ("permuted pentadiagonal", DenseSymMatrix(_permuted(rng, p.dense())))]
-            # bandwidth 2 with a nonzero first off-diagonal: a dense route
+            # bandwidth 2 with a nonzero first off-diagonal: dense input
             first = rng.uniform(0.0, 0.5, n - 1)
             if k % 3 == 0:
                 first[:] = 1e-200  # underflows at r >= 2: the power is pentadiagonal form
-            inputs.append(("general band", BandSymMatrix(n, 2, diag, (first, second))))
+            general = p.dense() + np.diag(first, 1) + np.diag(first, -1)
+            inputs.append(("general band", DenseSymMatrix(general)))
         # a Householder pattern: Gram matrix of nonnegative vectors
         b = rng.uniform(0.0, 1.0, (n, max(1, n - 1)))
         inputs.append(("householder", DenseSymMatrix(b @ b.T)))
