@@ -68,8 +68,12 @@ class BandSymMatrix:
         n = main.shape[0]
         if d == 2 and n < 3:
             raise ValueError("pentadiagonal matrices need order >= 3")
+        if n < 1:
+            raise ValueError("order must be at least 1")
+        name = "off-diagonal" if d == 1 else "second diagonal"
+        if off.ndim != 1:
+            raise ValueError(f"{name} must be a flat list of numbers, got nesting depth {off.ndim}")
         if off.shape != (n - d,):
-            name = "off-diagonal" if d == 1 else "second diagonal"
             raise ValueError(f"{name} must have {n - d} entries, got {off.size}")
         if main.ndim != 1:
             raise ValueError(f"main diagonal must have {n} entries")
@@ -147,13 +151,13 @@ Matrix = Union[BandSymMatrix, DenseSymMatrix]
 
 def make_tridiagonal(diag, offdiag) -> BandSymMatrix:
     """Symmetric tridiagonal matrix from its main and first diagonals."""
-    return BandSymMatrix(1, np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float).reshape(-1))
+    return BandSymMatrix(1, diag, offdiag)
 
 
 def make_pentadiagonal(diag, second_diag) -> BandSymMatrix:
     """Pentadiagonal matrix with nonzeros only on the main and second
     diagonals (the first off-diagonal is identically zero)."""
-    return BandSymMatrix(2, np.asarray(diag, dtype=float), np.asarray(second_diag, dtype=float).reshape(-1))
+    return BandSymMatrix(2, diag, second_diag)
 
 
 # Squares and pairwise products of entries overflow once entries pass about
@@ -211,18 +215,15 @@ def hadamard_power(a, r: float):
         with np.errstate(over="ignore"):
             main, off = np.power(a.main_diag, r), np.power(a.off, r)
         return BandSymMatrix(a.bandwidth, main, off)
-    if isinstance(a, DenseSymMatrix):
-        _validate_power_entries(a.min_entry(), r)
-        if r == 0.0:
-            return DenseSymMatrix(np.ones(a.shape))
-        with np.errstate(over="ignore"):
-            return DenseSymMatrix(np.power(a.entries, r))
-    arr = check_dense(to_dense_array(a), symmetric=False)
+    wrapped = isinstance(a, DenseSymMatrix)
+    arr = a.entries if wrapped else check_dense(to_dense_array(a), symmetric=False)
     _validate_power_entries(float(arr.min()), r)
     if r == 0.0:
-        return np.ones(arr.shape)
-    with np.errstate(over="ignore"):
-        return check_dense(np.power(arr, r), symmetric=False)
+        out = np.ones(arr.shape)
+    else:
+        with np.errstate(over="ignore"):
+            out = np.power(arr, r)
+    return DenseSymMatrix(out) if wrapped else check_dense(out, symmetric=False)
 
 
 def _parity_blocks(diag, second) -> tuple[tuple, tuple]:
@@ -272,24 +273,26 @@ def join_pentadiagonal(odd: BandSymMatrix, even: BandSymMatrix) -> BandSymMatrix
     return make_pentadiagonal(diag, second)
 
 
-_JSON_FIELDS = {
-    "tridiagonal": {"kind", "diag", "offdiag"},
-    "pentadiagonal": {"kind", "diag", "second"},
-    "dense": {"kind", "rows"},
-}
+# The wire format's kinds: the bandwidth of each (None for dense) and the key
+# of its stored entries besides "diag".  {"kind":"tridiagonal","diag":[...],
+# "offdiag":[...]}, {"kind":"pentadiagonal","diag":[...],"second":[...]} and
+# {"kind":"dense","rows":[[...]]}.
+_KINDS = {"tridiagonal": (1, "offdiag"), "pentadiagonal": (2, "second"), "dense": (None, "rows")}
+
+
+def matrix_kind(m) -> str:
+    """The wire-format kind of a matrix or square array."""
+    bandwidth = m.bandwidth if isinstance(m, BandSymMatrix) else None
+    return next(kind for kind, (width, _) in _KINDS.items() if width == bandwidth)
 
 
 def matrix_to_json_obj(m) -> dict:
-    """A matrix as a JSON-ready object in the wire format.
-
-    Kinds: {"kind":"tridiagonal","diag":[...],"offdiag":[...]},
-    {"kind":"pentadiagonal","diag":[...],"second":[...]}, and
-    {"kind":"dense","rows":[[...]]}.
-    """
+    """A matrix as a JSON-ready object in the wire format."""
+    kind = matrix_kind(m)
+    key = _KINDS[kind][1]
     if isinstance(m, BandSymMatrix):
-        kind, key = ("tridiagonal", "offdiag") if m.bandwidth == 1 else ("pentadiagonal", "second")
         return {"kind": kind, "diag": m.main_diag.tolist(), key: m.off.tolist()}
-    return {"kind": "dense", "rows": to_dense_array(m).tolist()}
+    return {"kind": kind, key: to_dense_array(m).tolist()}
 
 
 def matrix_from_json(text: str) -> Matrix:
@@ -333,30 +336,25 @@ def exact_matrix_from_json(text: str) -> tuple[Matrix, ExactBand | list[list[Fra
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     m = matrix_from_json_obj(obj)
-    if obj["kind"] == "dense":
-        return m, [[_fraction(x) for x in row] for row in obj["rows"]]
-    # the one stored off-diagonal sits at offset k = bandwidth
-    k = m.bandwidth
-    off = obj["offdiag"] if k == 1 else obj["second"]
-    return m, ExactBand(tuple(map(_fraction, obj["diag"])), tuple(map(_fraction, off)), k)
+    bandwidth, key = _KINDS[obj["kind"]]
+    if bandwidth is None:
+        return m, [[_fraction(x) for x in row] for row in obj[key]]
+    return m, ExactBand(tuple(map(_fraction, obj["diag"])), tuple(map(_fraction, obj[key])), bandwidth)
 
 
 def matrix_from_json_obj(obj) -> Matrix:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     kind = obj.get("kind")
-    if kind not in _JSON_FIELDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown matrix kind: {kind!r}")
-    extra = set(obj) - _JSON_FIELDS[kind]
-    missing = _JSON_FIELDS[kind] - set(obj)
-    if extra or missing:
+    bandwidth, key = _KINDS[kind]
+    if set(obj) != ({"kind", key} if bandwidth is None else {"kind", "diag", key}):
         raise ValueError(f"matrix JSON for kind {kind!r} has wrong fields")
     try:
-        if kind == "tridiagonal":
-            return make_tridiagonal(obj["diag"], obj["offdiag"])
-        if kind == "pentadiagonal":
-            return make_pentadiagonal(obj["diag"], obj["second"])
-        return DenseSymMatrix(np.array(obj["rows"], dtype=float))
+        if bandwidth is None:
+            return DenseSymMatrix(np.array(obj[key], dtype=float))
+        return BandSymMatrix(bandwidth, obj["diag"], obj[key])
     except OverflowError as exc:
         # an integer or exact rational beyond the float range
         raise ValueError("all entries must be finite") from exc

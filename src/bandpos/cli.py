@@ -44,6 +44,7 @@ from .bandmat import (
     hadamard_power,
     make_tridiagonal,
     matrix_from_json,
+    matrix_kind,
     matrix_to_json_obj,
 )
 from .chainseq import (
@@ -179,10 +180,6 @@ def _load(path: str, parse):
         raise InputFormatError(f"{path}: {exc}") from exc
 
 
-def _matrix_kind(m) -> str:
-    return matrix_to_json_obj(m)["kind"]
-
-
 def _cmd_check_positivity(args) -> RunReport:
     if _exact_enabled():
         m, exact = _load(args.file, exact_matrix_from_json)
@@ -191,7 +188,7 @@ def _cmd_check_positivity(args) -> RunReport:
     verdict = classify_positivity(m, args.tol)
     inputs = {
         "file": args.file,
-        "kind": _matrix_kind(m),
+        "kind": matrix_kind(m),
         "order": m.order,
         "tol": args.tol,
     }
@@ -245,7 +242,7 @@ def _cmd_hadamard(args) -> RunReport:
     m = _load(args.file, matrix_from_json)
     powered = hadamard_power(m, args.r)
     verdict = classify_positivity(powered, args.tol)
-    inputs = {"file": args.file, "kind": _matrix_kind(m), "r": args.r, "tol": args.tol}
+    inputs = {"file": args.file, "kind": matrix_kind(m), "r": args.r, "tol": args.tol}
     verdicts = {
         "classification": verdict.classification,
         "min_eigenvalue": verdict.min_eigenvalue,
@@ -309,7 +306,7 @@ def _cmd_critical_exponent(args) -> RunReport:
 
 def _cmd_id_check(args) -> RunReport:
     m = _load(args.file, matrix_from_json)
-    inputs = {"file": args.file, "kind": _matrix_kind(m)}
+    inputs = {"file": args.file, "kind": matrix_kind(m)}
     if not isinstance(m, BandSymMatrix):
         verdicts = {"probe_passed": id_numeric_probe(m)}
         return RunReport("id-check", inputs, verdicts, [CONVENTION_PROBE])

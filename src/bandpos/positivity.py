@@ -19,7 +19,9 @@ direct sum of its odd and even tridiagonal blocks and is bisected as such;
 dense input whose off-diagonal nonzero graph is a disjoint union of paths
 is a permuted tridiagonal matrix and is bisected in its path order.  Only
 other dense input is first reduced to tridiagonal form by Householder
-reflections.
+reflections.  Each call finds its input's route once, as a _Form record
+(tridiagonal, odd/even split, path order or Householder), and the
+eigenvalue and minor routes read that record.
 
 Leading principal minors come from the three-term continuant for band input
 (a pentadiagonal matrix with zero first off-diagonal multiplies the
@@ -319,28 +321,8 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(m).copy(), np.diag(m, 1).copy()
 
 
-def _checked_dense(a, symmetric: bool = True) -> np.ndarray:
-    """The dense array of a DenseSymMatrix or of a raw array, the latter
-    with DenseSymMatrix's checks (bandmat.check_dense); the symmetry check
-    only when symmetric."""
-    dense = to_dense_array(a)
-    if isinstance(a, DenseSymMatrix):
-        return dense
-    return check_dense(dense, symmetric)
-
-
 def _max_abs(*arrays: np.ndarray) -> float:
     return max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
-
-
-def _band_diagonals(a) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The main diagonal, the stored off-diagonal and its offset (1 or 2)
-    of band input, as float arrays; None for dense input."""
-    if isinstance(a, ExactBand):
-        return np.array(a.diag, dtype=float), np.array(a.off, dtype=float), a.offset
-    if isinstance(a, BandSymMatrix):
-        return a.main_diag, a.off, a.bandwidth
-    return None
 
 
 def _path_order(dense: np.ndarray) -> list[int] | None:
@@ -383,35 +365,57 @@ def _path_order(dense: np.ndarray) -> list[int] | None:
     return [v for path in paths for v in path]
 
 
-def _forms(a, symmetric: bool = True) -> tuple:
-    """What the eigenvalue and minor routes read, built once per call:
-    (_band_diagonals, None, None) for band input, and otherwise (None, the
-    dense array, its _path_order).  A raw dense array is validated, as
-    symmetric unless symmetric is False."""
-    band = _band_diagonals(a)
-    if band is not None:
-        return band, None, None
-    dense = _checked_dense(a, symmetric)
-    return None, dense, _path_order(dense)
+# The routes from an input to the tridiagonal matrix the oracle bisects.
+_TRIDIAGONAL, _SPLIT, _PATH, _HOUSEHOLDER = "tridiagonal", "odd/even split", "path order", "Householder"
 
 
-def _tridiagonal_form(band, dense, order) -> tuple[np.ndarray, np.ndarray, float]:
-    """Diagonal and off-diagonal of a tridiagonal matrix with the spectrum
-    of the input given by _forms, and the input's max-norm.  Tridiagonal
-    input is used as it is; pentadiagonal-form input becomes the direct sum
-    of its odd and even blocks (joined by an exactly zero coupling); dense
-    input whose nonzero graph is a union of paths is read in its path order;
-    other dense input is Householder-reduced."""
-    if band is not None:
-        diag, off, offset = band
-        scale = _max_abs(diag, off)
-        if offset == 2:
-            diag, off = _direct_sum(*_parity_blocks(diag, off))
-        return diag, off, scale
-    scale = float(np.abs(dense).max())
-    if order is not None:
-        return dense[order, order], dense[order[:-1], order[1:]], scale
-    return (*_householder_tridiagonalize(dense), scale)
+@dataclass(frozen=True)
+class _Form:
+    """An input's route to the tridiagonal matrix the oracle bisects, and
+    what the route reads; _form builds it once per call.  Band input holds
+    its main diagonal and stored off-diagonal as float arrays, dense input
+    its validated array and, on the path route, its path order.  route is
+    None for dense input when no route was asked for."""
+
+    route: str | None
+    diag: np.ndarray | None = None
+    off: np.ndarray | None = None
+    dense: np.ndarray | None = None
+    order: list[int] | None = None
+
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Diagonal and off-diagonal of the tridiagonal matrix the oracle
+        bisects, and the input's max-norm.  The split's blocks are joined by
+        an exactly zero coupling."""
+        if self.dense is None:
+            scale = _max_abs(self.diag, self.off)
+            if self.route == _SPLIT:
+                return (*_direct_sum(*_parity_blocks(self.diag, self.off)), scale)
+            return self.diag, self.off, scale
+        scale = float(np.abs(self.dense).max())
+        if self.route == _PATH:
+            order = self.order
+            return self.dense[order, order], self.dense[order[:-1], order[1:]], scale
+        return (*_householder_tridiagonalize(self.dense), scale)
+
+
+def _form(a, symmetric: bool = True, reorder: bool = True) -> _Form:
+    """The _Form of band or dense input.  A raw dense array gets
+    DenseSymMatrix's checks (bandmat.check_dense), the symmetry check only
+    when symmetric.  Without reorder, dense input gets no route and no path
+    order is looked for."""
+    if isinstance(a, ExactBand):
+        diag, off = np.array(a.diag, dtype=float), np.array(a.off, dtype=float)
+        return _Form(_SPLIT if a.offset == 2 else _TRIDIAGONAL, diag, off)
+    if isinstance(a, BandSymMatrix):
+        return _Form(_SPLIT if a.bandwidth == 2 else _TRIDIAGONAL, a.main_diag, a.off)
+    dense = to_dense_array(a)
+    if not isinstance(a, DenseSymMatrix):
+        check_dense(dense, symmetric)
+    if not reorder:
+        return _Form(None, dense=dense)
+    order = _path_order(dense)
+    return _Form(_HOUSEHOLDER if order is None else _PATH, dense=dense, order=order)
 
 
 def _checked_tol(tol) -> float:
@@ -433,13 +437,13 @@ def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a symmetric matrix (band or dense), ascending;
     brackets of width <= tol."""
     tol = _checked_tol(tol)
-    diag, off, _ = _tridiagonal_form(*_forms(a))
+    diag, off, _ = _form(a).tridiagonal()
     return np.sort(_tridiag_bisect(diag, off, tol, range(diag.shape[0])))
 
 
 def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> tuple[float, str, float]:
     """Smallest eigenvalue, class and threshold of the tridiagonal form
-    (diag, off) of a matrix of max-norm scale, as _tridiagonal_form gives
+    (diag, off) of a matrix of max-norm scale, as _Form.tridiagonal gives
     it, for a tol already checked by _checked_tol.  The eigenvalue is
     bisected to width tol * max(1, scale); the class compares it against
     +-thr, thr = max(tol, STURM_BACKWARD_C * n * eps) * max(1, scale)."""
@@ -457,7 +461,7 @@ def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue to absolute accuracy tol * max(1, max-norm)."""
     tol = _checked_tol(tol)
-    return _form_class(*_tridiagonal_form(*_forms(a)), tol)[0]
+    return _form_class(*_form(a).tridiagonal(), tol)[0]
 
 
 def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
@@ -469,10 +473,10 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     the Sturm count's backward error cannot decide a sign.
     """
     tol = _checked_tol(tol)
-    forms = _forms(a)
-    diag, off, scale = _tridiagonal_form(*forms)
+    form = _form(a)
+    diag, off, scale = form.tridiagonal()
     lam, cls, thr = _form_class(diag, off, scale, tol)
-    return PositivityVerdict(cls, lam, scale, tuple(_float_minors(*forms)), thr)
+    return PositivityVerdict(cls, lam, scale, tuple(_float_minors(form)), thr)
 
 
 def _continuant(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, int]]:
@@ -495,17 +499,16 @@ def _continuant(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, int]]:
     return out
 
 
-def _band_minors(diag: np.ndarray, off: np.ndarray, offset: int) -> list[tuple[float, int]]:
-    """Leading minors as continuant pairs of the tridiagonal (offset 1) or
-    pentadiagonal-form (offset 2) matrix with main diagonal diag and
-    stored off-diagonal off."""
-    if offset == 1:
-        return _continuant(diag, off)
+def _band_minors(form: _Form) -> list[tuple[float, int]]:
+    """Leading minors as continuant pairs of band input, given by its
+    _Form."""
+    if form.route == _TRIDIAGONAL:
+        return _continuant(form.diag, form.off)
     # the order-k leading block is blockdiag(odd block of order ceil(k/2),
     # even block of order floor(k/2)) up to a permutation
-    odd, even = ([(1.0, 0)] + _continuant(*block) for block in _parity_blocks(diag, off))
+    odd, even = ([(1.0, 0)] + _continuant(*block) for block in _parity_blocks(form.diag, form.off))
     pairs = []
-    for k in range(1, diag.shape[0] + 1):
+    for k in range(1, form.diag.shape[0] + 1):
         (m_odd, e_odd), (m_even, e_even) = odd[(k + 1) // 2], even[k // 2]
         pairs.append((m_odd * m_even, e_odd + e_even))
     return pairs
@@ -604,14 +607,14 @@ def _sparse_minors(rows: list[dict], block_det) -> list:
     return minors
 
 
-def _float_minors(band, dense, order) -> list[float]:
-    """Leading minors of the input given by _forms: the continuant for band
-    input; for dense input whose nonzero graph is a union of paths,
-    _sparse_minors over the entries that its path order makes tridiagonal
-    (the others are zero); _dense_minors otherwise.  The last two are bit
-    for bit the same."""
-    if band is not None:
-        return [_pair_value(m, e) for m, e in _band_minors(*band)]
+def _float_minors(form: _Form) -> list[float]:
+    """Leading minors of the input given by its _Form: the continuant for
+    band input; on the path route, _sparse_minors over the entries that the
+    path order makes tridiagonal (the others are zero); _dense_minors
+    otherwise.  The last two are bit for bit the same."""
+    if form.dense is None:
+        return [_pair_value(m, e) for m, e in _band_minors(form)]
+    dense, order = form.dense, form.order
     if order is None:
         return _dense_minors(dense)
     rows = [{i: x} for i, x in enumerate(np.diag(dense).tolist())]
@@ -671,8 +674,6 @@ def _exact_rows(a) -> list[list[Fraction]] | None:
     an entry that is already a Fraction is kept as it is."""
     if isinstance(a, np.ndarray) and a.dtype != object:
         return None
-    if isinstance(a, (BandSymMatrix, DenseSymMatrix)):
-        return None
     rows = list(a)
     out = []
     for row in rows:
@@ -701,7 +702,7 @@ def leading_principal_minors(a) -> list:
     minors of its float matrix, those of classify_positivity's certificate.
     """
     if isinstance(a, ExactBand):
-        return _exact_band_minors(a) if a.order <= EXACT_MINOR_LIMIT else _float_minors(*_forms(a))
+        return _exact_band_minors(a) if a.order <= EXACT_MINOR_LIMIT else _float_minors(_form(a))
     try:
         # test the order first: above the limit no Fraction row is needed
         rows = _exact_rows(a) if len(a) <= EXACT_MINOR_LIMIT else None
@@ -709,16 +710,16 @@ def leading_principal_minors(a) -> list:
         rows = None
     if rows is not None:
         return _exact_minors(rows)
-    return _float_minors(*_forms(a, symmetric=False))
+    return _float_minors(_form(a, symmetric=False))
 
 
 def determinant(a) -> float:
     """Determinant of a (band or dense) square matrix; the last continuant
     minor for band input."""
-    band = _band_diagonals(a)
-    if band is not None:
-        return _pair_value(*_band_minors(*band)[-1])
-    return _det_float(_checked_dense(a, symmetric=False))
+    form = _form(a, symmetric=False, reorder=False)
+    if form.dense is None:
+        return _pair_value(*_band_minors(form)[-1])
+    return _det_float(form.dense)
 
 
 def shift_to_boundary(a, tol: float = DEFAULT_TOL):

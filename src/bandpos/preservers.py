@@ -10,7 +10,7 @@ random probe that searches for falsifying matrices.
 
 The probe and the infinite-divisibility grid classify many Hadamard powers,
 so they build no matrix object per power: they power the two diagonals of
-the tridiagonal form the oracle bisects (positivity._tridiagonal_form) and
+the tridiagonal matrix the oracle bisects (positivity._Form.tridiagonal) and
 compute only its smallest eigenvalue and class, the values of
 min_eigenvalue and classify_positivity on hadamard_power's result, bit for
 bit.  Only the probe's worst sample becomes a matrix object.
@@ -38,7 +38,7 @@ from .bandmat import (
     to_dense_array,
 )
 from .chainseq import split_at_zero_offdiag
-from .positivity import DEFAULT_TOL, INDEFINITE, _checked_tol, _form_class, _forms, _max_abs, _tridiagonal_form
+from .positivity import DEFAULT_TOL, INDEFINITE, _HOUSEHOLDER, _PATH, _checked_tol, _form, _form_class, _max_abs
 
 __all__ = [
     "PowerSet",
@@ -319,17 +319,17 @@ def probe_preserves(
             rng = np.random.default_rng([seed, i])
             if family == "graph":
                 sample = _draw_pattern(rng, graph)
-                form = _tridiagonal_form(*_forms(np.power(sample, r)))
+                tri = _form(np.power(sample, r)).tridiagonal()
             else:
                 if i == 0 and inject:
                     sample = counterexample(r)
-                    diag, off, _ = _tridiagonal_form(*_forms(sample))
+                    diag, off, _ = _form(sample).tridiagonal()
                 else:
                     sample = _draw_band(rng, family, int(rng.integers(lo, hi + 1)))
                     # the tridiagonal form the oracle bisects
                     diag, off = sample[0] if len(sample) == 1 else _direct_sum(*sample)
-                form = _powered_form(diag, off, r)
-            lam = _form_class(*form, tol)[0]
+                tri = _powered_form(diag, off, r)
+            lam = _form_class(*tri, tol)[0]
             if best is None or lam < best:
                 best = lam
                 worst = sample
@@ -389,7 +389,7 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
                     "not ID: consecutive nonzero entries in the "
                     f"{parity}-position second-diagonal subsequence",
                 )
-    if any(_form_class(*_tridiagonal_form(*_forms(t)), DEFAULT_TOL)[1] == INDEFINITE for t in tridiagonals):
+    if any(_form_class(*_form(t).tridiagonal(), DEFAULT_TOL)[1] == INDEFINITE for t in tridiagonals):
         return IdVerdict(False, "not ID: matrix is not PSD")
     blocks = tuple(split_at_zero_offdiag(m, tol)) if m.bandwidth == 1 else ()
     return IdVerdict(True, "PSD with no two consecutive nonzero off-diagonal entries", blocks)
@@ -452,18 +452,18 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
     if low < 0:
         raise ValueError("matrix has a negative entry")
     tol = _checked_tol(tol)
-    band, dense, order = _forms(a)
-    lean = band is not None or order is not None
+    form = _form(a)
+    lean = form.route != _HOUSEHOLDER
     if lean:
-        diag, off, _ = _tridiagonal_form(band, dense, order)
+        diag, off, _ = form.tridiagonal()
         couplings = np.count_nonzero(off)
     # as in probe_preserves: an overflowing power is refused, not warned about
     with np.errstate(over="ignore"):
         for r in grid:
-            form = _powered_form(diag, off, r) if lean else None
-            if form is None or (band is None and np.count_nonzero(form[1]) < couplings):
-                form = _tridiagonal_form(*_forms(np.power(dense, r)))
-            if _form_class(*form, tol)[1] == INDEFINITE:
+            tri = _powered_form(diag, off, r) if lean else None
+            if tri is None or (form.route == _PATH and np.count_nonzero(tri[1]) < couplings):
+                tri = _form(np.power(form.dense, r)).tridiagonal()
+            if _form_class(*tri, tol)[1] == INDEFINITE:
                 return False
     return True
 

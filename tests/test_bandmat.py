@@ -86,6 +86,19 @@ class TestConstruction:
             (make_tridiagonal, ([1, np.nan], [0.5]), "all entries must be finite"),
             (make_pentadiagonal, ([1, 1, 1], [np.inf]), "all entries must be finite"),
             (_band_json, ("tridiagonal", [1, 1e400], [1]), "all entries must be finite"),
+            (make_tridiagonal, ([], []), "order must be at least 1"),
+            (_band_json, ("tridiagonal", [], []), "order must be at least 1"),
+            (
+                _band_json,
+                ("tridiagonal", [1, 2, 3], [[1], [1]]),
+                "off-diagonal must be a flat list of numbers, got nesting depth 2",
+            ),
+            (
+                _band_json,
+                ("pentadiagonal", [1, 2, 3], [[0.5]]),
+                "second diagonal must be a flat list of numbers, got nesting depth 2",
+            ),
+            (make_tridiagonal, ([1, 2], 0.5), "off-diagonal must be a flat list of numbers, got nesting depth 0"),
         ],
     )
     def test_refusals(self, build, args, message):
@@ -122,6 +135,17 @@ class TestHadamardPower:
         powered = hadamard_power(a01, 0.0)
         assert isinstance(powered, DenseSymMatrix)
         np.testing.assert_array_equal(powered.entries, np.ones((3, 3)))
+
+    def test_zero_power_of_dense_input(self):
+        entries = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.5], [1.0, 0.5, 4.0]])
+        powered = hadamard_power(DenseSymMatrix(entries), 0)
+        assert isinstance(powered, DenseSymMatrix)
+        np.testing.assert_array_equal(powered.entries, np.ones((3, 3)))
+        # a raw array stays an array and need not be symmetric
+        for raw in (entries, np.array([[1.0, 2.0], [0.0, 1.0]])):
+            powered = hadamard_power(raw, 0)
+            assert type(powered) is np.ndarray
+            np.testing.assert_array_equal(powered, np.ones(raw.shape))
 
     def test_integer_power_negative_entries(self):
         m = DenseSymMatrix(np.array([[1.0, -2.0], [-2.0, 4.0]]))
@@ -289,8 +313,10 @@ class TestJsonFormat:
         np.testing.assert_array_equal(parsed.entries, m.entries)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown matrix kind"):
-            matrix_from_json('{"kind": "toeplitz", "diag": [1]}')
+        # a kind that is not a string is unknown too, not a TypeError
+        for text in ('{"kind": "toeplitz", "diag": [1]}', '{"kind": ["dense"], "rows": [[1]]}'):
+            with pytest.raises(ValueError, match="unknown matrix kind"):
+                matrix_from_json(text)
 
     def test_wrong_fields_rejected(self):
         with pytest.raises(ValueError):

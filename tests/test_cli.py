@@ -36,6 +36,8 @@ def run_cli(capsys, *argv):
 
 GOLDEN_CASES = [
     ("check_positivity_a01.txt", ["check-positivity", "data/a01.json"]),
+    ("check_positivity_p.txt", ["check-positivity", "data/p.json"]),
+    ("check_positivity_permuted.txt", ["check-positivity", "data/permuted_tridiagonal.json"]),
     ("hadamard_p_r05.txt", ["hadamard", "data/p.json", "-r", "0.5"]),
     ("chain_quarters.txt", ["chain", "1/4,1/4,1/4"]),
     ("critical_exponent_k5.txt", ["critical-exponent", "data/k5.graph"]),

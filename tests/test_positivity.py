@@ -33,7 +33,7 @@ from bandpos import (
 )
 from bandpos import positivity as oracle
 from bandpos.bandmat import SCALE_CUTOFF
-from bandpos.positivity import _householder_tridiagonalize
+from bandpos.positivity import DEFAULT_TOL, _householder_tridiagonalize
 
 # Roots of the characteristic cubic of A(0.1) = tridiag([1, 2.1, 1], [1, 1]):
 # (1, 0, -1) is an eigenvector for 1; the rest solve x^2 - 3.1x + 0.1 = 0.
@@ -836,6 +836,28 @@ class TestLargeEntries:
         want = np.repeat(self.WANT, a.order // 4)
         np.testing.assert_allclose(sym_eigenvalues(a), want, rtol=1e-9)
 
+    def test_householder_reduction_of_huge_input_is_scaled_exactly(self):
+        # dense input of no path pattern above SCALE_CUTOFF is reduced at an
+        # exact power of two of its size: 2**600 times the reduction of a
+        big = 2.0**600
+        rng = np.random.default_rng(131)
+        for _ in range(60):
+            n = int(rng.integers(3, 12))
+            a = rng.uniform(-3.0, 3.0, (n, n))
+            a = a + a.T
+            assert oracle._path_order(a) is None and np.abs(big * a).max() > SCALE_CUTOFF
+            diag, off = _householder_tridiagonalize(a)
+            big_diag, big_off = _householder_tridiagonalize(big * a)
+            assert big_diag.tolist() == (big * diag).tolist() and big_off.tolist() == (big * off).tolist()
+            # the bisection that follows has absolute floors (pivmin, the
+            # Gershgorin pad), so its answers agree within their brackets
+            verdict, big_verdict = classify_positivity(a), classify_positivity(big * a)
+            width = DEFAULT_TOL * max(1.0, verdict.scale)
+            assert big_verdict.classification == verdict.classification
+            assert abs(big_verdict.min_eigenvalue / big - verdict.min_eigenvalue) <= width
+            big_spectrum = sym_eigenvalues(big * a, big * DEFAULT_TOL) / big
+            np.testing.assert_allclose(big_spectrum, sym_eigenvalues(a), rtol=0, atol=width)
+
 
 class TestToleranceFloor:
     @pytest.mark.parametrize(
@@ -1018,6 +1040,15 @@ class TestPathRoute:
             monkeypatch.setattr(oracle, name, counted)
         classify_positivity(DenseSymMatrix(make_tridiagonal([2.0] * 8, [1.0] * 7).dense()[::-1, ::-1]))
         assert counts == {"to_dense_array": 1, "_path_order": 1}
+
+    def test_determinant_looks_for_no_path_order(self, monkeypatch):
+        def refuse(dense):
+            raise AssertionError("determinant looked for a path order")
+
+        monkeypatch.setattr(oracle, "_path_order", refuse)
+        dense = make_tridiagonal([2.0] * 6, [1.0] * 5).dense()[::-1, ::-1]
+        for a in (dense, DenseSymMatrix(dense)):
+            assert determinant(a) == oracle._det_float(dense)
 
     def test_huge_fraction_pivot_is_not_converted_to_float(self):
         big = Fraction(10**400)

@@ -218,7 +218,7 @@ def test_id_probe_bisects_the_forms_of_the_powers(monkeypatch):
             if isinstance(_outcome(id_numeric_probe, a, [r]), str):
                 continue
             powered = hadamard_power(a, r)
-            forms = positivity._forms(powered)
-            assert seen == [_form_key(*positivity._tridiagonal_form(*forms))], (label, r)
-            split += label == "tiny permuted" and forms[2] != positivity._forms(a)[2]
+            form = positivity._form(powered)
+            assert seen == [_form_key(*form.tridiagonal())], (label, r)
+            split += label == "tiny permuted" and form.order != positivity._form(a).order
     assert split > 0
