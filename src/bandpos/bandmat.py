@@ -160,23 +160,16 @@ def make_pentadiagonal(diag, second_diag) -> BandSymMatrix:
     return BandSymMatrix(2, diag, second_diag)
 
 
-# Squares and pairwise products of entries overflow once entries pass about
-# 1.3e154, so the numeric routes scale larger input down by an exact power
-# of two first.  The cutoff leaves room for sums of up to 2**64 such squares.
-SCALE_CUTOFF = 2.0**480
+def _max_abs(*arrays: np.ndarray) -> float:
+    return max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
 
 
-def overflow_exponent(*arrays: np.ndarray, underflow: bool = False) -> int:
-    """0 when no entry exceeds SCALE_CUTOFF in magnitude; otherwise the t
-    with max |entry| < 2**t.  Scaling by 2**-t brings every entry below 1;
-    it is exact for entries down to 2**-1000 times the largest, and smaller
-    ones are negligible next to it.  With underflow, that t is also returned
-    when the largest entry is nonzero and below 1 / SCALE_CUTOFF, where
-    products of entries underflow; scaling up by 2**-t is exact."""
-    big = max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
-    if big > SCALE_CUTOFF or (underflow and 0.0 < big < 1.0 / SCALE_CUTOFF):
-        return math.frexp(big)[1]
-    return 0
+def _unit_exponent(*arrays: np.ndarray) -> int:
+    """The t with 2**-t times the largest |entry| in [1/2, 1), 0 when every
+    entry is zero.  The numeric routes work on 2**-t times their input: the
+    scaling is exact (down to 2**-1000 times the largest entry), and no
+    product of two entries then overflows."""
+    return math.frexp(_max_abs(*arrays))[1]
 
 
 def to_dense_array(a) -> np.ndarray:
@@ -339,7 +332,9 @@ def exact_matrix_from_json(text: str) -> tuple[Matrix, ExactBand | list[list[Fra
     bandwidth, key = _KINDS[obj["kind"]]
     if bandwidth is None:
         return m, [[_fraction(x) for x in row] for row in obj[key]]
-    return m, ExactBand(tuple(map(_fraction, obj["diag"])), tuple(map(_fraction, obj[key])), bandwidth)
+    # a scalar main diagonal is order 1, as in the float parse
+    diag = obj["diag"] if isinstance(obj["diag"], list) else [obj["diag"]]
+    return m, ExactBand(tuple(map(_fraction, diag)), tuple(map(_fraction, obj[key])), bandwidth)
 
 
 def matrix_from_json_obj(obj) -> Matrix:

@@ -10,7 +10,9 @@ decision procedure used here.
 A tridiagonal matrix with positive diagonal a_i and off-diagonal b_j is
 positive definite exactly when the ratios b_j**2 / (a_j a_{j+1}) form a
 chain sequence; zero off-diagonal entries split the matrix into irreducible
-blocks that are tested independently.
+blocks that are tested independently.  The ratios are scale-free, and float
+ones are computed as the oracle works: on the input times the power of two
+that brings its max-norm into [1/2, 1), so A and 2**k A get one verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandmat import BandSymMatrix, make_tridiagonal, overflow_exponent
+from .bandmat import BandSymMatrix, _unit_exponent, make_tridiagonal
 
 __all__ = [
     "ChainReport",
@@ -119,13 +121,13 @@ def ratio_sequence(diag, off) -> np.ndarray:
 
     Float input gives a float array; Fraction input gives an object array
     of exact Fractions.  The diagonal entries must be nonzero.  Float input
-    whose largest entry is above bandmat.SCALE_CUTOFF or below its
-    reciprocal is first scaled by an exact power of two, which leaves the
-    ratios unchanged and keeps b_j**2 and a_j a_{j+1} finite and nonzero.
+    is first scaled by the power of two that brings its largest entry into
+    [1/2, 1), which leaves the ratios unchanged and keeps b_j**2 and
+    a_j a_{j+1} from overflowing, or underflowing for want of scale.
     """
     diag, off = np.asarray(diag), np.asarray(off)
-    t = 0 if diag.dtype == object else overflow_exponent(diag, off, underflow=True)
-    if t:
+    if diag.dtype != object:
+        t = _unit_exponent(diag, off)
         diag, off = np.ldexp(diag, -t), np.ldexp(off, -t)
     return off * off / (diag[:-1] * diag[1:])
 

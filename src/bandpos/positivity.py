@@ -12,14 +12,15 @@ The answers are those of sequential bisection; an estimate that is wrong
 sends its bracket back to the start, so it costs time, never an answer.
 A single bracket, such as the smallest eigenvalue's, only asks whether a
 count is at most its index, so its count stops at the first pivot past that
-answer.  Entries above bandmat.SCALE_CUTOFF = 2**480 in magnitude are
-first scaled by an exact power of two, so that no squared coupling
-overflows.  A pentadiagonal matrix with zero first off-diagonal is the
-direct sum of its odd and even tridiagonal blocks and is bisected as such;
-dense input whose off-diagonal nonzero graph is a disjoint union of paths
-is a permuted tridiagonal matrix and is bisected in its path order.  Only
-other dense input is first reduced to tridiagonal form by Householder
-reflections.  Each call finds its input's route once, as a _Form record
+answer.  Every route works on its input times the power of two that brings
+its max-norm into [1/2, 1), and every tolerance is relative to the max-norm,
+so A and 2**k A get the same verdicts, with numbers 2**k apart.  A
+pentadiagonal matrix with zero first off-diagonal is the direct sum of its
+odd and even tridiagonal blocks and is bisected as such; dense input whose
+off-diagonal nonzero graph is a disjoint union of paths is a permuted
+tridiagonal matrix and is bisected in its path order.  Only other dense
+input is first reduced to tridiagonal form by Householder reflections.
+Each call finds its input's route once, as a _Form record
 (tridiagonal, odd/even split, path order or Householder), and the
 eigenvalue and minor routes read that record.
 
@@ -46,8 +47,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandmat import BandSymMatrix, DenseSymMatrix, ExactBand, check_dense, overflow_exponent, to_dense_array
-from .bandmat import _direct_sum, _parity_blocks
+from .bandmat import BandSymMatrix, DenseSymMatrix, ExactBand, check_dense, to_dense_array
+from .bandmat import _direct_sum, _max_abs, _parity_blocks, _unit_exponent
 
 __all__ = [
     "PD",
@@ -78,8 +79,12 @@ EXACT_MINOR_LIMIT = 12
 
 # The Sturm count of an order-n matrix is exact for a matrix within about
 # n * eps * max-norm of the input, so no classification threshold is set
-# below STURM_BACKWARD_C * n * eps (relative to max(1, scale)).
+# below STURM_BACKWARD_C * n * eps * max-norm.
 STURM_BACKWARD_C = 4.0
+
+# Sturm pivots smaller than this in magnitude become -_PIVMIN, so the next
+# pivot stays finite; the bisected matrix has max-norm in [1/2, 1).
+_PIVMIN = 1e-290
 
 # Largest number of pivots one Sturm-count call holds in memory at once.
 _NEGCOUNT_BLOCK = 1 << 20
@@ -94,7 +99,7 @@ class PositivityVerdict:
     """Classification of a symmetric matrix with a numeric certificate.
 
     classification is PD when the smallest eigenvalue clears
-    +thr = max(tol, STURM_BACKWARD_C * n * eps) * max(1, scale), INDEFINITE
+    +thr = max(tol, STURM_BACKWARD_C * n * eps) * scale, INDEFINITE
     when it clears -thr, and PSD_BOUNDARY in between; scale is the max-norm
     of the matrix, certificate holds the leading principal minors and
     threshold is thr.
@@ -107,49 +112,49 @@ class PositivityVerdict:
     threshold: float
 
 
-def _negcounts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray, pivmin: float) -> np.ndarray:
+def _negcounts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below each shift x: the negative LDL^T pivots
     q_i = (d_i - x) - off2_{i-1} / q_{i-1} of T - xI, with any pivot
-    smaller than pivmin in magnitude replaced by -pivmin."""
+    smaller than _PIVMIN in magnitude replaced by -_PIVMIN."""
     n = diag.shape[0]
     if n * shifts.shape[0] > _NEGCOUNT_BLOCK:
         parts = np.array_split(shifts, -(-n * shifts.shape[0] // _NEGCOUNT_BLOCK))
-        return np.concatenate([_negcounts(diag, off2, s, pivmin) for s in parts])
+        return np.concatenate([_negcounts(diag, off2, s) for s in parts])
     q = np.subtract.outer(diag, shifts)
     rows, e2s = list(q), off2.tolist()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for prev, row, e2 in zip(rows, rows[1:], e2s):
             row -= e2 / prev
-    if (np.abs(q) < pivmin).any():
+    if (np.abs(q) < _PIVMIN).any():
         # rare: some pivot needs the substitution, so redo row by row with it
         q = np.subtract.outer(diag, shifts)
         rows = list(q)
         for i, row in enumerate(rows):
             if i:
                 row -= e2s[i - 1] / rows[i - 1]
-            row[np.abs(row) < pivmin] = -pivmin
+            row[np.abs(row) < _PIVMIN] = -_PIVMIN
     return np.count_nonzero(q < 0.0, axis=0)
 
 
-def _negcount(diag: list, off2: list, x: float, pivmin: float, k: int) -> int:
+def _negcount(diag: list, off2: list, x: float, k: int) -> int:
     """_negcounts for one shift, over Python floats (off2 starts with 0.0),
     stopped as soon as the count exceeds k: the count when it is at most k,
-    and k + 1 otherwise.  A pivot below pivmin is counted either way: it is
-    negative, or it lies within pivmin of zero and is replaced by -pivmin."""
+    and k + 1 otherwise.  A pivot below _PIVMIN is counted either way: it is
+    negative, or it lies within _PIVMIN of zero and is replaced by -_PIVMIN."""
     count = 0
     q = 1.0
     for d, e2 in zip(diag, off2):
         q = d - x - e2 / q
-        if q < pivmin:
+        if q < _PIVMIN:
             if count == k:
                 return k + 1
             count += 1
-            if q > -pivmin:
-                q = -pivmin
+            if q > -_PIVMIN:
+                q = -_PIVMIN
     return count
 
 
-def _warm_start(diag, off, off2, pivmin: float, width: float, ks: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+def _warm_start(diag, off, off2, width: float, ks: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Move the brackets [a, b] of the eigenvalues ks, in place, to where
     sequential bisection takes them, steered by LAPACK's estimates and
     certified by one Sturm count at their ends.
@@ -171,14 +176,14 @@ def _warm_start(diag, off, off2, pivmin: float, width: float, ks: np.ndarray, a:
         return
     # an estimate's error and the count's backward error are both about
     # n * eps * scale: a midpoint this near its estimate is left to the count
-    near = 2.0 * STURM_BACKWARD_C * n * sys.float_info.epsilon * max(1.0, _max_abs(diag, off))
+    near = 2.0 * STURM_BACKWARD_C * n * sys.float_info.epsilon * _max_abs(diag, off)
     # halve every bracket without stopping, keeping each step's ends, and
     # read each bracket's path up to its first stop.  The brackets share
     # their start, so all reach the width after about as many halvings; at
     # most 64 are taken (a bracket off zero meets float resolution within
     # about 55), and a bracket not stopped by then carries on in the
-    # multisection loop.
-    steps = math.ceil(math.log2(float(b[0] - a[0])) - math.log2(width)) + 1
+    # multisection loop.  A width that underflowed to zero stops none.
+    steps = math.ceil(math.log2(float(b[0] - a[0])) - math.log2(max(width, math.ulp(0.0)))) + 1
     ends_a, ends_b = [a], [b]
     al, bl = a, b
     for _ in range(min(max(steps, 1), 64)):
@@ -194,7 +199,7 @@ def _warm_start(diag, off, off2, pivmin: float, width: float, ks: np.ndarray, a:
     cols = np.arange(ks.size)
     step = stop.argmax(axis=0)
     al, bl = ends_a[step, cols], ends_b[step, cols]
-    counts = _negcounts(diag, off2, np.concatenate((al, bl)), pivmin)
+    counts = _negcounts(diag, off2, np.concatenate((al, bl)))
     ok = (counts[: ks.size] <= ks) & (ks < counts[ks.size :])
     a[ok], b[ok] = al[ok], bl[ok]
 
@@ -208,24 +213,20 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
     Several brackets of a matrix whose pivots fit one Sturm-count call
     (n * n <= _NEGCOUNT_BLOCK) start where LAPACK's estimates steer them and
     one count certifies (_warm_start); the answers are those of sequential
-    bisection either way."""
+    bisection either way.  T is bisected as 2**-t T, of max-norm in
+    [1/2, 1), whose every step is T's scaled by 2**-t."""
     n = diag.shape[0]
     if n == 1:
         return [float(diag[0]) for _ in indices]
-    t = overflow_exponent(diag, off)
-    if t:
-        # 2**-t T has the eigenvalues 2**-t lambda, and every step of its
-        # bisection is the scaled step
-        lams = _tridiag_bisect(np.ldexp(diag, -t), np.ldexp(off, -t), math.ldexp(width, -t), indices)
-        return [math.ldexp(lam, t) for lam in lams]
+    t = _unit_exponent(diag, off)
+    diag, off, width = np.ldexp(diag, -t), np.ldexp(off, -t), math.ldexp(width, -t)
     off2 = off * off
-    pivmin = max(float(off2.max()), 1.0) * 1e-290
     radius = np.zeros(n)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
-    pad = width + 1e-14 * max(abs(lo), abs(hi), 1.0)
+    pad = width + 1e-14 * max(abs(lo), abs(hi))
     lo -= pad
     hi += pad
     if len(indices) == 1:
@@ -236,16 +237,16 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
                 break
-            if _negcount(d, e2, mid, pivmin, k) <= k:
+            if _negcount(d, e2, mid, k) <= k:
                 a = mid
             else:
                 b = mid
-        return [0.5 * (a + b)]
+        return [math.ldexp(0.5 * (a + b), t)]
     ks = np.asarray(indices)
     a = np.full(ks.shape, lo)
     b = np.full(ks.shape, hi)
     if n * n <= _NEGCOUNT_BLOCK:
-        _warm_start(diag, off, off2, pivmin, width, ks, a, b)
+        _warm_start(diag, off, off2, width, ks, a, b)
     # a bracket at float resolution stops at its first midpoint: leave it out
     mid = 0.5 * (a + b)
     live = np.flatnonzero((b - a > width) & (mid > a) & (mid < b))
@@ -262,7 +263,7 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
             split[:, 0::2], split[:, 1::2] = ends, mids
             ends = split
         mids = np.concatenate(levels, axis=1)
-        counts = _negcounts(diag, off2, mids.ravel(), pivmin).reshape(mids.shape)
+        counts = _negcounts(diag, off2, mids.ravel()).reshape(mids.shape)
         # walk each bracket down the tree with the sequential stops
         cols, node = np.arange(live.size), np.zeros(live.size, dtype=np.intp)
         going = np.ones(live.size, dtype=bool)
@@ -276,17 +277,16 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
             node = 2 * node + 1 + below
         a[live], b[live] = al, bl
         live = live[going]
-    return (0.5 * (a + b)).tolist()
+    return np.ldexp(0.5 * (a + b), t).tolist()
 
 
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a dense symmetric matrix to tridiagonal form; returns the
-    diagonal and first off-diagonal of the similar tridiagonal matrix."""
-    t = overflow_exponent(a)
-    if t:
-        diag, off = _householder_tridiagonalize(np.ldexp(a, -t))
-        return np.ldexp(diag, t), np.ldexp(off, t)
-    m = np.array(a, dtype=float, copy=True)
+    diagonal and first off-diagonal of the similar tridiagonal matrix.  The
+    reflections are those of 2**-t a, of max-norm in [1/2, 1), and the
+    result is 2**t times its reduction."""
+    t = _unit_exponent(a)
+    m = np.ldexp(a, -t)
     n = m.shape[0]
     # flat buffers for the factors [v w] (p x 2) and [w; v] (2 x p) of the
     # rank-2 update; a C-ordered reshape of a prefix is contiguous, laid out
@@ -318,11 +318,7 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vw, wv = left[: 2 * p].reshape(p, 2), right[: 2 * p].reshape(2, p)
         vw[:, 0], vw[:, 1], wv[0], wv[1] = v, w, w, v
         sub -= vw @ wv
-    return np.diag(m).copy(), np.diag(m, 1).copy()
-
-
-def _max_abs(*arrays: np.ndarray) -> float:
-    return max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
+    return np.ldexp(np.diag(m), t), np.ldexp(np.diag(m, 1), t)
 
 
 def _path_order(dense: np.ndarray) -> list[int] | None:
@@ -445,10 +441,10 @@ def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> 
     """Smallest eigenvalue, class and threshold of the tridiagonal form
     (diag, off) of a matrix of max-norm scale, as _Form.tridiagonal gives
     it, for a tol already checked by _checked_tol.  The eigenvalue is
-    bisected to width tol * max(1, scale); the class compares it against
-    +-thr, thr = max(tol, STURM_BACKWARD_C * n * eps) * max(1, scale)."""
-    lam = _tridiag_bisect(diag, off, tol * max(1.0, scale), [0])[0]
-    thr = max(tol, STURM_BACKWARD_C * diag.shape[0] * sys.float_info.epsilon) * max(1.0, scale)
+    bisected to width tol * scale; the class compares it against +-thr,
+    thr = max(tol, STURM_BACKWARD_C * n * eps) * scale."""
+    lam = _tridiag_bisect(diag, off, tol * scale, [0])[0]
+    thr = max(tol, STURM_BACKWARD_C * diag.shape[0] * sys.float_info.epsilon) * scale
     if lam > thr:
         cls = PD
     elif lam < -thr:
@@ -459,7 +455,7 @@ def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> 
 
 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue to absolute accuracy tol * max(1, max-norm)."""
+    """Smallest eigenvalue to accuracy tol * max-norm."""
     tol = _checked_tol(tol)
     return _form_class(*_form(a).tridiagonal(), tol)[0]
 
@@ -469,8 +465,9 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
 
     Deterministic for fixed input and tol: the verdict compares the
     bisected smallest eigenvalue against +-thr, where thr is
-    max(tol, STURM_BACKWARD_C * n * eps) * max(1, max-norm); a tol below
-    the Sturm count's backward error cannot decide a sign.
+    max(tol, STURM_BACKWARD_C * n * eps) * max-norm; a tol below the Sturm
+    count's backward error cannot decide a sign.  Both are relative to the
+    max-norm, so A and 2**k A get the same class.
     """
     tol = _checked_tol(tol)
     form = _form(a)
@@ -484,11 +481,11 @@ def _continuant(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, int]]:
     three-term continuant f_k = d_k f_{k-1} - e_{k-1}^2 f_{k-2}, each as a
     pair (m, e) meaning m * 2**e.
 
-    The entries are scaled by a power of two to at most 1 and the running
+    The entries are scaled by a power of two to below 1 and the running
     pair is renormalized at every step.  Both are exact, so no step
     overflows: a plain continuant turns an overflowed tail into
     inf - inf = NaN."""
-    t = math.frexp(_max_abs(diag, off))[1]
+    t = _unit_exponent(diag, off)
     f1, f2, e, out = 1.0, 0.0, 0, []
     for d, o in zip(np.ldexp(diag, -t).tolist(), [0.0] + np.ldexp(off, -t).tolist()):
         f = d * f1 - o * (o * f2)
@@ -625,20 +622,25 @@ def _float_minors(form: _Form) -> list[float]:
 
 
 def _det_float(a: np.ndarray) -> float:
-    """Determinant by partial-pivot Gaussian elimination (deterministic)."""
-    m = np.array(a, dtype=float, copy=True)
+    """Determinant by partial-pivot Gaussian elimination (deterministic) of
+    2**-t a, of max-norm in [1/2, 1), with the pivots' product held as a
+    pair (m, e) meaning m * 2**e: +-inf when the determinant overflows."""
+    t = _unit_exponent(a)
+    m = np.ldexp(a, -t)
     n = m.shape[0]
-    sign = 1.0
+    det, e = 1.0, t * n
     for c in range(n):
         piv = c + int(np.argmax(np.abs(m[c:, c])))
         if m[piv, c] == 0.0:
             return 0.0
         if piv != c:
             m[[c, piv]] = m[[piv, c]]
-            sign = -sign
+            det = -det
         f = m[c + 1 :, c] / m[c, c]
         m[c + 1 :, c:] -= np.outer(f, m[c, c:])
-    return sign * float(np.multiply.reduce(np.diag(m)))
+        det, s = math.frexp(det * float(m[c, c]))
+        e += s
+    return _pair_value(det, e)
 
 
 def _det_exact(rows: list[list[Fraction]]) -> Fraction:

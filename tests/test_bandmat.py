@@ -340,6 +340,8 @@ class TestJsonFormat:
             '{"kind": "pentadiagonal", "diag": [1, 2, 2, 1, 1], "second": [1, 0.7, 1]}',
             '{"kind": "dense", "rows": [[2, 0.1], [0.1, 1e-300]]}',
             '{"kind": "tridiagonal", "diag": [0.1, 1e-400], "offdiag": [3]}',
+            # a scalar main diagonal is order 1 in both parses
+            '{"kind": "tridiagonal", "diag": 5, "offdiag": []}',
         ],
     )
     def test_exact_parse_matches_float_parse(self, text):

@@ -38,6 +38,7 @@ GOLDEN_CASES = [
     ("check_positivity_a01.txt", ["check-positivity", "data/a01.json"]),
     ("check_positivity_p.txt", ["check-positivity", "data/p.json"]),
     ("check_positivity_permuted.txt", ["check-positivity", "data/permuted_tridiagonal.json"]),
+    ("check_positivity_tiny.txt", ["check-positivity", "data/tiny_tridiagonal.json"]),
     ("hadamard_p_r05.txt", ["hadamard", "data/p.json", "-r", "0.5"]),
     ("chain_quarters.txt", ["chain", "1/4,1/4,1/4"]),
     ("critical_exponent_k5.txt", ["critical-exponent", "data/k5.graph"]),
@@ -290,6 +291,18 @@ class TestExactMode:
         assert "chain_failure_index: none" in out
         assert "wall_wetzel_pd: yes" in out
         assert "oracle_agreement: yes" in out
+
+    def test_scalar_main_diagonal_is_order_one(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "scalar.json"
+        f.write_text('{"kind": "tridiagonal", "diag": 5, "offdiag": []}')
+        _, float_out, _ = run_cli(capsys, "check-positivity", str(f))
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        code, out, err = run_cli(capsys, "check-positivity", str(f))
+        assert code == EXIT_OK and err == ""
+        assert "input.order: 1" in out and "classification: PD" in out
+        assert "leading_minors_exact: [5]" in out
+        # the exact report adds its exact lines to the float report
+        assert set(float_out.splitlines()) <= set(out.splitlines())
 
     def test_band_input_is_not_densified(self, capsys, monkeypatch, tmp_path):
         from bandpos import positivity

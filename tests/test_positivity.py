@@ -7,6 +7,7 @@ path) elsewhere.
 
 import math
 import statistics
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -30,9 +31,9 @@ from bandpos import (
     split_pentadiagonal,
     sym_eigenvalues,
     sym_tridiag_eigenvalues,
+    wall_wetzel_pd,
 )
 from bandpos import positivity as oracle
-from bandpos.bandmat import SCALE_CUTOFF
 from bandpos.positivity import DEFAULT_TOL, _householder_tridiagonalize
 
 # Roots of the characteristic cubic of A(0.1) = tridiag([1, 2.1, 1], [1, 1]):
@@ -288,9 +289,10 @@ class TestOracleInvariants:
             assert (np.diag(diff) >= lam**r - 1e-9).all()
 
 
-def full_negcount(diag, off2, x, pivmin):
+def full_negcount(diag, off2, x):
     """Number of eigenvalues below x, counting every LDL^T pivot (frozen
     copy of the library's first scalar Sturm count; off2 starts with 0.0)."""
+    pivmin = 1e-290
     count = 0
     q = 1.0
     for d, e2 in zip(diag, off2):
@@ -304,25 +306,28 @@ def full_negcount(diag, off2, x, pivmin):
 
 def sequential_bisect(diag, off, width, k):
     """The k-th eigenvalue by one-bracket Sturm bisection with full scalar
-    counts (the reference the oracle must reproduce bit for bit)."""
+    counts, of the matrix scaled by the power of two that brings its
+    max-norm into [1/2, 1), scaled back (the reference the oracle must
+    reproduce bit for bit)."""
     n = diag.shape[0]
     if n == 1:
         return float(diag[0])
+    t = math.frexp(max(float(np.abs(diag).max()), float(np.abs(off).max())))[1]
+    diag, off, width = np.ldexp(diag, -t), np.ldexp(off, -t), math.ldexp(width, -t)
     off2 = off * off
-    pivmin = max(float(off2.max()), 1.0) * 1e-290
     radius = np.zeros(n)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
-    pad = width + 1e-14 * max(abs(lo), abs(hi), 1.0)
+    pad = width + 1e-14 * max(abs(lo), abs(hi))
     a, b = lo - pad, hi + pad
     d, e2 = diag.tolist(), [0.0] + off2.tolist()
     while b - a > width:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        a, b = (mid, b) if full_negcount(d, e2, mid, pivmin) <= k else (a, mid)
-    return 0.5 * (a + b)
+        a, b = (mid, b) if full_negcount(d, e2, mid) <= k else (a, mid)
+    return math.ldexp(0.5 * (a + b), t)
 
 
 def refuse_estimate(a):
@@ -402,7 +407,7 @@ class TestBisectionBitIdentity:
     def test_min_eigenvalue_equals_sequential_bisection(self):
         for a in random_symmetric_inputs(61, 200):
             diag, off, scale = sturm_form(a)
-            want = sequential_bisect(diag, off, 1e-10 * max(1.0, scale), 0)
+            want = sequential_bisect(diag, off, 1e-10 * scale, 0)
             assert min_eigenvalue(a) == want
             assert classify_positivity(a).min_eigenvalue == want
 
@@ -470,18 +475,14 @@ class TestBisectionBitIdentity:
 
 
 def reference_spectrum(diag, off, width):
-    """sequential_bisect of every eigenvalue in index order, after the
-    oracle's exact power-of-two scaling of entries above SCALE_CUTOFF."""
-    big = max(float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0)))
-    t = math.frexp(big)[1] if big > SCALE_CUTOFF else 0
-    d, o, w = np.ldexp(diag, -t), np.ldexp(off, -t), math.ldexp(width, -t)
-    return [math.ldexp(sequential_bisect(d, o, w, k), t) for k in range(diag.shape[0])]
+    """sequential_bisect of every eigenvalue in index order."""
+    return [sequential_bisect(diag, off, width, k) for k in range(diag.shape[0])]
 
 
 def warm_start_inputs(seed, count):
     """Seeded tridiagonals (diag, off) with a bisection width: small
     integers and equal diagonals (eigenvalues on midpoints), zero couplings,
-    magnitudes 1e-8 to 1e8 and 1e+-150, entries above SCALE_CUTOFF.  Widths
+    magnitudes 1e-8 to 1e8 and 1e+-150, entries of size 2**500.  Widths
     run from 1e-6 to 1e-16 of the max-norm, below float resolution at the
     small end."""
     rng = np.random.default_rng(seed)
@@ -516,10 +517,10 @@ class TestWarmStart:
         moved = total = 0
         warm = oracle._warm_start
 
-        def counted(diag, off, off2, pivmin, width, ks, a, b):
+        def counted(diag, off, off2, width, ks, a, b):
             nonlocal moved, total
             start = a.copy(), b.copy()
-            warm(diag, off, off2, pivmin, width, ks, a, b)
+            warm(diag, off, off2, width, ks, a, b)
             moved += int(np.count_nonzero((a != start[0]) | (b != start[1])))
             total += ks.size
 
@@ -837,26 +838,128 @@ class TestLargeEntries:
         np.testing.assert_allclose(sym_eigenvalues(a), want, rtol=1e-9)
 
     def test_householder_reduction_of_huge_input_is_scaled_exactly(self):
-        # dense input of no path pattern above SCALE_CUTOFF is reduced at an
-        # exact power of two of its size: 2**600 times the reduction of a
+        # dense input of no path pattern, far above where squared entries
+        # overflow, is reduced at an exact power of two of its size: 2**600
+        # times the reduction of a, and every number after it follows
         big = 2.0**600
         rng = np.random.default_rng(131)
         for _ in range(60):
             n = int(rng.integers(3, 12))
             a = rng.uniform(-3.0, 3.0, (n, n))
             a = a + a.T
-            assert oracle._path_order(a) is None and np.abs(big * a).max() > SCALE_CUTOFF
+            assert oracle._path_order(a) is None and np.abs(big * a).max() > 2.0**480
             diag, off = _householder_tridiagonalize(a)
             big_diag, big_off = _householder_tridiagonalize(big * a)
             assert big_diag.tolist() == (big * diag).tolist() and big_off.tolist() == (big * off).tolist()
-            # the bisection that follows has absolute floors (pivmin, the
-            # Gershgorin pad), so its answers agree within their brackets
             verdict, big_verdict = classify_positivity(a), classify_positivity(big * a)
-            width = DEFAULT_TOL * max(1.0, verdict.scale)
             assert big_verdict.classification == verdict.classification
-            assert abs(big_verdict.min_eigenvalue / big - verdict.min_eigenvalue) <= width
-            big_spectrum = sym_eigenvalues(big * a, big * DEFAULT_TOL) / big
-            np.testing.assert_allclose(big_spectrum, sym_eigenvalues(a), rtol=0, atol=width)
+            assert big_verdict.min_eigenvalue == big * verdict.min_eigenvalue
+            assert big_verdict.threshold == big * verdict.threshold
+            assert min_eigenvalue(big * a) == big * min_eigenvalue(a)
+            big_spectrum = sym_eigenvalues(big * a, big * DEFAULT_TOL)
+            assert big_spectrum.tolist() == (big * sym_eigenvalues(a)).tolist()
+
+    def test_dense_determinant_overflow_is_infinite_without_warning(self):
+        # band input gets +-inf from its continuant pair; dense input the
+        # same from its pivot pair (the suite turns a RuntimeWarning into
+        # an error)
+        big = 2.0**600
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert determinant(big * a) == math.inf
+        assert determinant(make_tridiagonal(big * np.diag(a), [big])) == math.inf
+        assert determinant(2.0**400 * a) == 5.0 * 2.0**800
+        assert determinant(make_tridiagonal(2.0**400 * np.diag(a), [2.0**400])) == 5.0 * 2.0**800
+        # a zero first pivot: the order-2 minor comes from the pivoting
+        # elimination
+        verdict = classify_positivity(big * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert verdict.classification == INDEFINITE
+        assert verdict.certificate == (0.0, -math.inf)
+
+
+def scale_inputs(seed, count):
+    """Seeded tridiagonals, pentadiagonal-form matrices, permuted
+    tridiagonals (dense, path route) and dense symmetric arrays, in turn;
+    half with small integer entries, which put eigenvalues on zero and
+    pivots on bisection midpoints."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(3, 12))
+        integer = case % 8 >= 4
+
+        def draw(size):
+            return rng.integers(-2, 3, size).astype(float) if integer else rng.uniform(-1.0, 3.0, size)
+
+        kind = case % 4
+        if kind == 0:
+            yield make_tridiagonal(draw(n), draw(n - 1))
+        elif kind == 1:
+            yield make_pentadiagonal(draw(n), draw(n - 2))
+        elif kind == 2:
+            perm = rng.permutation(n)
+            yield make_tridiagonal(draw(n), draw(n - 1)).dense()[np.ix_(perm, perm)]
+        else:
+            a = draw((n, n))
+            yield a + a.T
+
+
+def scaled_by(a, k):
+    """2**k a, exactly, in a's own type."""
+    if isinstance(a, BandSymMatrix):
+        return BandSymMatrix(a.bandwidth, np.ldexp(a.main_diag, k), np.ldexp(a.off, k))
+    return np.ldexp(a, k)
+
+
+def is_normal(x):
+    return x == 0.0 or abs(x) >= sys.float_info.min
+
+
+class TestScaleEquivariance:
+    """A and 2**k A get the same verdict, and their numbers are 2**k apart
+    bit for bit: every route works on its input normalized to max-norm in
+    [1/2, 1), and every tolerance is relative to the max-norm."""
+
+    def test_verdicts_and_spectra_follow_powers_of_two(self):
+        rng = np.random.default_rng(163)
+        classes = set()
+        for case, a in enumerate(scale_inputs(167, 600)):
+            k = (-900, 900)[case % 20 // 10] if case % 10 == 0 else int(rng.integers(-900, 901))
+            big = scaled_by(a, k)
+            verdict, big_verdict = classify_positivity(a), classify_positivity(big)
+            classes.add(verdict.classification)
+            assert big_verdict.classification == verdict.classification, (case, k)
+            assert big_verdict.scale == math.ldexp(verdict.scale, k)
+            want = math.ldexp(verdict.min_eigenvalue, k)
+            if is_normal(want):
+                assert big_verdict.min_eigenvalue.hex() == want.hex(), (case, k)
+                assert min_eigenvalue(big).hex() == want.hex()
+                assert big_verdict.threshold == math.ldexp(verdict.threshold, k)
+            spectrum = sym_eigenvalues(a, DEFAULT_TOL).tolist()
+            big_spectrum = sym_eigenvalues(big, math.ldexp(DEFAULT_TOL, k)).tolist()
+            for lam, big_lam in zip(spectrum, big_spectrum):
+                if is_normal(math.ldexp(lam, k)):
+                    assert big_lam.hex() == math.ldexp(lam, k).hex(), (case, k)
+        assert classes == {PD, PSD_BOUNDARY, INDEFINITE}
+
+    def test_tiny_entries_keep_their_digits(self):
+        # eigenvalues (1 + cos(j pi / 4)) 1e-170, j = 1, 2, 3: PD, and the
+        # Wall-Wetzel chain criterion agrees
+        t = make_tridiagonal([1e-170] * 3, [0.5e-170] * 2)
+        verdict = classify_positivity(t)
+        assert verdict.classification == PD
+        assert f"{verdict.min_eigenvalue:.11e}" == "2.92893218824e-171"
+        assert abs(verdict.min_eigenvalue - (1.0 - math.sqrt(0.5)) * 1e-170) <= DEFAULT_TOL * 1e-170
+        assert wall_wetzel_pd(t)
+
+    def test_width_that_underflows_once_normalized(self):
+        # tol * 2**-1001 is zero: every bracket bisects to float resolution
+        a = 2.0**1000 * np.array([[2.0, 1.0], [1.0, 3.0]])
+        want = [2.0**1000 * (2.5 - math.sqrt(1.25)), 2.0**1000 * (2.5 + math.sqrt(1.25))]
+        np.testing.assert_allclose(sym_eigenvalues(a, 1e-40), want, rtol=1e-15)
+
+    def test_householder_route_above_squared_overflow(self):
+        a = np.array([[4.0, 1, 2, 1], [1, 5, 1, 3], [2, 1, 6, 1], [1, 3, 1, 7]])
+        assert oracle._path_order(a) is None
+        assert min_eigenvalue(2.0**600 * a) == 2.0**600 * min_eigenvalue(a)
 
 
 class TestToleranceFloor:
