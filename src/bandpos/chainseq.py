@@ -11,8 +11,8 @@ A tridiagonal matrix with positive diagonal a_i and off-diagonal b_j is
 positive definite exactly when the ratios b_j**2 / (a_j a_{j+1}) form a
 chain sequence; zero off-diagonal entries split the matrix into irreducible
 blocks that are tested independently.  The ratios are scale-free, and float
-ones are computed as the oracle works: on the input times the power of two
-that brings its max-norm into [1/2, 1), so A and 2**k A get one verdict.
+ones are formed from the entries' mantissas and exponents apart, so A and
+2**k A get one verdict and no entry is lost next to a larger one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandmat import BandSymMatrix, _unit_exponent, make_tridiagonal
+from .bandmat import BandSymMatrix, make_tridiagonal
 
 __all__ = [
     "ChainReport",
@@ -120,16 +120,17 @@ def ratio_sequence(diag, off) -> np.ndarray:
     a and the off-diagonal b of a tridiagonal matrix.
 
     Float input gives a float array; Fraction input gives an object array
-    of exact Fractions.  The diagonal entries must be nonzero.  Float input
-    is first scaled by the power of two that brings its largest entry into
-    [1/2, 1), which leaves the ratios unchanged and keeps b_j**2 and
-    a_j a_{j+1} from overflowing, or underflowing for want of scale.
+    of exact Fractions.  The diagonal entries must be nonzero.  Float
+    ratios are formed from the entries' mantissas and scaled by their
+    exponents last, so no product overflows or underflows; they are the
+    plain formula's wherever its products are normal floats.
     """
     diag, off = np.asarray(diag), np.asarray(off)
-    if diag.dtype != object:
-        t = _unit_exponent(diag, off)
-        diag, off = np.ldexp(diag, -t), np.ldexp(off, -t)
-    return off * off / (diag[:-1] * diag[1:])
+    if diag.dtype == object:
+        return off * off / (diag[:-1] * diag[1:])
+    (ma, ea), (mb, eb) = np.frexp(diag), np.frexp(off)
+    with np.errstate(over="ignore"):
+        return np.ldexp(mb * mb / (ma[:-1] * ma[1:]), 2 * eb - ea[:-1] - ea[1:])
 
 
 def tridiag_ratio_sequence(t: BandSymMatrix) -> np.ndarray:

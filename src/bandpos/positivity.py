@@ -622,13 +622,12 @@ def _float_minors(form: _Form) -> list[float]:
 
 
 def _det_float(a: np.ndarray) -> float:
-    """Determinant by partial-pivot Gaussian elimination (deterministic) of
-    2**-t a, of max-norm in [1/2, 1), with the pivots' product held as a
-    pair (m, e) meaning m * 2**e: +-inf when the determinant overflows."""
-    t = _unit_exponent(a)
-    m = np.ldexp(a, -t)
+    """Determinant by partial-pivot Gaussian elimination (deterministic),
+    with the pivots' product held as a pair (m, e) meaning m * 2**e: +-inf
+    when the determinant overflows."""
+    m = np.array(a, dtype=float, copy=True)
     n = m.shape[0]
-    det, e = 1.0, t * n
+    det, e = 1.0, 0
     for c in range(n):
         piv = c + int(np.argmax(np.abs(m[c:, c])))
         if m[piv, c] == 0.0:

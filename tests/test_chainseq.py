@@ -235,9 +235,26 @@ class TestWallWetzel:
         assert wall_wetzel_pd(pd)
         assert not wall_wetzel_pd(indefinite)
 
+    @pytest.mark.parametrize(
+        "diag, off",
+        [
+            ([1e100, 1e-100, 1e-100], [0.0, 5e-101]),
+            ([1.0, 1e-300, 1e-300], [1e-301, 1e-301]),
+            ([2.0**600, 2.0**-600, 1.0], [2.0**-100, 2.0**-301]),
+        ],
+    )
+    def test_spread_entries_keep_their_ratios(self, diag, off):
+        # entries far below the largest: a ratio formed from scaled products
+        # would flush them to zero and read 0 / 0; each ratio is the exact
+        # one, rounded, and the PD matrices pass the criterion
+        exact = [float(Fraction(b) ** 2 / (Fraction(a0) * Fraction(a1))) for a0, a1, b in zip(diag, diag[1:], off)]
+        np.testing.assert_allclose(ratio_sequence(np.array(diag), np.array(off)), exact, rtol=1e-15, atol=0.0)
+        assert wall_wetzel_pd(make_tridiagonal(diag, off))
+
     def test_ratios_are_bit_identical_across_the_cutoffs(self):
-        # between 2**-480 and 2**480 the ratios are the plain formula; a
-        # matrix moved past either cutoff by a power of two has the same ones
+        # the ratios are the plain formula's where its products are normal
+        # floats; a matrix moved by a power of two to where those products
+        # overflow or underflow has the same ones
         rng = np.random.default_rng(107)
         for _ in range(500):
             n = int(rng.integers(2, 20))

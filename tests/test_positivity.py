@@ -875,6 +875,14 @@ class TestLargeEntries:
         assert verdict.classification == INDEFINITE
         assert verdict.certificate == (0.0, -math.inf)
 
+    def test_dense_determinant_keeps_entries_far_below_the_largest(self):
+        # the elimination runs on the input as given, so an entry 2**-1000
+        # times the largest is not flushed to zero, on its own or in the
+        # pivoting fallback after a zero leading pivot
+        assert determinant(np.array([[1e30, 0.0], [0.0, 1e-300]])) == 1e30 * 1e-300
+        a = np.array([[0.0, 1e30, 0.0], [1e30, 0.0, 0.0], [0.0, 0.0, 1e-300]])
+        assert classify_positivity(a).certificate == (0.0, -(1e30 * 1e30), -(1e30 * 1e30) * 1e-300)
+
 
 def scale_inputs(seed, count):
     """Seeded tridiagonals, pentadiagonal-form matrices, permuted
