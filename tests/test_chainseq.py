@@ -244,9 +244,8 @@ class TestWallWetzel:
         ],
     )
     def test_spread_entries_keep_their_ratios(self, diag, off):
-        # entries far below the largest: a ratio formed from scaled products
-        # would flush them to zero and read 0 / 0; each ratio is the exact
-        # one, rounded, and the PD matrices pass the criterion
+        # entries 2**600 to 2**1200 below the largest: each ratio is the
+        # exact one, rounded, and these PD matrices pass the criterion
         exact = [float(Fraction(b) ** 2 / (Fraction(a0) * Fraction(a1))) for a0, a1, b in zip(diag, diag[1:], off)]
         np.testing.assert_allclose(ratio_sequence(np.array(diag), np.array(off)), exact, rtol=1e-15, atol=0.0)
         assert wall_wetzel_pd(make_tridiagonal(diag, off))
