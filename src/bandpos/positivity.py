@@ -12,10 +12,14 @@ The answers are those of sequential bisection; an estimate that is wrong
 sends its bracket back to the start, so it costs time, never an answer.
 A single bracket, such as the smallest eigenvalue's, only asks whether a
 count is at most its index, so its count stops at the first pivot past that
-answer.  Every route works on its input times the power of two that brings
-its max-norm into [1/2, 1), and every tolerance is relative to the max-norm,
-so A and 2**k A get the same verdicts, with numbers 2**k apart.  A
-pentadiagonal matrix with zero first off-diagonal is the direct sum of its
+answer.  A caller that only asks whether the eigenvalue lies below a floor
+(the probe's running minimum, or -thr for an INDEFINITE test) stops the
+bisection as soon as the bracket's lower end reaches the floor; a value it
+does get is the full bisection's.  Every route works on its input times
+the power of two that brings its max-norm into [1/2, 1), and every
+tolerance is relative to the max-norm, so A and 2**k A get the same
+verdicts, with numbers 2**k apart.
+A pentadiagonal matrix with zero first off-diagonal is the direct sum of its
 odd and even tridiagonal blocks and is bisected as such; dense input whose
 off-diagonal nonzero graph is a disjoint union of paths is a permuted
 tridiagonal matrix and is bisected in its path order.  Only other dense
@@ -204,44 +208,90 @@ def _warm_start(diag, off, off2, width: float, ks: np.ndarray, a: np.ndarray, b:
     a[ok], b[ok] = al[ok], bl[ok]
 
 
+def _scaled_form(diag: np.ndarray, off: np.ndarray, width: float):
+    """(t, 2**-t diag, 2**-t off, 2**-t width, lo, hi): the tridiagonal
+    matrix T = (diag, off), of order n >= 2, is bisected as 2**-t T, of
+    max-norm in [1/2, 1), whose every step is T's scaled by 2**-t, and
+    [lo, hi] holds the Gershgorin bounds of 2**-t T, each moved out by the
+    width and 1e-14 of the larger bound.  The entries are scaled as one
+    array, so the numpy calls are few and the same at every order."""
+    n = diag.shape[0]
+    x = np.concatenate((diag, off))
+    t = math.frexp(np.maximum.reduce(np.abs(x)))[1]
+    x, width = np.ldexp(x, -t), math.ldexp(width, -t)
+    diag, off = x[:n], x[n:]
+    aoff = np.abs(off)
+    radius = np.zeros(n)
+    radius[:-1] = aoff
+    radius[1:] += aoff
+    lo = float(np.minimum.reduce(diag - radius))
+    hi = float(np.maximum.reduce(diag + radius))
+    pad = width + 1e-14 * max(abs(lo), abs(hi))
+    return t, diag, off, width, lo - pad, hi + pad
+
+
+def _scaled_floor(floor: float, t: int) -> float:
+    """The least float s with s * 2**t >= floor, compared exactly: -inf
+    when every float has it and inf when none does.  2**-t floor is that
+    float unless it rounded down (below the normal range) or overflowed."""
+    if math.isinf(floor):
+        return floor
+    try:
+        s = math.ldexp(floor, -t)
+    except OverflowError:
+        return math.copysign(math.inf, floor)
+    # scaling back is exact here: s * 2**t is a float near floor
+    return math.nextafter(s, math.inf) if math.ldexp(s, t) < floor else s
+
+
+def _bisect_one(diag: np.ndarray, off: np.ndarray, width: float, k: int = 0, floor: float = math.inf) -> float | None:
+    """The k-th eigenvalue (0-based, ascending) of the tridiagonal matrix,
+    bisected from the Gershgorin bounds to a bracket of the given width or
+    to float resolution, when it lies below floor; None otherwise.
+
+    The bisection stops as soon as its bracket's lower end reaches floor:
+    every later midpoint lies at or above that end, and the count is
+    monotone in the shift, so the full bisection's value could not lie
+    below floor either.  A value returned is the full bisection's, bit for
+    bit.  Each Sturm count only asks whether the count is at most k, so it
+    stops at the first pivot past that answer."""
+    n = diag.shape[0]
+    if n == 1:
+        lam = float(diag[0])
+        return lam if lam < floor else None
+    t, diag, off, width, a, b = _scaled_form(diag, off, width)
+    low = _scaled_floor(floor, t)
+    d, e2 = diag.tolist(), [0.0] + (off * off).tolist()
+    while a < low and b - a > width:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if _negcount(d, e2, mid, k) <= k:
+            a = mid
+        else:
+            b = mid
+    if a >= low:
+        return None
+    lam = math.ldexp(0.5 * (a + b), t)
+    return lam if lam < floor else None
+
+
 def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) -> list[float]:
     """Bisect the requested eigenvalues (0-based, ascending) of the
     tridiagonal matrix to brackets of the given width, using Gershgorin
     bounds as the initial bracket.  All brackets advance together; each
     stops early if float resolution is reached before the width.
 
-    Several brackets of a matrix whose pivots fit one Sturm-count call
-    (n * n <= _NEGCOUNT_BLOCK) start where LAPACK's estimates steer them and
-    one count certifies (_warm_start); the answers are those of sequential
-    bisection either way.  T is bisected as 2**-t T, of max-norm in
-    [1/2, 1), whose every step is T's scaled by 2**-t."""
+    The brackets of a matrix whose pivots fit one Sturm-count call
+    (n * n <= _NEGCOUNT_BLOCK) start where LAPACK's estimates steer them
+    and one count certifies (_warm_start); the answers are those of
+    sequential bisection either way.  A single eigenvalue is _bisect_one's
+    to find."""
     n = diag.shape[0]
     if n == 1:
         return [float(diag[0]) for _ in indices]
-    t = _unit_exponent(diag, off)
-    diag, off, width = np.ldexp(diag, -t), np.ldexp(off, -t), math.ldexp(width, -t)
+    t, diag, off, width, lo, hi = _scaled_form(diag, off, width)
     off2 = off * off
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    pad = width + 1e-14 * max(abs(lo), abs(hi))
-    lo -= pad
-    hi += pad
-    if len(indices) == 1:
-        (k,) = indices
-        d, e2 = diag.tolist(), [0.0] + off2.tolist()
-        a, b = lo, hi
-        while b - a > width:
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if _negcount(d, e2, mid, k) <= k:
-                a = mid
-            else:
-                b = mid
-        return [math.ldexp(0.5 * (a + b), t)]
     ks = np.asarray(indices)
     a = np.full(ks.shape, lo)
     b = np.full(ks.shape, hi)
@@ -437,14 +487,20 @@ def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.sort(_tridiag_bisect(diag, off, tol, range(diag.shape[0])))
 
 
+def _threshold(n: int, scale: float, tol: float) -> float:
+    """The classification threshold max(tol, STURM_BACKWARD_C * n * eps)
+    * scale of an order-n matrix of max-norm scale."""
+    return max(tol, STURM_BACKWARD_C * n * sys.float_info.epsilon) * scale
+
+
 def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> tuple[float, str, float]:
     """Smallest eigenvalue, class and threshold of the tridiagonal form
     (diag, off) of a matrix of max-norm scale, as _Form.tridiagonal gives
     it, for a tol already checked by _checked_tol.  The eigenvalue is
     bisected to width tol * scale; the class compares it against +-thr,
-    thr = max(tol, STURM_BACKWARD_C * n * eps) * scale."""
-    lam = _tridiag_bisect(diag, off, tol * scale, [0])[0]
-    thr = max(tol, STURM_BACKWARD_C * diag.shape[0] * sys.float_info.epsilon) * scale
+    thr = _threshold(n, scale, tol)."""
+    lam = _bisect_one(diag, off, tol * scale)
+    thr = _threshold(diag.shape[0], scale, tol)
     if lam > thr:
         cls = PD
     elif lam < -thr:
@@ -452,6 +508,12 @@ def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> 
     else:
         cls = PSD_BOUNDARY
     return lam, cls, thr
+
+
+def _indefinite(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> bool:
+    """Whether _form_class's class is INDEFINITE, its eigenvalue below -thr;
+    the bisection stops as soon as its bracket's lower end reaches -thr."""
+    return _bisect_one(diag, off, tol * scale, 0, -_threshold(diag.shape[0], scale, tol)) is not None
 
 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:

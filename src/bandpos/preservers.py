@@ -10,8 +10,10 @@ random probe that searches for falsifying matrices.
 
 The probe and the infinite-divisibility grid classify many Hadamard powers,
 so they build no matrix object per power: they power the two diagonals of
-the tridiagonal matrix the oracle bisects (positivity._Form.tridiagonal) and
-compute only its smallest eigenvalue and class, the values of
+the tridiagonal matrix the oracle bisects (positivity._Form.tridiagonal).
+Each power's smallest eigenvalue is bisected only as far as the caller's
+question needs: whether it lies below the probe's running minimum, or below
+the INDEFINITE threshold.  Every minimum and class they report is that of
 min_eigenvalue and classify_positivity on hadamard_power's result, bit for
 bit.  Only the probe's worst sample becomes a matrix object.
 """
@@ -38,7 +40,7 @@ from .bandmat import (
     to_dense_array,
 )
 from .chainseq import split_at_zero_offdiag
-from .positivity import DEFAULT_TOL, INDEFINITE, _HOUSEHOLDER, _PATH, _checked_tol, _form, _form_class, _max_abs
+from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_one, _checked_tol, _form, _indefinite, _max_abs
 
 __all__ = [
     "PowerSet",
@@ -270,6 +272,20 @@ def _checked_order_range(family: str, order_range) -> tuple[int, int]:
     return lo, hi
 
 
+def _checked_int(value, least: int, message: str) -> int:
+    """value as an int, refused with message unless it is an integer other
+    than a bool and at least least."""
+    if isinstance(value, bool):
+        raise ValueError(message)
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
+    if value < least:
+        raise ValueError(message)
+    return value
+
+
 def probe_preserves(
     family: str,
     r: float,
@@ -288,18 +304,23 @@ def probe_preserves(
     the band families with 0 < r < 1 the known counterexample is injected
     as sample 0, so the probe is guaranteed to falsify there.
     min_over_samples >= -tol certifies that no falsification was found.
+    samples must be a positive integer and seed a non-negative one; both are
+    checked before any draw.
 
-    Each sample's smallest eigenvalue is min_eigenvalue of its power, bit for
-    bit, computed from the powered tridiagonal form with no matrix object;
-    only the worst case is built as one.
+    Each sample's power is bisected from its powered tridiagonal form, with
+    no matrix object, and only as far as it takes to tell whether its
+    smallest eigenvalue lies below the running minimum: a sample that sets
+    a new minimum gets the full bisection, so min_over_samples is
+    min_eigenvalue of the worst case's power, bit for bit.  Only the worst
+    case is built as a matrix object.
     """
     r = float(r)
     if r <= 0:
         raise ValueError("exponent must be positive")
     if not math.isfinite(r):
         raise ValueError("exponent must be finite")
-    if samples < 1:
-        raise ValueError("at least one sample is required")
+    samples = _checked_int(samples, 1, "samples must be a positive integer")
+    seed = _checked_int(seed, 0, "seed must be a non-negative integer")
     family = family.lower()
     if family not in ("tridiagonal", "pentadiagonal", "graph"):
         raise ValueError(f"unknown family: {family!r}")
@@ -310,8 +331,7 @@ def probe_preserves(
         lo, hi = _checked_order_range(family, order_range)
     inject = family != "graph" and r < 1
     counterexample = counterexample_tridiagonal if family == "tridiagonal" else counterexample_pentadiagonal
-    best: float | None = None
-    worst = None
+    best, worst = math.inf, None
     # a power that overflows is refused with the matrix classes' message,
     # with no warning first
     with np.errstate(over="ignore"):
@@ -319,7 +339,7 @@ def probe_preserves(
             rng = np.random.default_rng([seed, i])
             if family == "graph":
                 sample = _draw_pattern(rng, graph)
-                tri = _form(np.power(sample, r)).tridiagonal()
+                diag, off, scale = _form(np.power(sample, r)).tridiagonal()
             else:
                 if i == 0 and inject:
                     sample = counterexample(r)
@@ -328,11 +348,11 @@ def probe_preserves(
                     sample = _draw_band(rng, family, int(rng.integers(lo, hi + 1)))
                     # the tridiagonal form the oracle bisects
                     diag, off = sample[0] if len(sample) == 1 else _direct_sum(*sample)
-                tri = _powered_form(diag, off, r)
-            lam = _form_class(*tri, tol)[0]
-            if best is None or lam < best:
-                best = lam
-                worst = sample
+                diag, off, scale = _powered_form(diag, off, r)
+            # None unless the sample sets a new minimum (the first always does)
+            lam = _bisect_one(diag, off, tol * scale, 0, best)
+            if lam is not None:
+                best, worst = lam, sample
     if isinstance(worst, list):
         worst = _band_matrix(worst)
     elif isinstance(worst, np.ndarray):
@@ -389,7 +409,7 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
                     "not ID: consecutive nonzero entries in the "
                     f"{parity}-position second-diagonal subsequence",
                 )
-    if any(_form_class(*_form(t).tridiagonal(), DEFAULT_TOL)[1] == INDEFINITE for t in tridiagonals):
+    if any(_indefinite(*_form(t).tridiagonal(), DEFAULT_TOL) for t in tridiagonals):
         return IdVerdict(False, "not ID: matrix is not PSD")
     blocks = tuple(split_at_zero_offdiag(m, tol)) if m.bandwidth == 1 else ()
     return IdVerdict(True, "PSD with no two consecutive nonzero off-diagonal entries", blocks)
@@ -433,8 +453,9 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
     dense input whose nonzero graph is a union of paths, power the two
     diagonals of that form for each exponent; the path order is found anew
     only for a power in which a coupling underflows to zero.  Other dense
-    input is powered and reduced for each exponent.  Each exponent computes
-    the class of classify_positivity and nothing else.
+    input is powered and reduced for each exponent.  Each exponent asks only
+    whether classify_positivity's class is INDEFINITE, and its bisection
+    stops as soon as the answer is certain.
     """
     if r_grid is None:
         r_grid = DEFAULT_ID_GRID
@@ -463,7 +484,7 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
             tri = _powered_form(diag, off, r) if lean else None
             if tri is None or (form.route == _PATH and np.count_nonzero(tri[1]) < couplings):
                 tri = _form(np.power(form.dense, r)).tridiagonal()
-            if _form_class(*tri, tol)[1] == INDEFINITE:
+            if _indefinite(*tri, tol):
                 return False
     return True
 

@@ -48,6 +48,14 @@ GOLDEN_CASES = [
     ("id_check_block.txt", ["id-check", "data/id_block.json"]),
     ("counterexample_tri_r05.txt", ["counterexample", "--family", "tridiagonal", "-r", "0.5"]),
     ("probe_penta_r2.json", ["probe", "--family", "pentadiagonal", "-r", "2", "-n", "20", "--seed", "7", "--json"]),
+    # the injected counterexample makes the running minimum negative from
+    # sample 0, so every later sample is bisected only as far as that needs
+    ("probe_tri_r05.json", ["probe", "--family", "tridiagonal", "-r", "0.5", "-n", "64", "--seed", "7", "--json"]),
+    # graph samples are Householder-reduced
+    (
+        "probe_k5_r15.json",
+        ["probe", "--family", "graph", "--graph", "data/k5.graph", "-r", "1.5", "-n", "64", "--seed", "7", "--json"],
+    ),
 ]
 
 
@@ -94,6 +102,13 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, *argv)
             assert code == EXIT_USAGE, argv
             assert err
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_probe_seed_is_refused_by_bandpos(self, capsys, seed):
+        # numpy's "expected non-negative integer" no longer leaks through
+        code, out, err = run_cli(capsys, "probe", "--family", "tridiagonal", "-r", "1.5", "-n", "3", "--seed", seed)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: seed must be a non-negative integer\n"
 
     def test_format_errors(self, capsys, tmp_path):
         bad_sym = tmp_path / "bad_sym.json"

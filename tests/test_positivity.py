@@ -428,7 +428,7 @@ class TestBisectionBitIdentity:
             diag, off = diag.astype(float), off.astype(float)
             width = 10.0 ** -int(rng.integers(6, 14))
             for k in {0, 1, n - 1, int(rng.integers(0, n))}:
-                assert oracle._tridiag_bisect(diag, off, width, [k]) == [sequential_bisect(diag, off, width, k)]
+                assert oracle._bisect_one(diag, off, width, k) == sequential_bisect(diag, off, width, k)
 
     def test_householder_equals_frozen_reduction(self):
         rng = np.random.default_rng(89)
@@ -604,6 +604,135 @@ class TestWarmStart:
             sym_eigenvalues(t)
             per_spectrum.append(calls - before)
         assert statistics.median(per_spectrum) <= 2
+
+
+def floor_inputs(seed, count):
+    """Seeded tridiagonals (diag, off, width) for the floored bisection:
+    order 1, zero couplings, exactly singular ones (the signless Laplacian
+    of a path, times a power of two), and max-norms near 2**1023 and
+    2**-1000 beside ordinary ones.  Widths run from 1e-6 to 1e-16 of the
+    max-norm, except for matrices of max-norm near 2**1023 with a diagonal
+    entry of a few times 2**-50 split off by a zero coupling: their width
+    is the least subnormal, so bisection stops at float resolution, and
+    that entry lies below the scaled matrix's pivot floor _PIVMIN."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = 1 if case % 13 == 0 else int(rng.integers(2, 10))
+        kind = case % 6
+        if kind == 5 and n > 1:
+            diag = np.r_[math.ldexp(int(rng.integers(1, 8)), -50), rng.uniform(0.5, 1.0, n - 1) * 2.0**1023]
+            off = np.r_[0.0, rng.uniform(-0.1, 0.1, n - 2) * 2.0**1023]
+            yield diag, off, math.ulp(0.0)
+            continue
+        if kind == 1 and n > 1:
+            diag = np.r_[1.0, np.full(n - 2, 2.0), 1.0] * 2.0 ** int(rng.integers(-60, 61))
+            off = np.full(n - 1, diag[0])
+        else:
+            diag, off = rng.uniform(-0.3, 1.0, n), rng.uniform(-0.6, 0.6, n - 1)
+            if kind == 2:
+                off[rng.random(n - 1) < 0.5] = 0.0
+            elif kind == 3:
+                diag, off = np.ldexp(diag, 1024), np.ldexp(off, 1024)
+            elif kind == 4:
+                diag, off = np.ldexp(diag, -1000), np.ldexp(off, -1000)
+        norm = max(float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0))) or 1.0
+        yield diag, off, 10.0 ** -rng.uniform(6.0, 16.0) * norm
+
+
+def gershgorin_bounds(diag, off):
+    """Unscaled Gershgorin bounds; -inf or inf where they overflow."""
+    radius = np.zeros(diag.shape[0])
+    with np.errstate(over="ignore"):
+        radius[:-1] += np.abs(off)
+        radius[1:] += np.abs(off)
+        return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+class TestBisectionFloor:
+    """With a floor, the one-bracket bisection returns the full bisection's
+    value, bit for bit, when that value lies below the floor, and None
+    otherwise; it stops once its bracket's lower end reaches the floor."""
+
+    def test_value_below_floor_or_none(self, monkeypatch):
+        top, tiny = sys.float_info.max, math.ulp(0.0)
+        overflowing_end = returned = 0
+        counts = 0
+        negcount = oracle._negcount
+
+        def counted(*args):
+            nonlocal counts
+            counts += 1
+            return negcount(*args)
+
+        monkeypatch.setattr(oracle, "_negcount", counted)
+        for case, (diag, off, width) in enumerate(floor_inputs(167, 300)):
+            n = diag.shape[0]
+            lo, hi = gershgorin_bounds(diag, off)
+            # every bracket's lower end lies above -top: no count is needed
+            # to rule out a value below it, nor one below -inf
+            for floor in (-math.inf, -top):
+                if floor == -math.inf or max(np.abs(diag).max(), np.abs(off).max(initial=0.0)) <= 2.0**1020:
+                    counts = 0
+                    assert oracle._bisect_one(diag, off, width, 0, floor) is None and counts == 0
+            for k in {0, case % n}:
+                try:
+                    want = sequential_bisect(diag, off, width, k)
+                except OverflowError:
+                    # the eigenvalue itself lies beyond the float range
+                    continue
+                overflowing_end += lo == -math.inf
+                floors = [-math.inf, math.inf, lo, hi, want, math.nextafter(want, -math.inf)]
+                floors += [math.nextafter(want, math.inf), 0.0, -0.0, tiny, -tiny, 2.0**-1050, -(2.0**-1050)]
+                floors += [2.0**-1022, top, -top, 0.5 * want, 0.875 * want, 1.125 * want, 2.0 * want]
+                for floor in floors:
+                    got = oracle._bisect_one(diag, off, width, k, floor)
+                    if want < floor:
+                        assert got is not None and got.hex() == want.hex(), (case, k, floor)
+                        returned += 1
+                    else:
+                        assert got is None, (case, k, floor)
+        # some lower Gershgorin bounds lie below the float range, as do the
+        # unscaled lower ends of their brackets
+        assert overflowing_end >= 5 and returned > 1000
+
+    def test_scaled_floor_is_exact(self):
+        # the least float s with s * 2**t >= floor, checked in Fractions: a
+        # plain 2**-t floor rounds below the normal range and overflows above
+        rng = np.random.default_rng(179)
+        top, tiny = sys.float_info.max, math.ulp(0.0)
+        floors = [0.0, tiny, 3 * tiny, 2.0**-1022, 1.0, 0.1, top, math.nextafter(top, 0.0)]
+        floors += [float(x) for x in rng.uniform(0.5, 1.0, 40) * 2.0 ** rng.integers(-1074, 1024, 40).astype(float)]
+        floors += [-f for f in floors]
+        ts = [-1073, -1000, -999, -1, 0, 1, 50, 1000, 1023, 1024, *rng.integers(-1073, 1025, 20).tolist()]
+        rounded = 0
+        for floor in floors:
+            for t in ts:
+                s = oracle._scaled_floor(floor, t)
+                scale = Fraction(2) ** t
+                if s == math.inf:
+                    assert Fraction(top) * scale < Fraction(floor)
+                    continue
+                if s == -math.inf:
+                    assert -Fraction(top) * scale >= Fraction(floor)
+                    continue
+                assert Fraction(s) * scale >= Fraction(floor), (floor, t)
+                if s != -top:
+                    assert Fraction(math.nextafter(s, -math.inf)) * scale < Fraction(floor), (floor, t)
+                rounded += Fraction(s) * scale != Fraction(floor)
+        assert rounded > 50
+        assert oracle._scaled_floor(math.inf, 0) == math.inf and oracle._scaled_floor(-math.inf, 0) == -math.inf
+
+    def test_indefinite_is_the_form_class_verdict(self):
+        for diag, off, width in floor_inputs(173, 200):
+            scale = max(float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0)))
+            if scale == 0.0:
+                continue
+            for tol in (width / scale, DEFAULT_TOL, 1e-3):
+                try:
+                    cls = oracle._form_class(diag, off, scale, tol)[1]
+                except OverflowError:
+                    continue
+                assert oracle._indefinite(diag, off, scale, tol) == (cls == INDEFINITE)
 
 
 def leading_blocks_det(dense):

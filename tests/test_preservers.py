@@ -240,6 +240,58 @@ class TestProbe:
         assert penta.worst_case.order == 3 and penta.worst_case.bandwidth == 2
         assert probe_preserves("tridiagonal", 2.0, 8, 0, order_range=(np.int64(3), 4)).samples == 8
 
+    @pytest.mark.parametrize(
+        "samples,seed,message",
+        [
+            (16, -1, "^seed must be a non-negative integer$"),
+            (16, 1.5, "^seed must be a non-negative integer$"),
+            (16, True, "^seed must be a non-negative integer$"),
+            (16, "7", "^seed must be a non-negative integer$"),
+            (3.0, 1, "^samples must be a positive integer$"),
+            (True, 1, "^samples must be a positive integer$"),
+            (0, 1, "^samples must be a positive integer$"),
+            (-4, 1, "^samples must be a positive integer$"),
+        ],
+    )
+    def test_samples_and_seed_refused_before_any_draw(self, monkeypatch, samples, seed, message):
+        # before, seed -1 leaked numpy's "expected non-negative integer",
+        # seed 1.5 and samples 3.0 a TypeError, and samples True ran once
+        from bandpos import preservers
+
+        def refuse(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(preservers.np.random, "default_rng", refuse)
+        for family, graph in (("tridiagonal", None), ("pentadiagonal", None), ("graph", path_graph(4))):
+            with pytest.raises(ValueError, match=message):
+                probe_preserves(family, 1.5, samples, seed, graph=graph)
+
+    def test_numpy_integer_samples_and_seed_accepted(self):
+        want = probe_preserves("pentadiagonal", 2.0, 12, 5)
+        got = probe_preserves("pentadiagonal", 2.0, np.int64(12), np.uint8(5))
+        assert (got.samples, got.seed) == (12, 5) and type(got.samples) is int and type(got.seed) is int
+        assert got.min_over_samples.hex() == want.min_over_samples.hex()
+
+    def test_benchmark_probes_take_at_most_half_the_sturm_counts(self, monkeypatch):
+        # the two probes of the cli-exact benchmark workload; bisecting every
+        # sample in full took 560 and 544 scalar Sturm counts.  A sample that
+        # cannot set a new minimum stops once its bracket clears the minimum.
+        from bandpos import positivity
+
+        calls = 0
+        real = positivity._negcount
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(positivity, "_negcount", counted)
+        for family, r, full in (("tridiagonal", 0.5, 560), ("pentadiagonal", 2.0, 544)):
+            calls = 0
+            probe_preserves(family, r, 16, 1)
+            assert 0 < calls <= full // 2, family
+
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_non_finite_exponent_refused(self, r):
         for family, graph in (("tridiagonal", None), ("pentadiagonal", None), ("graph", path_graph(4))):
@@ -361,13 +413,13 @@ class TestIdVerdict:
         from bandpos import preservers
 
         seen = []
-        real = preservers._form_class
+        real = preservers._indefinite
 
         def spy(diag, *args):
             seen.append(diag.shape[0])
             return real(diag, *args)
 
-        monkeypatch.setattr(preservers, "_form_class", spy)
+        monkeypatch.setattr(preservers, "_indefinite", spy)
         assert id_verdict(make_pentadiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.5, 0.0])).infinitely_divisible
         assert seen == [3, 2]
         seen.clear()

@@ -204,13 +204,13 @@ def test_id_probe_bisects_the_forms_of_the_powers(monkeypatch):
     from bandpos import positivity, preservers
 
     seen = []
-    real = preservers._form_class
+    real = preservers._indefinite
 
     def spy(diag, off, scale, tol):
         seen.append(_form_key(diag, off, scale))
         return real(diag, off, scale, tol)
 
-    monkeypatch.setattr(preservers, "_form_class", spy)
+    monkeypatch.setattr(preservers, "_indefinite", spy)
     split = 0
     for label, a in _id_inputs():
         for r in DEFAULT_ID_GRID:
