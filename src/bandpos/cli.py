@@ -8,7 +8,10 @@ completed (whatever the verdict), 1 is a usage error (an argument the
 library refuses with a ValueError included), 2 an input format error.
 The argument parser is built once per process and reused by every main()
 call; nothing in it depends on the environment, which the handlers read
-at run time.
+at run time.  When the first argument names a subcommand, the rest are
+parsed by that subcommand's parser alone, as the top-level parser would
+hand them over; any other argument list (empty, --version, -h, an unknown
+or abbreviated name) goes through the top-level parser.
 
 Setting BANDPOS_EXACT=1 switches chain sequences and principal minors to
 exact rational arithmetic where the inputs allow it.  check-positivity
@@ -22,18 +25,20 @@ band input the values of leading_minors; the report's conventions say so.
 All floating-point output is printed to 12 significant digits so that
 reports are byte-identical across runs.  Non-finite values (an overflowed
 minor) are printed as inf, -inf or nan, and are strings under --json.
+A --json report is written in one pass, in the layout of json.dumps with
+indent=2.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -102,14 +107,15 @@ class RunReport:
     conventions: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        obj = {
-            "command": self.command,
-            "inputs": _json_ready(self.inputs),
-            "verdicts": _json_ready(self.verdicts),
-            "conventions": list(self.conventions),
-            "exit_code": EXIT_OK,
-        }
-        return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
+        return _json_text(
+            {
+                "command": self.command,
+                "inputs": self.inputs,
+                "verdicts": self.verdicts,
+                "conventions": self.conventions,
+                "exit_code": EXIT_OK,
+            }
+        )
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -122,24 +128,44 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _json_ready(value):
+def _json_text(value, nl: str = "\n") -> str:
+    """value as JSON text, in one pass.  nl is the newline plus the
+    indentation of value's line: "\n" gives the layout of json.dumps with
+    indent=2, "" its one-line layout.  A float is printed to 12 significant
+    digits, a non-finite one as the string inf, -inf or nan (strict JSON has
+    neither); Fractions are strings, arrays lists, and keys must be str."""
+    if isinstance(value, str):
+        return encode_basestring(value)
     if isinstance(value, bool):
-        return value
-    if isinstance(value, (np.floating, float)):
-        text = f"{float(value):.12g}"
-        # strict JSON has no inf or nan: keep them as the text report prints them
-        return float(text) if math.isfinite(value) else text
-    if isinstance(value, (np.integer, int)):
-        return int(value)
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        text = f"{x:.12g}"
+        return repr(float(text)) if math.isfinite(x) else f'"{text}"'
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     if isinstance(value, Fraction):
-        return str(value)
+        return encode_basestring(str(value))
+    if value is None:
+        return "null"
     if isinstance(value, np.ndarray):
-        return _json_ready(value.tolist())
+        return _json_text(value.tolist(), nl)
+    inner = nl + "  " if nl else ""
+    sep = "," + inner if nl else ", "
     if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring(key)}: {_json_text(item, inner)}")
+        return "{" + inner + sep.join(items) + nl + "}"
     if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        return "[" + inner + sep.join([_json_text(item, inner) for item in value]) + nl + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _fmt_value(value) -> str:
@@ -158,7 +184,7 @@ def _fmt_value(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
     if isinstance(value, dict):
-        return json.dumps(_json_ready(value), ensure_ascii=False)
+        return _json_text(value, "")
     return str(value)
 
 
@@ -357,13 +383,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = _Parser(prog="bandpos", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bandpos {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    commands = {}
 
     def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = commands[name] = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance")
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -396,13 +424,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="probe seed")
     p.add_argument("--graph", help="graph file for the graph family")
 
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # what the subparsers action does once the top-level scan has
+            # found the subcommand's name first
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         report = args.handler(args)
     except (UsageError, ValueError) as exc:
         # a ValueError here is the library refusing an argument; files it

@@ -272,7 +272,7 @@ def _bisect_one(diag: np.ndarray, off: np.ndarray, width: float, k: int = 0, flo
             b = mid
     if a >= low:
         return None
-    lam = math.ldexp(0.5 * (a + b), t)
+    lam = _pair_value(0.5 * (a + b), t)
     return lam if lam < floor else None
 
 
@@ -327,7 +327,9 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
             node = 2 * node + 1 + below
         a[live], b[live] = al, bl
         live = live[going]
-    return np.ldexp(0.5 * (a + b), t).tolist()
+    # an eigenvalue beyond the float range scales back to +-inf
+    with np.errstate(over="ignore"):
+        return np.ldexp(0.5 * (a + b), t).tolist()
 
 
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

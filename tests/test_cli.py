@@ -34,33 +34,45 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+EXACT = {"BANDPOS_EXACT": "1"}
+
 GOLDEN_CASES = [
-    ("check_positivity_a01.txt", ["check-positivity", "data/a01.json"]),
-    ("check_positivity_p.txt", ["check-positivity", "data/p.json"]),
-    ("check_positivity_permuted.txt", ["check-positivity", "data/permuted_tridiagonal.json"]),
-    ("check_positivity_tiny.txt", ["check-positivity", "data/tiny_tridiagonal.json"]),
-    ("hadamard_p_r05.txt", ["hadamard", "data/p.json", "-r", "0.5"]),
-    ("chain_quarters.txt", ["chain", "1/4,1/4,1/4"]),
-    ("critical_exponent_k5.txt", ["critical-exponent", "data/k5.graph"]),
-    ("critical_exponent_c4.txt", ["critical-exponent", "data/c4.graph"]),
-    ("critical_exponent_p3.txt", ["critical-exponent", "data/p3.graph"]),
-    ("id_check_a0.txt", ["id-check", "data/a0.json"]),
-    ("id_check_block.txt", ["id-check", "data/id_block.json"]),
-    ("counterexample_tri_r05.txt", ["counterexample", "--family", "tridiagonal", "-r", "0.5"]),
-    ("probe_penta_r2.json", ["probe", "--family", "pentadiagonal", "-r", "2", "-n", "20", "--seed", "7", "--json"]),
+    ("check_positivity_a01.txt", ["check-positivity", "data/a01.json"], {}),
+    ("check_positivity_p.txt", ["check-positivity", "data/p.json"], {}),
+    ("check_positivity_permuted.txt", ["check-positivity", "data/permuted_tridiagonal.json"], {}),
+    ("check_positivity_tiny.txt", ["check-positivity", "data/tiny_tridiagonal.json"], {}),
+    ("hadamard_p_r05.txt", ["hadamard", "data/p.json", "-r", "0.5"], {}),
+    ("chain_quarters.txt", ["chain", "1/4,1/4,1/4"], {}),
+    ("critical_exponent_k5.txt", ["critical-exponent", "data/k5.graph"], {}),
+    ("critical_exponent_c4.txt", ["critical-exponent", "data/c4.graph"], {}),
+    ("critical_exponent_p3.txt", ["critical-exponent", "data/p3.graph"], {}),
+    ("id_check_a0.txt", ["id-check", "data/a0.json"], {}),
+    ("id_check_block.txt", ["id-check", "data/id_block.json"], {}),
+    ("counterexample_tri_r05.txt", ["counterexample", "--family", "tridiagonal", "-r", "0.5"], {}),
+    ("probe_penta_r2.json", ["probe", "--family", "pentadiagonal", "-r", "2", "-n", "20", "--seed", "7", "--json"], {}),
     # the injected counterexample makes the running minimum negative from
     # sample 0, so every later sample is bisected only as far as that needs
-    ("probe_tri_r05.json", ["probe", "--family", "tridiagonal", "-r", "0.5", "-n", "64", "--seed", "7", "--json"]),
+    ("probe_tri_r05.json", ["probe", "--family", "tridiagonal", "-r", "0.5", "-n", "64", "--seed", "7", "--json"], {}),
     # graph samples are Householder-reduced
     (
         "probe_k5_r15.json",
         ["probe", "--family", "graph", "--graph", "data/k5.graph", "-r", "1.5", "-n", "64", "--seed", "7", "--json"],
+        {},
     ),
+    # the JSON layout of each report shape: exact minors and ratios as
+    # Fraction strings, a nested matrix, Fraction parameters, a set render
+    ("check_positivity_a01.json", ["check-positivity", "data/a01.json", "--json"], {}),
+    ("check_positivity_a01_exact.json", ["check-positivity", "data/a01.json", "--json"], EXACT),
+    ("hadamard_p_r05.json", ["hadamard", "data/p.json", "-r", "0.5", "--json"], {}),
+    ("chain_quarters.json", ["chain", "1/4,1/4,1/4", "--json"], {}),
+    ("critical_exponent_p3.json", ["critical-exponent", "data/p3.graph", "--json"], {}),
 ]
 
 
-@pytest.mark.parametrize("golden,argv", GOLDEN_CASES, ids=[g for g, _ in GOLDEN_CASES])
-def test_golden_output(capsys, golden, argv):
+@pytest.mark.parametrize("golden,argv,env", GOLDEN_CASES, ids=[g for g, _, _ in GOLDEN_CASES])
+def test_golden_output(capsys, monkeypatch, golden, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_OK and err == ""
     expected = (TESTS / "golden" / golden).read_text(encoding="utf-8")
@@ -464,6 +476,19 @@ def test_large_entries_agree_across_routes(capsys, tmp_path):
     assert "oracle_agreement: yes" in out
 
 
+@pytest.mark.parametrize("exact", ["0", "1"])
+def test_eigenvalue_beyond_the_float_range_is_reported(capsys, monkeypatch, tmp_path, exact):
+    # the smallest eigenvalue, -3e308, lies beyond the float range
+    monkeypatch.setenv("BANDPOS_EXACT", exact)
+    path = _tridiagonal_file(tmp_path, [-1.5e308, -1.5e308], [1.5e308])
+    code, out, err = run_cli(capsys, "check-positivity", path)
+    assert code == EXIT_OK and err == ""
+    assert "classification: INDEFINITE" in out and "min_eigenvalue: -inf" in out.splitlines()
+    code, out, err = run_cli(capsys, "check-positivity", path, "--json")
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["verdicts"]["min_eigenvalue"] == "-inf"
+
+
 class TestExactLimitConvention:
     def test_text_report_names_the_limit(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("BANDPOS_EXACT", "1")
@@ -521,8 +546,6 @@ class TestExactLimitConvention:
         assert "conventions: none" in out.splitlines()
 
 
-EXACT = {"BANDPOS_EXACT": "1"}
-
 # every subcommand, text and --json, exact mode on and off, usage errors,
 # input format errors, help and version, interleaved
 PARSER_SEQUENCE = [
@@ -567,16 +590,25 @@ def _run_sequence(capsys, monkeypatch):
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     cached = cli._build_parser
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     monkeypatch.setattr(cli, "_build_parser", cached.__wrapped__)
     fresh = _run_sequence(capsys, monkeypatch)
+    # uncached, every call builds the top-level parser and one per subcommand
+    assert len(built) == 8 * len(PARSER_SEQUENCE)
+    built.clear()
     monkeypatch.setattr(cli, "_build_parser", cached)
     cached.cache_clear()
     reused = _run_sequence(capsys, monkeypatch)
     assert reused == fresh
-    assert cached.cache_info().misses == 1
-    assert cached.cache_info().hits == len(PARSER_SEQUENCE) - 1
+    subcommands = ["check-positivity", "hadamard", "chain", "critical-exponent", "id-check", "counterexample", "probe"]
+    assert built == ["bandpos"] + [f"bandpos {name}" for name in subcommands]
     # the sequence covers what it claims to
-    assert {argv[0] for _, argv in PARSER_SEQUENCE} >= {
-        "check-positivity", "hadamard", "chain", "critical-exponent", "id-check", "counterexample", "probe",
-    }
+    assert {argv[0] for _, argv in PARSER_SEQUENCE} >= set(subcommands)
     assert {code for code, _, _ in fresh} == {EXIT_OK, EXIT_USAGE, EXIT_FORMAT, "SystemExit(0)"}

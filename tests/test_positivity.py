@@ -1004,6 +1004,26 @@ class TestLargeEntries:
         assert verdict.classification == INDEFINITE
         assert verdict.certificate == (0.0, -math.inf)
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            make_tridiagonal([-1.5e308, -1.5e308], [1.5e308]),
+            make_pentadiagonal([-1.5e308] * 4, [1.5e308] * 2),
+            DenseSymMatrix(make_tridiagonal([-1.5e308, -1.5e308], [1.5e308]).dense()),
+        ],
+        ids=["tridiagonal", "pentadiagonal", "dense"],
+    )
+    def test_eigenvalue_beyond_the_float_range_is_infinite(self, a):
+        # finite entries, smallest eigenvalue -3e308: the bisected value
+        # scales back to -inf, without an OverflowError or a warning
+        verdict = classify_positivity(a)
+        assert verdict.classification == INDEFINITE and verdict.min_eigenvalue == -math.inf
+        assert min_eigenvalue(a) == -math.inf
+        spectrum = sym_eigenvalues(a)
+        assert spectrum[0] == -math.inf and np.isfinite(spectrum[-1])
+        assert sym_eigenvalues(-a.dense())[-1] == math.inf
+        assert oracle._bisect_one(np.array([-1.5e308] * 2), np.array([1.5e308]), 1.0, 0, -1e308) == -math.inf
+
     def test_dense_determinant_keeps_entries_far_below_the_largest(self):
         # the elimination runs on the input as given, so an entry 2**-1000
         # times the largest is not flushed to zero, on its own or in the
