@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -311,30 +312,28 @@ class ExactBand:
         return len(self.diag)
 
 
-def _fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def exact_matrix_from_json(text: str) -> tuple[Matrix, ExactBand | list[list[Fraction]]]:
-    """Parse the wire format once, reading every number as an exact Fraction.
+    """Parse the wire format once, reading every number exactly.
 
     Returns the float matrix together with its exact entries: an ExactBand
     for the tridiagonal and pentadiagonal kinds, dense rows of Fractions
-    for the dense kind.  The float matrix is validated by
-    matrix_from_json_obj and equals matrix_from_json(text) bit for bit,
-    since float(Fraction(s)) rounds correctly, as float(s) does.
+    for the dense kind.  Integers are read as ints and decimals as
+    decimal.Decimal, and each entry's Fraction is made from that exact
+    value.  The float matrix is validated by matrix_from_json_obj and
+    equals matrix_from_json(text) bit for bit, -0.0 included, since
+    float(Decimal(s)) rounds correctly, as float(s) does.
     """
     try:
-        obj = json.loads(text, parse_float=Fraction, parse_int=Fraction)
+        obj = json.loads(text, parse_float=Decimal)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
     m = matrix_from_json_obj(obj)
     bandwidth, key = _KINDS[obj["kind"]]
     if bandwidth is None:
-        return m, [[_fraction(x) for x in row] for row in obj[key]]
+        return m, [list(map(Fraction, row)) for row in obj[key]]
     # a scalar main diagonal is order 1, as in the float parse
     diag = obj["diag"] if isinstance(obj["diag"], list) else [obj["diag"]]
-    return m, ExactBand(tuple(map(_fraction, diag)), tuple(map(_fraction, obj[key])), bandwidth)
+    return m, ExactBand(tuple(map(Fraction, diag)), tuple(map(Fraction, obj[key])), bandwidth)
 
 
 def matrix_from_json_obj(obj) -> Matrix:

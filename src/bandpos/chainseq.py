@@ -69,7 +69,9 @@ def minimal_parameters(a, *, split_at_zero: bool = False) -> ChainReport:
     The sequence is a chain sequence iff every a_k > 0 and every m_k < 1.
     Int/Fraction input (up to length 32) is evaluated in exact rational
     arithmetic; m_k = 1 exactly is then classified not-a-chain, matching
-    the strict inequality in the definition.
+    the strict inequality in the definition.  It runs on integers: with
+    m_{k-1} = p/q in lowest terms, m_k = a_k q / (q - p) is reduced once, as
+    the Fraction it is reported as, and m_k >= 1 compares its two terms.
 
     With split_at_zero, an exactly zero a_k separates two blocks instead of
     failing the test: m_k = 0 there restarts the recursion, so each block
@@ -81,24 +83,31 @@ def minimal_parameters(a, *, split_at_zero: bool = False) -> ChainReport:
     seq = list(a)
     if len(seq) < 1:
         raise ValueError("sequence must be nonempty")
-    exact = len(seq) <= EXACT_LENGTH_LIMIT and all(_is_exact_number(x) for x in seq)
     params: list = []
-    boundary = False
-    prev = Fraction(0) if exact else 0.0
+    if len(seq) <= EXACT_LENGTH_LIMIT and all(_is_exact_number(x) for x in seq):
+        p, q = 0, 1
+        for k, ak in enumerate(seq, start=1):
+            m = Fraction(ak.numerator * q, ak.denominator * (q - p))
+            params.append(m)
+            # q > p, so m has the sign of a_k
+            p, q = m.numerator, m.denominator
+            if not (p > 0 or (split_at_zero and p == 0)) or p >= q:
+                return ChainReport(False, tuple(params), k, True)
+        return ChainReport(True, tuple(params), None, True)
+    boundary, prev = False, 0.0
     for k, ak in enumerate(seq, start=1):
-        if not exact:
-            ak = float(ak)
+        ak = float(ak)
         m = ak / (1 - prev)
         params.append(m)
         if not (ak > 0 or (split_at_zero and ak == 0)):
             # a NaN a_k fails here too
-            return ChainReport(False, tuple(params), k, exact, boundary)
-        if not exact and abs(m - 1.0) <= BOUNDARY_TOL:
+            return ChainReport(False, tuple(params), k, False, boundary)
+        if abs(m - 1.0) <= BOUNDARY_TOL:
             boundary = True
         if m >= 1:
-            return ChainReport(False, tuple(params), k, exact, boundary)
+            return ChainReport(False, tuple(params), k, False, boundary)
         prev = m
-    return ChainReport(True, tuple(params), None, exact, boundary)
+    return ChainReport(True, tuple(params), None, False, boundary)
 
 
 def is_chain_sequence(a) -> bool:
@@ -120,14 +129,21 @@ def ratio_sequence(diag, off) -> np.ndarray:
     a and the off-diagonal b of a tridiagonal matrix.
 
     Float input gives a float array; Fraction input gives an object array
-    of exact Fractions.  The diagonal entries must be nonzero.  Float
-    ratios are formed from the entries' mantissas and scaled by their
-    exponents last, so no product overflows or underflows; they are the
-    plain formula's wherever its products are normal floats.
+    of exact Fractions, each made once from its entries' numerators and
+    denominators.  Any other object array keeps numpy's object arithmetic.
+    The diagonal entries must be nonzero.  Float ratios are formed from the
+    entries' mantissas and scaled by their exponents last, so no product
+    overflows or underflows; they are the plain formula's wherever its
+    products are normal floats.
     """
     diag, off = np.asarray(diag), np.asarray(off)
     if diag.dtype == object:
-        return off * off / (diag[:-1] * diag[1:])
+        a, b = diag.tolist(), off.tolist()
+        if diag.ndim != 1 or off.shape != (diag.size - 1,) or not all(isinstance(x, Fraction) for x in a + b):
+            return off * off / (diag[:-1] * diag[1:])
+        p, q = [x.numerator for x in a], [x.denominator for x in a]
+        ratios = [Fraction(y.numerator**2 * q[j] * q[j + 1], y.denominator**2 * p[j] * p[j + 1]) for j, y in enumerate(b)]
+        return np.array(ratios, dtype=object)
     (ma, ea), (mb, eb) = np.frexp(diag), np.frexp(off)
     with np.errstate(over="ignore"):
         return np.ldexp(mb * mb / (ma[:-1] * ma[1:]), 2 * eb - ea[:-1] - ea[1:])

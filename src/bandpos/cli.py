@@ -15,7 +15,7 @@ or abbreviated name) goes through the top-level parser.
 
 Setting BANDPOS_EXACT=1 switches chain sequences and principal minors to
 exact rational arithmetic where the inputs allow it.  check-positivity
-then parses the matrix file once, with every number read as a Fraction
+then parses the matrix file once, with every number read exactly
 (bandmat.exact_matrix_from_json).  Band input stays band-shaped: its
 exact minors are the continuant of its two Fraction diagonals and its
 exact ratios come from the same diagonals, both in O(n).  Above order 12
@@ -439,15 +439,16 @@ def main(argv=None) -> int:
             # found the subcommand's name first
             args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         report = args.handler(args)
+        text = report.to_json() if args.json else report.to_text()
     except (UsageError, ValueError) as exc:
-        # a ValueError here is the library refusing an argument; files it
-        # cannot parse were reported as InputFormatError by _load
+        # a ValueError: the library refusing an argument, or an exact Fraction
+        # too long for str(); _load turns parse errors into InputFormatError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    print(report.to_json() if args.json else report.to_text())
+    print(text)
     return EXIT_OK
 
 

@@ -208,17 +208,17 @@ def _warm_start(diag, off, off2, width: float, ks: np.ndarray, a: np.ndarray, b:
     a[ok], b[ok] = al[ok], bl[ok]
 
 
-def _scaled_form(diag: np.ndarray, off: np.ndarray, width: float):
-    """(t, 2**-t diag, 2**-t off, 2**-t width, lo, hi): the tridiagonal
-    matrix T = (diag, off), of order n >= 2, is bisected as 2**-t T, of
-    max-norm in [1/2, 1), whose every step is T's scaled by 2**-t, and
+def _scaled_form(diag: np.ndarray, off: np.ndarray, width: float, e: int = 0):
+    """(t, 2**-s diag, 2**-s off, 2**-t width, lo, hi): the tridiagonal
+    matrix T = 2**e (diag, off), of order n >= 2, is bisected as 2**-t T,
+    of max-norm in [1/2, 1), whose every step is T's scaled by 2**-t, and
     [lo, hi] holds the Gershgorin bounds of 2**-t T, each moved out by the
-    width and 1e-14 of the larger bound.  The entries are scaled as one
-    array, so the numpy calls are few and the same at every order."""
+    width and 1e-14 of the larger bound; s = t - e.  The entries are scaled
+    as one array, so the numpy calls are few and the same at every order."""
     n = diag.shape[0]
     x = np.concatenate((diag, off))
-    t = math.frexp(np.maximum.reduce(np.abs(x)))[1]
-    x, width = np.ldexp(x, -t), math.ldexp(width, -t)
+    s = math.frexp(np.maximum.reduce(np.abs(x)))[1]
+    x, width = np.ldexp(x, -s), math.ldexp(width, -s - e)
     diag, off = x[:n], x[n:]
     aoff = np.abs(off)
     radius = np.zeros(n)
@@ -227,7 +227,7 @@ def _scaled_form(diag: np.ndarray, off: np.ndarray, width: float):
     lo = float(np.minimum.reduce(diag - radius))
     hi = float(np.maximum.reduce(diag + radius))
     pad = width + 1e-14 * max(abs(lo), abs(hi))
-    return t, diag, off, width, lo - pad, hi + pad
+    return s + e, diag, off, width, lo - pad, hi + pad
 
 
 def _scaled_floor(floor: float, t: int) -> float:
@@ -244,10 +244,11 @@ def _scaled_floor(floor: float, t: int) -> float:
     return math.nextafter(s, math.inf) if math.ldexp(s, t) < floor else s
 
 
-def _bisect_one(diag: np.ndarray, off: np.ndarray, width: float, k: int = 0, floor: float = math.inf) -> float | None:
-    """The k-th eigenvalue (0-based, ascending) of the tridiagonal matrix,
-    bisected from the Gershgorin bounds to a bracket of the given width or
-    to float resolution, when it lies below floor; None otherwise.
+def _bisect_one(diag, off, width: float, k: int = 0, floor: float = math.inf, e: int = 0) -> float | None:
+    """The k-th eigenvalue (0-based, ascending) of the tridiagonal matrix
+    2**e (diag, off), bisected from the Gershgorin bounds to a bracket of
+    the given width or to float resolution, when it lies below floor; None
+    otherwise.
 
     The bisection stops as soon as its bracket's lower end reaches floor:
     every later midpoint lies at or above that end, and the count is
@@ -257,9 +258,9 @@ def _bisect_one(diag: np.ndarray, off: np.ndarray, width: float, k: int = 0, flo
     stops at the first pivot past that answer."""
     n = diag.shape[0]
     if n == 1:
-        lam = float(diag[0])
+        lam = _pair_value(float(diag[0]), e)
         return lam if lam < floor else None
-    t, diag, off, width, a, b = _scaled_form(diag, off, width)
+    t, diag, off, width, a, b = _scaled_form(diag, off, width, e)
     low = _scaled_floor(floor, t)
     d, e2 = diag.tolist(), [0.0] + (off * off).tolist()
     while a < low and b - a > width:
@@ -276,11 +277,12 @@ def _bisect_one(diag: np.ndarray, off: np.ndarray, width: float, k: int = 0, flo
     return lam if lam < floor else None
 
 
-def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) -> list[float]:
+def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices, e: int = 0) -> list[float]:
     """Bisect the requested eigenvalues (0-based, ascending) of the
-    tridiagonal matrix to brackets of the given width, using Gershgorin
-    bounds as the initial bracket.  All brackets advance together; each
-    stops early if float resolution is reached before the width.
+    tridiagonal matrix 2**e (diag, off) to brackets of the given width,
+    using Gershgorin bounds as the initial bracket.  All brackets advance
+    together; each stops early if float resolution is reached before the
+    width.
 
     The brackets of a matrix whose pivots fit one Sturm-count call
     (n * n <= _NEGCOUNT_BLOCK) start where LAPACK's estimates steer them
@@ -289,8 +291,8 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
     to find."""
     n = diag.shape[0]
     if n == 1:
-        return [float(diag[0]) for _ in indices]
-    t, diag, off, width, lo, hi = _scaled_form(diag, off, width)
+        return [_pair_value(float(diag[0]), e) for _ in indices]
+    t, diag, off, width, lo, hi = _scaled_form(diag, off, width, e)
     off2 = off * off
     ks = np.asarray(indices)
     a = np.full(ks.shape, lo)
@@ -334,9 +336,9 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices) ->
 
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce a dense symmetric matrix to tridiagonal form; returns the
-    diagonal and first off-diagonal of the similar tridiagonal matrix.  The
-    reflections are those of 2**-t a, of max-norm in [1/2, 1), and the
-    result is 2**t times its reduction."""
+    diagonal and first off-diagonal of the tridiagonal matrix similar to
+    2**-t a, of max-norm in [1/2, 1), t = _unit_exponent(a).  It is not
+    scaled back, so a reduction beyond the float range stays finite."""
     t = _unit_exponent(a)
     m = np.ldexp(a, -t)
     n = m.shape[0]
@@ -370,7 +372,7 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vw, wv = left[: 2 * p].reshape(p, 2), right[: 2 * p].reshape(2, p)
         vw[:, 0], vw[:, 1], wv[0], wv[1] = v, w, w, v
         sub -= vw @ wv
-    return np.ldexp(np.diag(m), t), np.ldexp(np.diag(m, 1), t)
+    return np.diag(m).copy(), np.diag(m, 1).copy()
 
 
 def _path_order(dense: np.ndarray) -> list[int] | None:
@@ -431,10 +433,16 @@ class _Form:
     dense: np.ndarray | None = None
     order: list[int] | None = None
 
+    @property
+    def exponent(self) -> int:
+        """The e of tridiagonal(): nonzero on the Householder route only."""
+        return _unit_exponent(self.dense) if self.route == _HOUSEHOLDER else 0
+
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Diagonal and off-diagonal of the tridiagonal matrix the oracle
-        bisects, and the input's max-norm.  The split's blocks are joined by
-        an exactly zero coupling."""
+        bisects, and its max-norm: the form of 2**-e times the input, e =
+        self.exponent.  The split's blocks are joined by an exactly zero
+        coupling."""
         if self.dense is None:
             scale = _max_abs(self.diag, self.off)
             if self.route == _SPLIT:
@@ -444,7 +452,8 @@ class _Form:
         if self.route == _PATH:
             order = self.order
             return self.dense[order, order], self.dense[order[:-1], order[1:]], scale
-        return (*_householder_tridiagonalize(self.dense), scale)
+        # the reduction's max-norm is 2**-e scale, the fraction of scale
+        return (*_householder_tridiagonalize(self.dense), math.frexp(scale)[0])
 
 
 def _form(a, symmetric: bool = True, reorder: bool = True) -> _Form:
@@ -485,8 +494,9 @@ def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a symmetric matrix (band or dense), ascending;
     brackets of width <= tol."""
     tol = _checked_tol(tol)
-    diag, off, _ = _form(a).tridiagonal()
-    return np.sort(_tridiag_bisect(diag, off, tol, range(diag.shape[0])))
+    form = _form(a)
+    diag, off, _ = form.tridiagonal()
+    return np.sort(_tridiag_bisect(diag, off, tol, range(diag.shape[0]), form.exponent))
 
 
 def _threshold(n: int, scale: float, tol: float) -> float:
@@ -495,13 +505,15 @@ def _threshold(n: int, scale: float, tol: float) -> float:
     return max(tol, STURM_BACKWARD_C * n * sys.float_info.epsilon) * scale
 
 
-def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> tuple[float, str, float]:
-    """Smallest eigenvalue, class and threshold of the tridiagonal form
-    (diag, off) of a matrix of max-norm scale, as _Form.tridiagonal gives
-    it, for a tol already checked by _checked_tol.  The eigenvalue is
-    bisected to width tol * scale; the class compares it against +-thr,
-    thr = _threshold(n, scale, tol)."""
-    lam = _bisect_one(diag, off, tol * scale)
+def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float, e: int = 0) -> tuple[float, str, float]:
+    """Smallest eigenvalue, class and threshold of a matrix A of max-norm
+    S = 2**e scale, from the tridiagonal form (diag, off) of 2**-e A and its
+    max-norm scale, as _Form.tridiagonal and _Form.exponent give them, for a
+    tol already checked by _checked_tol.  The eigenvalue is bisected to
+    width tol * S; the class compares it against +-thr, thr =
+    _threshold(n, S, tol)."""
+    scale = math.ldexp(scale, e)
+    lam = _bisect_one(diag, off, tol * scale, e=e)
     thr = _threshold(diag.shape[0], scale, tol)
     if lam > thr:
         cls = PD
@@ -521,7 +533,8 @@ def _indefinite(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue to accuracy tol * max-norm."""
     tol = _checked_tol(tol)
-    return _form_class(*_form(a).tridiagonal(), tol)[0]
+    form = _form(a)
+    return _form_class(*form.tridiagonal(), tol, form.exponent)[0]
 
 
 def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
@@ -535,9 +548,9 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     """
     tol = _checked_tol(tol)
     form = _form(a)
-    diag, off, scale = form.tridiagonal()
-    lam, cls, thr = _form_class(diag, off, scale, tol)
-    return PositivityVerdict(cls, lam, scale, tuple(_float_minors(form)), thr)
+    (diag, off, scale), e = form.tridiagonal(), form.exponent
+    lam, cls, thr = _form_class(diag, off, scale, tol, e)
+    return PositivityVerdict(cls, lam, math.ldexp(scale, e), tuple(_float_minors(form)), thr)
 
 
 def _continuant(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, int]]:

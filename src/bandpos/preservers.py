@@ -339,7 +339,8 @@ def probe_preserves(
             rng = np.random.default_rng([seed, i])
             if family == "graph":
                 sample = _draw_pattern(rng, graph)
-                diag, off, scale = _form(np.power(sample, r)).tridiagonal()
+                form = _form(np.power(sample, r))
+                (diag, off, scale), e = form.tridiagonal(), form.exponent
             else:
                 if i == 0 and inject:
                     sample = counterexample(r)
@@ -348,9 +349,9 @@ def probe_preserves(
                     sample = _draw_band(rng, family, int(rng.integers(lo, hi + 1)))
                     # the tridiagonal form the oracle bisects
                     diag, off = sample[0] if len(sample) == 1 else _direct_sum(*sample)
-                diag, off, scale = _powered_form(diag, off, r)
+                (diag, off, scale), e = _powered_form(diag, off, r), 0
             # None unless the sample sets a new minimum (the first always does)
-            lam = _bisect_one(diag, off, tol * scale, 0, best)
+            lam = _bisect_one(diag, off, tol * math.ldexp(scale, e), 0, best, e)
             if lam is not None:
                 best, worst = lam, sample
     if isinstance(worst, list):

@@ -362,6 +362,40 @@ class TestJsonFormat:
         assert all(isinstance(x, Fraction) for x in entries)
         assert [float(x) for x in entries] == floats
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["-0.0", "-0", "1e-320", "2.2250738585072011e-308", "9007199254740993", "0.1", "1e308", "1e400", "NaN",
+         "[1, 2]", "0." + "3" * 5000, "1" + "0" * 5000],
+        ids=lambda entry: entry if len(entry) < 30 else f"{len(entry)}-chars-{entry[:2]}",
+    )
+    @pytest.mark.parametrize("kind", ["tridiagonal", "pentadiagonal", "dense"])
+    def test_both_parses_give_the_same_float_matrix(self, kind, entry):
+        # the same bytes, -0.0 and subnormals included, or the same refusal:
+        # a list entry makes the record ragged, a 5001-digit integer meets
+        # int's digit limit in both parses, a 5000-digit decimal none
+        text = {
+            "tridiagonal": f'{{"kind": "tridiagonal", "diag": [{entry}, 1, 2], "offdiag": [0.5, {entry}]}}',
+            "pentadiagonal": f'{{"kind": "pentadiagonal", "diag": [1, {entry}, 2], "second": [{entry}]}}',
+            "dense": f'{{"kind": "dense", "rows": [[{entry}, 0.5], [0.5, {entry}]]}}',
+        }[kind]
+        outcomes = []
+        for parse in (matrix_from_json, lambda t: exact_matrix_from_json(t)[0]):
+            try:
+                m = parse(text)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+            else:
+                arrays = (m.main_diag, m.off) if isinstance(m, BandSymMatrix) else (m.entries,)
+                outcomes.append((type(m), b"".join(a.tobytes() for a in arrays)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_exact_parse_keeps_the_sign_of_zero_and_long_decimals(self):
+        m, exact = exact_matrix_from_json('{"kind": "tridiagonal", "diag": [-0.0, 1, 2], "offdiag": [0, 0.5]}')
+        assert math.copysign(1.0, m.main_diag[0]) == -1.0 and exact.diag[0] == 0
+        digits = "0." + "3" * 5000
+        _, exact = exact_matrix_from_json(f'{{"kind": "tridiagonal", "diag": [{digits}], "offdiag": []}}')
+        assert exact.diag == (Fraction(int("3" * 4000) * 10**1000 + int("3" * 1000), 10**5000),)
+
     def test_exact_parse_keeps_decimals_exact(self):
         _, exact = exact_matrix_from_json('{"kind": "pentadiagonal", "diag": [1, 2, 0.1], "second": [0.2]}')
         assert exact == ExactBand((Fraction(1), Fraction(2), Fraction(1, 10)), (Fraction(1, 5),), 2)

@@ -63,6 +63,11 @@ GOLDEN_CASES = [
     # Fraction strings, a nested matrix, Fraction parameters, a set render
     ("check_positivity_a01.json", ["check-positivity", "data/a01.json", "--json"], {}),
     ("check_positivity_a01_exact.json", ["check-positivity", "data/a01.json", "--json"], EXACT),
+    # exact mode's integer routes: pentadiagonal exact minors, denominators
+    # of 10**170, and a zero coupling that splits the chain recursion
+    ("check_positivity_p_exact.txt", ["check-positivity", "data/p.json"], EXACT),
+    ("check_positivity_tiny_exact.txt", ["check-positivity", "data/tiny_tridiagonal.json"], EXACT),
+    ("check_positivity_block_exact.txt", ["check-positivity", "data/id_block.json"], EXACT),
     ("hadamard_p_r05.json", ["hadamard", "data/p.json", "-r", "0.5", "--json"], {}),
     ("chain_quarters.json", ["chain", "1/4,1/4,1/4", "--json"], {}),
     ("critical_exponent_p3.json", ["critical-exponent", "data/p3.graph", "--json"], {}),
@@ -149,6 +154,17 @@ class TestExitCodes:
         f.write_text('{"kind": "tridiagonal", "diag": [1, 1%s, 1], "offdiag": [1, 1]}' % ("0" * 400))
         code, _, err = run_cli(capsys, "check-positivity", str(f))
         assert code == EXIT_FORMAT and "all entries must be finite" in err
+
+    @pytest.mark.parametrize("entry", ["1e-5000", "0." + "3" * 5000], ids=["short", "5000-digit"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_exact_number_too_long_to_print_is_an_error(self, capsys, monkeypatch, tmp_path, entry, json_flag):
+        # str() of a Fraction whose terms pass int's 4300-digit limit raises
+        # ValueError; the report is refused with a message, not a traceback
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"kind": "tridiagonal", "diag": [{entry}, 1, 2], "offdiag": [0.5, 0.5]}}')
+        code, out, err = run_cli(capsys, "check-positivity", str(path), *json_flag)
+        assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: Exceeds the limit (4300 digits)")
 
     def test_library_refusal_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "check-positivity", "data/a01.json", "--tol", "0")
@@ -365,6 +381,17 @@ class TestExactMode:
         assert "wall_wetzel_pd: no" in out
         assert "oracle_agreement: yes" in out
 
+    def test_negative_zero_is_read_as_in_float_mode(self, capsys, monkeypatch, tmp_path):
+        # the exact parse reads -0.0 as the float parse does, so both modes
+        # print the same float minors
+        path = _tridiagonal_file(tmp_path, [-0.0, 1, 2], [0, 0.5])
+        _, float_out, _ = run_cli(capsys, "check-positivity", path)
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        _, exact_out, _ = run_cli(capsys, "check-positivity", path)
+        assert "leading_minors: [-0, -0, 0]" in float_out.splitlines()
+        assert "leading_minors: [-0, -0, 0]" in exact_out.splitlines()
+        assert "leading_minors_exact: [0, 0, 0]" in exact_out.splitlines()
+
     def test_float_mode_boundary_flag(self, capsys):
         code, out, _ = run_cli(capsys, "chain", "0.5,0.5,0.5")
         assert code == EXIT_OK
@@ -487,6 +514,19 @@ def test_eigenvalue_beyond_the_float_range_is_reported(capsys, monkeypatch, tmp_
     code, out, err = run_cli(capsys, "check-positivity", path, "--json")
     assert code == EXIT_OK and err == ""
     assert json.loads(out)["verdicts"]["min_eigenvalue"] == "-inf"
+
+
+@pytest.mark.parametrize("exact", ["0", "1"])
+def test_householder_reduction_beyond_the_float_range_gets_a_verdict(capsys, monkeypatch, tmp_path, exact):
+    # dense input of no path pattern whose reduction, scaled back, would
+    # hold -inf: the reduction is bisected at its power of two instead
+    monkeypatch.setenv("BANDPOS_EXACT", exact)
+    path = tmp_path / "householder.json"
+    rows = [[-1.5e308, 1.5e308, 1e308], [1.5e308, -1.5e308, 1e308], [1e308, 1e308, -1.5e308]]
+    path.write_text(json.dumps({"kind": "dense", "rows": rows}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check-positivity", str(path))
+    assert code == EXIT_OK and err == ""
+    assert "classification: INDEFINITE" in out and "min_eigenvalue: -inf" in out.splitlines()
 
 
 class TestExactLimitConvention:

@@ -449,7 +449,8 @@ class TestBisectionBitIdentity:
                     a = np.diag(np.diag(a))
             a = a + a.T
             want = frozen_householder_tridiagonalize(a)
-            got = _householder_tridiagonalize(a)
+            # the reduction is of 2**-t a, not scaled back
+            got = [np.ldexp(x, oracle._unit_exponent(a)) for x in _householder_tridiagonalize(a)]
             assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
             reducible += n > 2 and 0.0 in want[1].tolist()
         assert reducible > 50
@@ -968,8 +969,9 @@ class TestLargeEntries:
 
     def test_householder_reduction_of_huge_input_is_scaled_exactly(self):
         # dense input of no path pattern, far above where squared entries
-        # overflow, is reduced at an exact power of two of its size: 2**600
-        # times the reduction of a, and every number after it follows
+        # overflow, is reduced at an exact power of two of its size: the
+        # reduction of 2**-t a is a's, and every number after it is 2**600
+        # times a's
         big = 2.0**600
         rng = np.random.default_rng(131)
         for _ in range(60):
@@ -979,7 +981,9 @@ class TestLargeEntries:
             assert oracle._path_order(a) is None and np.abs(big * a).max() > 2.0**480
             diag, off = _householder_tridiagonalize(a)
             big_diag, big_off = _householder_tridiagonalize(big * a)
-            assert big_diag.tolist() == (big * diag).tolist() and big_off.tolist() == (big * off).tolist()
+            # both are reductions of the same 2**-t a; t differs by 600
+            assert oracle._unit_exponent(big * a) == oracle._unit_exponent(a) + 600
+            assert big_diag.tolist() == diag.tolist() and big_off.tolist() == off.tolist()
             verdict, big_verdict = classify_positivity(a), classify_positivity(big * a)
             assert big_verdict.classification == verdict.classification
             assert big_verdict.min_eigenvalue == big * verdict.min_eigenvalue
@@ -1010,8 +1014,11 @@ class TestLargeEntries:
             make_tridiagonal([-1.5e308, -1.5e308], [1.5e308]),
             make_pentadiagonal([-1.5e308] * 4, [1.5e308] * 2),
             DenseSymMatrix(make_tridiagonal([-1.5e308, -1.5e308], [1.5e308]).dense()),
+            # no path pattern: the Householder reduction is bisected as it
+            # is, of 2**-t a, since scaled back it would hold -inf
+            DenseSymMatrix(1e308 * np.array([[-1.5, 1.5, 1.0], [1.5, -1.5, 1.0], [1.0, 1.0, -1.5]])),
         ],
-        ids=["tridiagonal", "pentadiagonal", "dense"],
+        ids=["tridiagonal", "pentadiagonal", "dense", "householder"],
     )
     def test_eigenvalue_beyond_the_float_range_is_infinite(self, a):
         # finite entries, smallest eigenvalue -3e308: the bisected value
