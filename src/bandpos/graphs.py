@@ -60,6 +60,8 @@ class SimpleGraph:
             adj[i].add(j)
             adj[j].add(i)
         object.__setattr__(self, "_adj", {v: frozenset(s) for v, s in adj.items()})
+        # is_chordal's certificate, once it is computed
+        object.__setattr__(self, "_chordal", None)
 
     def has_edge(self, i: int, j: int) -> bool:
         return j in self._adj[i]
@@ -186,7 +188,15 @@ def _chordless_cycle(g: SimpleGraph) -> tuple[int, ...] | None:
 def is_chordal(g: SimpleGraph) -> ChordalCertificate:
     """Chordality certificate: lexicographic BFS produces a candidate
     elimination ordering which is verified vertex by vertex; on failure a
-    chordless cycle of length >= 4 is extracted as the witness."""
+    chordless cycle of length >= 4 is extracted as the witness.  The graph
+    is immutable, so its certificate is computed once and kept on it."""
+    if g._chordal is None:
+        object.__setattr__(g, "_chordal", _chordal_certificate(g))
+    return g._chordal
+
+
+def _chordal_certificate(g: SimpleGraph) -> ChordalCertificate:
+    """is_chordal's certificate, computed."""
     elim = tuple(reversed(lex_bfs(g)))
     pos = {v: k for k, v in enumerate(elim)}
     for v in elim:

@@ -18,7 +18,12 @@ bisection as soon as the bracket's lower end reaches the floor; a value it
 does get is the full bisection's.  Every route works on its input times
 the power of two that brings its max-norm into [1/2, 1), and every
 tolerance is relative to the max-norm, so A and 2**k A get the same
-verdicts, with numbers 2**k apart.
+verdicts, with numbers 2**k apart.  The falsification probe sets up a
+whole batch of samples at once: the same few numpy calls make those powers
+of two, the scaled entries and the Gershgorin bounds for any number of
+matrices laid out as one direct sum, and each sample is then bisected by
+the same scalar loop as a single matrix, whose set-up keeps its scalars in
+Python.
 A pentadiagonal matrix with zero first off-diagonal is the direct sum of its
 odd and even tridiagonal blocks and is bisected as such; dense input whose
 off-diagonal nonzero graph is a disjoint union of paths is a permuted
@@ -208,26 +213,49 @@ def _warm_start(diag, off, off2, width: float, ks: np.ndarray, a: np.ndarray, b:
     a[ok], b[ok] = al[ok], bl[ok]
 
 
-def _scaled_form(diag: np.ndarray, off: np.ndarray, width: float, e: int = 0):
-    """(t, 2**-s diag, 2**-s off, 2**-t width, lo, hi): the tridiagonal
-    matrix T = 2**e (diag, off), of order n >= 2, is bisected as 2**-t T,
-    of max-norm in [1/2, 1), whose every step is T's scaled by 2**-t, and
-    [lo, hi] holds the Gershgorin bounds of 2**-t T, each moved out by the
-    width and 1e-14 of the larger bound; s = t - e.  The entries are scaled
-    as one array, so the numpy calls are few and the same at every order."""
+def _scaled_forms(diag: np.ndarray, off: np.ndarray, starts: np.ndarray, sizes) -> tuple:
+    """(norm, s, 2**-s diag, 2**-s off, lo, hi) of the tridiagonal matrices
+    T_i whose diagonals are the segments of diag and off that begin at
+    starts and are sizes long; off holds T_i's couplings and an exactly zero
+    one at its end.  T_i is bisected as 2**-s_i T_i, of max-norm in
+    [1/2, 1), whose every step is T_i's scaled by 2**-s_i; norm holds the
+    max-norms of the T_i, and [lo, hi] the Gershgorin bounds of each
+    2**-s_i T_i.  The calls are the same few numpy calls for any number of
+    matrices and at every order."""
+    norm = np.maximum.reduceat(np.maximum(np.abs(diag), np.abs(off)), starts)
+    s = np.frexp(norm)[1]
+    shift = np.repeat(-s, sizes)
+    diag, off = np.ldexp(diag, shift), np.ldexp(off, shift)
+    # a segment's first and last radius add the zero coupling at the end of
+    # the segment before it and at its own end
+    radius = np.abs(off)
+    radius[1:] += radius[:-1]
+    lo, hi = np.minimum.reduceat(diag - radius, starts), np.maximum.reduceat(diag + radius, starts)
+    return norm, s, diag, off, lo, hi
+
+
+def _scaled_form(diag: np.ndarray, off: np.ndarray) -> tuple:
+    """(s, 2**-s diag, 2**-s off, lo, hi) of the one tridiagonal matrix
+    (diag, off), off its n - 1 couplings: _scaled_forms's one-matrix case,
+    with the scalars in Python, so that a single matrix pays for fewer
+    numpy calls."""
     n = diag.shape[0]
     x = np.concatenate((diag, off))
     s = math.frexp(np.maximum.reduce(np.abs(x)))[1]
-    x, width = np.ldexp(x, -s), math.ldexp(width, -s - e)
+    x = np.ldexp(x, -s)
     diag, off = x[:n], x[n:]
     aoff = np.abs(off)
     radius = np.zeros(n)
     radius[:-1] = aoff
     radius[1:] += aoff
-    lo = float(np.minimum.reduce(diag - radius))
-    hi = float(np.maximum.reduce(diag + radius))
+    return s, diag, off, float(np.minimum.reduce(diag - radius)), float(np.maximum.reduce(diag + radius))
+
+
+def _bracket(lo: float, hi: float, width: float) -> tuple[float, float]:
+    """The Gershgorin bounds [lo, hi], each moved out by the width and 1e-14
+    of the larger bound."""
     pad = width + 1e-14 * max(abs(lo), abs(hi))
-    return s + e, diag, off, width, lo - pad, hi + pad
+    return lo - pad, hi + pad
 
 
 def _scaled_floor(floor: float, t: int) -> float:
@@ -244,11 +272,13 @@ def _scaled_floor(floor: float, t: int) -> float:
     return math.nextafter(s, math.inf) if math.ldexp(s, t) < floor else s
 
 
-def _bisect_one(diag, off, width: float, k: int = 0, floor: float = math.inf, e: int = 0) -> float | None:
+def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int, k: int, floor: float) -> float | None:
     """The k-th eigenvalue (0-based, ascending) of the tridiagonal matrix
-    2**e (diag, off), bisected from the Gershgorin bounds to a bracket of
-    the given width or to float resolution, when it lies below floor; None
-    otherwise.
+    2**t S, bisected from the Gershgorin bounds [lo, hi] of S to a bracket
+    of the given width or to float resolution, when it lies below floor;
+    None otherwise.  S is given by its diagonal d and its squared couplings
+    e2, e2[0] = 0.0 and e2[i] coupling rows i - 1 and i, as _scaled_form
+    and _scaled_forms make them; an order-1 S is its entry.
 
     The bisection stops as soon as its bracket's lower end reaches floor:
     every later midpoint lies at or above that end, and the count is
@@ -256,13 +286,9 @@ def _bisect_one(diag, off, width: float, k: int = 0, floor: float = math.inf, e:
     below floor either.  A value returned is the full bisection's, bit for
     bit.  Each Sturm count only asks whether the count is at most k, so it
     stops at the first pivot past that answer."""
-    n = diag.shape[0]
-    if n == 1:
-        lam = _pair_value(float(diag[0]), e)
-        return lam if lam < floor else None
-    t, diag, off, width, a, b = _scaled_form(diag, off, width, e)
+    width = math.ldexp(width, -t)
+    a, b = _bracket(lo, hi, width) if len(d) > 1 else (lo, hi)
     low = _scaled_floor(floor, t)
-    d, e2 = diag.tolist(), [0.0] + (off * off).tolist()
     while a < low and b - a > width:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -275,6 +301,14 @@ def _bisect_one(diag, off, width: float, k: int = 0, floor: float = math.inf, e:
         return None
     lam = _pair_value(0.5 * (a + b), t)
     return lam if lam < floor else None
+
+
+def _bisect_one(diag, off, width: float, k: int = 0, floor: float = math.inf, e: int = 0) -> float | None:
+    """_bisect_scaled of the tridiagonal matrix 2**e (diag, off): its k-th
+    eigenvalue, bisected to the given width, when it lies below floor;
+    None otherwise."""
+    s, diag, off, lo, hi = _scaled_form(diag, off)
+    return _bisect_scaled(diag.tolist(), [0.0] + (off * off).tolist(), width, lo, hi, s + e, k, floor)
 
 
 def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices, e: int = 0) -> list[float]:
@@ -292,7 +326,10 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices, e:
     n = diag.shape[0]
     if n == 1:
         return [_pair_value(float(diag[0]), e) for _ in indices]
-    t, diag, off, width, lo, hi = _scaled_form(diag, off, width, e)
+    s, diag, off, lo, hi = _scaled_form(diag, off)
+    t = s + e
+    width = math.ldexp(width, -t)
+    lo, hi = _bracket(lo, hi, width)
     off2 = off * off
     ks = np.asarray(indices)
     a = np.full(ks.shape, lo)

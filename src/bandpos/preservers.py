@@ -11,11 +11,15 @@ random probe that searches for falsifying matrices.
 The probe and the infinite-divisibility grid classify many Hadamard powers,
 so they build no matrix object per power: they power the two diagonals of
 the tridiagonal matrix the oracle bisects (positivity._Form.tridiagonal).
-Each power's smallest eigenvalue is bisected only as far as the caller's
-question needs: whether it lies below the probe's running minimum, or below
-the INDEFINITE threshold.  Every minimum and class they report is that of
-min_eigenvalue and classify_positivity on hadamard_power's result, bit for
-bit.  Only the probe's worst sample becomes a matrix object.
+The probe draws each band sample from its own generator, then sets up a
+batch of samples at once: their couplings, powers, powers of two and
+Gershgorin bounds come from one set of numpy calls over the samples laid
+out as one tridiagonal direct sum, and only the Sturm counts run sample by
+sample.  Each power's smallest eigenvalue is bisected only as far as the
+caller's question needs: whether it lies below the probe's running minimum,
+or below the INDEFINITE threshold.  Every minimum and class they report is
+that of min_eigenvalue and classify_positivity on hadamard_power's result,
+bit for bit.  Only the probe's worst sample becomes a matrix object.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .bandmat import (
     BandSymMatrix,
     DenseSymMatrix,
     Matrix,
-    _direct_sum,
     check_dense,
     join_pentadiagonal,
     make_pentadiagonal,
@@ -40,7 +43,8 @@ from .bandmat import (
     to_dense_array,
 )
 from .chainseq import split_at_zero_offdiag
-from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_one, _checked_tol, _form, _indefinite, _max_abs
+from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_one, _bisect_scaled, _checked_tol, _form
+from .positivity import _indefinite, _max_abs, _scaled_forms
 
 __all__ = [
     "PowerSet",
@@ -184,24 +188,24 @@ def counterexample_pentadiagonal(r: float) -> BandSymMatrix:
     return make_pentadiagonal([1.0, 2.0, 2.0, 1.0, 1.0], [1.0, 1.0, 1.0])
 
 
-def _draw_band(rng: np.random.Generator, family: str, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(diagonal, off-diagonal) of each tridiagonal block of a random PD
-    matrix of the band family: the matrix itself for a tridiagonal sample,
-    its odd and even blocks for a pentadiagonal one.  Each block is drawn as
-    random_pd_tridiagonal describes."""
+def _draw_blocks(rng: np.random.Generator, family: str, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(g, diagonal) draws of each tridiagonal block of a random PD matrix
+    of the band family: the matrix itself for a tridiagonal sample, its odd
+    and even blocks for a pentadiagonal one.  Each block is drawn as
+    random_pd_tridiagonal describes; _couplings makes its off-diagonal."""
     sizes = (order,) if family == "tridiagonal" else ((order + 1) // 2, order // 2)
-    blocks = []
-    for k in sizes:
-        g = rng.uniform(0.05, 0.95, size=k)
-        diag = rng.uniform(0.2, 3.0, size=k)
-        ratios = (1.0 - g[:-1]) * g[1:]
-        blocks.append((diag, np.sqrt(ratios * diag[:-1] * diag[1:])))
-    return blocks
+    return [(rng.uniform(0.05, 0.95, size=k), rng.uniform(0.2, 3.0, size=k)) for k in sizes]
 
 
-def _band_matrix(blocks: list) -> BandSymMatrix:
-    """The band matrix whose blocks _draw_band drew."""
-    tridiagonals = [make_tridiagonal(*block) for block in blocks]
+def _couplings(g: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The couplings sqrt((1 - g_j) g_{j+1} d_j d_{j+1}) of a block drawn as
+    (g, diag), and of consecutive rows of any concatenation of draws."""
+    return np.sqrt((1.0 - g[:-1]) * g[1:] * diag[:-1] * diag[1:])
+
+
+def _drawn_matrix(draws: list) -> BandSymMatrix:
+    """The band matrix whose blocks _draw_blocks drew."""
+    tridiagonals = [make_tridiagonal(diag, _couplings(g, diag)) for g, diag in draws]
     return tridiagonals[0] if len(tridiagonals) == 1 else join_pentadiagonal(*tridiagonals)
 
 
@@ -215,7 +219,7 @@ def random_pd_tridiagonal(rng: np.random.Generator, order: int) -> BandSymMatrix
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    return _band_matrix(_draw_band(rng, "tridiagonal", order))
+    return _drawn_matrix(_draw_blocks(rng, "tridiagonal", order))
 
 
 def random_pd_pentadiagonal(rng: np.random.Generator, order: int) -> BandSymMatrix:
@@ -223,7 +227,7 @@ def random_pd_pentadiagonal(rng: np.random.Generator, order: int) -> BandSymMatr
     PD tridiagonal blocks via the even/odd interleaving."""
     if order < 3:
         raise ValueError("order must be at least 3")
-    return _band_matrix(_draw_band(rng, "pentadiagonal", order))
+    return _drawn_matrix(_draw_blocks(rng, "pentadiagonal", order))
 
 
 def _draw_pattern(rng: np.random.Generator, graph) -> np.ndarray:
@@ -247,8 +251,8 @@ def random_pd_pattern(rng: np.random.Generator, graph) -> DenseSymMatrix:
 def _powered_form(diag: np.ndarray, off: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The tridiagonal form (diag**r, off**r, max-norm) of the r-th power of
     a nonnegative matrix whose form is (diag, off), refused as the matrix
-    classes refuse it when a power overflows.  Callers turn numpy's overflow
-    warning off once around their loop."""
+    classes refuse it when a power overflows.  Its caller turns numpy's
+    overflow warning off once around its loop."""
     diag, off = np.power(diag, r), np.power(off, r)
     scale = _max_abs(diag, off)
     if not math.isfinite(scale):
@@ -286,6 +290,11 @@ def _checked_int(value, least: int, message: str) -> int:
     return value
 
 
+# Entries set up in one batch by the probe, so that its memory does not
+# grow with the number of samples.
+_PROBE_BATCH = 2048
+
+
 def probe_preserves(
     family: str,
     r: float,
@@ -312,7 +321,12 @@ def probe_preserves(
     smallest eigenvalue lies below the running minimum: a sample that sets
     a new minimum gets the full bisection, so min_over_samples is
     min_eigenvalue of the worst case's power, bit for bit.  Only the worst
-    case is built as a matrix object.
+    case is built as a matrix object.  Band samples are drawn one by one,
+    in the order of their indices, and set up in batches of about
+    _PROBE_BATCH entries: one set of numpy calls per batch makes every
+    sample's couplings, power, power of two and Gershgorin bracket, so
+    memory does not grow with samples.  Graph samples are powered and
+    reduced one by one.
     """
     r = float(r)
     if r <= 0:
@@ -328,37 +342,91 @@ def probe_preserves(
         raise ValueError("graph family requires a graph")
     tol = _checked_tol(tol)
     if family != "graph":
-        lo, hi = _checked_order_range(family, order_range)
-    inject = family != "graph" and r < 1
-    counterexample = counterexample_tridiagonal if family == "tridiagonal" else counterexample_pentadiagonal
+        best, worst = _band_minimum(family, r, samples, seed, tol, *_checked_order_range(family, order_range))
+        return ProbeReport(samples, r, best, worst, seed)
     best, worst = math.inf, None
     # a power that overflows is refused with the matrix classes' message,
     # with no warning first
     with np.errstate(over="ignore"):
         for i in range(samples):
-            rng = np.random.default_rng([seed, i])
-            if family == "graph":
-                sample = _draw_pattern(rng, graph)
-                form = _form(np.power(sample, r))
-                (diag, off, scale), e = form.tridiagonal(), form.exponent
-            else:
-                if i == 0 and inject:
-                    sample = counterexample(r)
-                    diag, off, _ = _form(sample).tridiagonal()
-                else:
-                    sample = _draw_band(rng, family, int(rng.integers(lo, hi + 1)))
-                    # the tridiagonal form the oracle bisects
-                    diag, off = sample[0] if len(sample) == 1 else _direct_sum(*sample)
-                (diag, off, scale), e = _powered_form(diag, off, r), 0
+            sample = _draw_pattern(np.random.default_rng([seed, i]), graph)
+            form = _form(np.power(sample, r))
+            (diag, off, scale), e = form.tridiagonal(), form.exponent
             # None unless the sample sets a new minimum (the first always does)
             lam = _bisect_one(diag, off, tol * math.ldexp(scale, e), 0, best, e)
             if lam is not None:
                 best, worst = lam, sample
-    if isinstance(worst, list):
-        worst = _band_matrix(worst)
-    elif isinstance(worst, np.ndarray):
-        worst = DenseSymMatrix(worst)
-    return ProbeReport(samples, r, best, worst, seed)
+    return ProbeReport(samples, r, best, DenseSymMatrix(worst), seed)
+
+
+def _band_minimum(family: str, r: float, samples: int, seed: int, tol: float, lo: int, hi: int):
+    """(min_over_samples, worst_case) of probe_preserves over a band family:
+    the samples are drawn one by one, in order, and set up and bisected in
+    batches of about _PROBE_BATCH entries.  Only the worst sample is built
+    as a matrix, from its unpowered draws."""
+    best, worst = math.inf, None
+    batch, orders, entries = [], [], 0
+    for i in range(samples):
+        if i == 0 and r < 1:
+            sample = (counterexample_tridiagonal if family == "tridiagonal" else counterexample_pentadiagonal)(r)
+            order = sample.order
+        else:
+            rng = np.random.default_rng([seed, i])
+            order = int(rng.integers(lo, hi + 1))
+            sample = _draw_blocks(rng, family, order)
+        batch.append(sample)
+        orders.append(order)
+        entries += order
+        if entries >= _PROBE_BATCH or i == samples - 1:
+            best, worst = _bisect_batch(batch, orders, r, tol, best, worst)
+            batch, orders, entries = [], [], 0
+    return best, worst if isinstance(worst, BandSymMatrix) else _drawn_matrix(worst)
+
+
+def _bisect_batch(batch: list, orders: list, r: float, tol: float, best: float, worst):
+    """best and worst after the band samples of the batch, in order: each a
+    counterexample matrix or _draw_blocks's draws, of the given orders;
+    worst is the sample that set best.
+
+    The batch is laid out as one tridiagonal direct sum of the samples'
+    forms, with an exactly zero coupling at every block end and every
+    sample end.  One set of numpy calls makes the couplings, the r-th power,
+    each sample's power of two and its Gershgorin bounds for the whole
+    batch; then each sample is bisected on its slice of the scaled entries
+    by _bisect_one's loop, as far as the running minimum needs."""
+    blocks, head = [], None
+    for sample in batch:
+        if isinstance(sample, BandSymMatrix):
+            # the counterexample's form: its couplings replace the ones made
+            # from its placeholder g below
+            diag, head, _ = _form(sample).tridiagonal()
+            blocks.append((np.zeros_like(diag), diag))
+        else:
+            blocks += sample
+    g, diag = np.concatenate([g for g, _ in blocks]), np.concatenate([d for _, d in blocks])
+    off = np.zeros_like(diag)
+    off[:-1] = _couplings(g, diag)
+    off[np.cumsum([d.shape[0] for _, d in blocks]) - 1] = 0.0
+    if head is not None:
+        off[: head.shape[0]] = head
+    n = diag.shape[0]
+    with np.errstate(over="ignore"):
+        power = np.power(np.concatenate((diag, off)), r)
+    # a power that overflows is refused with the matrix classes' message,
+    # with no warning first
+    if not math.isfinite(power.max()):
+        raise ValueError("all entries must be finite")
+    sizes = np.array(orders)
+    starts = np.cumsum(sizes) - sizes
+    norms, exps, d, o, los, his = _scaled_forms(power[:n], power[n:], starts, sizes)
+    d, e2 = d.tolist(), [0.0] + (o * o).tolist()
+    rows = zip(starts.tolist(), orders, norms.tolist(), exps.tolist(), los.tolist(), his.tolist())
+    for sample, (p, m, scale, t, lo, hi) in zip(batch, rows):
+        # None unless the sample sets a new minimum (the first always does)
+        lam = _bisect_scaled(d[p : p + m], e2[p : p + m], tol * scale, lo, hi, t, 0, best)
+        if lam is not None:
+            best, worst = lam, sample
+    return best, worst
 
 
 def _consecutive_nonzero(off: np.ndarray, tol: float) -> int | None:

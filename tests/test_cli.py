@@ -447,6 +447,28 @@ class TestProbeGraphFamily:
         assert code == EXIT_USAGE and err
 
 
+@pytest.mark.parametrize("graph", ["k5", "c4", "p3"])
+def test_critical_exponent_orders_the_graph_once(capsys, monkeypatch, graph):
+    # the chordality verdict and the exponent set share one certificate:
+    # one LexBFS per call, chordal or not
+    from bandpos import graphs
+
+    calls = 0
+    lex_bfs = graphs.lex_bfs
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return lex_bfs(g)
+
+    monkeypatch.setattr(graphs, "lex_bfs", counted)
+    for expected in (1, 2):
+        code, out, _ = run_cli(capsys, "critical-exponent", f"data/{graph}.graph")
+        golden = TESTS / "golden" / f"critical_exponent_{graph}.txt"
+        assert code == EXIT_OK and out == golden.read_text(encoding="utf-8")
+        assert calls == expected
+
+
 def _tridiagonal_file(tmp_path, diag, offdiag, name="t.json"):
     f = tmp_path / name
     f.write_text(json.dumps({"kind": "tridiagonal", "diag": diag, "offdiag": offdiag}))

@@ -74,9 +74,10 @@ def frozen_random_pattern(rng, graph):
     return DenseSymMatrix(a)
 
 
-def frozen_probe(family, r, samples, seed, graph=None):
+def frozen_probe(family, r, samples, seed, graph=None, order_range=None):
     """The per-sample probe loop: (min_over_samples, worst_case)."""
-    order_range = {"tridiagonal": (3, 12), "pentadiagonal": (5, 8)}.get(family)
+    if order_range is None:
+        order_range = {"tridiagonal": (3, 12), "pentadiagonal": (5, 8)}.get(family)
     inject = family != "graph" and r < 1
     best = worst = None
     for i in range(samples):
@@ -116,18 +117,63 @@ def _matrix_key(m):
     return type(m).__name__, m.shape, [x.hex() for x in m.dense().ravel().tolist()]
 
 
+def _assert_probe_matches(family, r, samples, seed, graph=None, order_range=None):
+    report = probe_preserves(family, r, samples, seed, graph=graph, order_range=order_range)
+    low, worst = frozen_probe(family, r, samples, seed, graph, order_range)
+    assert report.min_over_samples.hex() == low.hex(), (family, r, samples, seed)
+    assert _matrix_key(report.worst_case) == _matrix_key(worst), (family, r, samples, seed)
+    if isinstance(worst, BandSymMatrix):
+        assert report.worst_case.bandwidth == worst.bandwidth
+
+
 @pytest.mark.parametrize("family", ["tridiagonal", "pentadiagonal", *GRAPHS])
 def test_probe_matches_frozen_loop(family):
     graph = GRAPHS.get(family)
     name = "graph" if graph is not None else family
     for r in R_VALUES:
         for seed in SEEDS:
-            report = probe_preserves(name, r, SAMPLES, seed, graph=graph)
-            low, worst = frozen_probe(name, r, SAMPLES, seed, graph)
-            assert report.min_over_samples.hex() == low.hex(), (family, r, seed)
-            assert _matrix_key(report.worst_case) == _matrix_key(worst), (family, r, seed)
-            if isinstance(worst, BandSymMatrix):
-                assert report.worst_case.bandwidth == worst.bandwidth
+            _assert_probe_matches(name, r, SAMPLES, seed, graph)
+
+
+@pytest.mark.parametrize("family,order_range", [("tridiagonal", (1, 4)), ("pentadiagonal", (3, 6))])
+def test_probe_matches_frozen_loop_at_the_least_orders(family, order_range):
+    # order-1 tridiagonal samples, whose bracket is their entry, and
+    # pentadiagonal samples of orders 3 and 4, whose even block has order
+    # 1 or 2, in batches with the other orders
+    for r in R_VALUES:
+        for seed in range(12):
+            _assert_probe_matches(family, r, SAMPLES, seed, order_range=order_range)
+
+
+@pytest.mark.parametrize("family", ["tridiagonal", "pentadiagonal"])
+def test_probe_matches_frozen_loop_across_batches(family, monkeypatch):
+    from bandpos import preservers
+
+    # every sample has at least 3 entries, so this many fill more than one
+    # batch; then batches of one or two samples, which the counterexample
+    # shares with drawn samples or has to itself
+    crossing = preservers._PROBE_BATCH // 3 + 1
+    for samples in (1, 2, crossing):
+        for r in (0.5, 2.0):
+            _assert_probe_matches(family, r, samples, 3)
+    for batch in (1, 8, 16):
+        monkeypatch.setattr(preservers, "_PROBE_BATCH", batch)
+        for r in (0.5, 1.5):
+            for seed in range(4):
+                _assert_probe_matches(family, r, 24, seed)
+
+
+@pytest.mark.parametrize("family", ["tridiagonal", "pentadiagonal"])
+def test_probe_overflow_is_refused_as_the_frozen_loop_refuses_it(family):
+    # 3**700 overflows: the batch is refused with the matrix classes'
+    # message, and with no RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(probe_preserves, family, 700.0, 16, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = _outcome(frozen_probe, family, 700.0, 16, 1)
+    assert got == want == "ValueError: all entries must be finite"
 
 
 def _permuted(rng, a):
