@@ -5,146 +5,18 @@ pentadiagonal matrices both numerically (Sturm-sequence bisection) and
 algebraically (finite chain sequences), describes which entrywise powers
 preserve positivity for each band family, characterizes infinite
 divisibility, and computes critical exponents for chordal zero patterns.
+
+The package exports what its five modules export: each public name is
+declared once, in its module's ``__all__``.
 """
 
 __version__ = "0.1.0"
 
-from .bandmat import (
-    BandSymMatrix,
-    DenseSymMatrix,
-    ExactBand,
-    exact_matrix_from_json,
-    hadamard_power,
-    join_pentadiagonal,
-    make_pentadiagonal,
-    make_tridiagonal,
-    matrix_from_json,
-    split_pentadiagonal,
-    to_dense_array,
-)
-from .chainseq import (
-    ChainReport,
-    comparison_dominates,
-    is_chain_sequence,
-    minimal_parameters,
-    ratio_sequence,
-    split_at_zero_offdiag,
-    tridiag_ratio_sequence,
-    wall_wetzel_pd,
-)
-from .graphs import (
-    ChordalCertificate,
-    SimpleGraph,
-    band_graph,
-    chordal_critical_exponent,
-    clique_number,
-    complete_graph,
-    graph_from_edges,
-    graph_from_text,
-    is_chordal,
-    max_near_clique,
-    path_graph,
-    penta_support_graph,
-)
-from .positivity import (
-    INDEFINITE,
-    PD,
-    PSD_BOUNDARY,
-    PositivityVerdict,
-    classify_positivity,
-    determinant,
-    leading_principal_minors,
-    min_eigenvalue,
-    shift_to_boundary,
-    sym_eigenvalues,
-    sym_tridiag_eigenvalues,
-)
-from .preservers import (
-    DEFAULT_ID_GRID,
-    IdVerdict,
-    PowerSet,
-    ProbeReport,
-    counterexample_pentadiagonal,
-    counterexample_tridiagonal,
-    id_blocks,
-    id_numeric_probe,
-    id_verdict,
-    is_id_pentadiagonal,
-    is_id_tridiagonal,
-    penta_preserver_set,
-    polynomial_apply,
-    probe_preserves,
-    random_pd_pattern,
-    random_pd_pentadiagonal,
-    random_pd_tridiagonal,
-    tridiag_preserver_set,
-)
+from . import bandmat, chainseq, graphs, positivity, preservers
+from .bandmat import *  # noqa: F403
+from .chainseq import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .positivity import *  # noqa: F403
+from .preservers import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    # bandmat
-    "BandSymMatrix",
-    "DenseSymMatrix",
-    "make_tridiagonal",
-    "make_pentadiagonal",
-    "hadamard_power",
-    "split_pentadiagonal",
-    "join_pentadiagonal",
-    "to_dense_array",
-    "matrix_from_json",
-    "ExactBand",
-    "exact_matrix_from_json",
-    # positivity
-    "PD",
-    "PSD_BOUNDARY",
-    "INDEFINITE",
-    "PositivityVerdict",
-    "sym_tridiag_eigenvalues",
-    "sym_eigenvalues",
-    "min_eigenvalue",
-    "classify_positivity",
-    "leading_principal_minors",
-    "determinant",
-    "shift_to_boundary",
-    # chainseq
-    "ChainReport",
-    "minimal_parameters",
-    "is_chain_sequence",
-    "comparison_dominates",
-    "ratio_sequence",
-    "tridiag_ratio_sequence",
-    "split_at_zero_offdiag",
-    "wall_wetzel_pd",
-    # preservers
-    "PowerSet",
-    "ProbeReport",
-    "DEFAULT_ID_GRID",
-    "tridiag_preserver_set",
-    "penta_preserver_set",
-    "counterexample_tridiagonal",
-    "counterexample_pentadiagonal",
-    "random_pd_tridiagonal",
-    "random_pd_pentadiagonal",
-    "random_pd_pattern",
-    "probe_preserves",
-    "IdVerdict",
-    "id_verdict",
-    "is_id_tridiagonal",
-    "is_id_pentadiagonal",
-    "id_blocks",
-    "id_numeric_probe",
-    "polynomial_apply",
-    # graphs
-    "SimpleGraph",
-    "ChordalCertificate",
-    "band_graph",
-    "path_graph",
-    "complete_graph",
-    "penta_support_graph",
-    "graph_from_edges",
-    "is_chordal",
-    "clique_number",
-    "max_near_clique",
-    "chordal_critical_exponent",
-    "graph_from_text",
-]
+__all__ = ["__version__"] + [name for m in (bandmat, positivity, chainseq, preservers, graphs) for name in m.__all__]

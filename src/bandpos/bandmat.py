@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "BandSymMatrix",
     "DenseSymMatrix",
-    "Matrix",
     "make_tridiagonal",
     "make_pentadiagonal",
     "hadamard_power",
@@ -190,6 +189,16 @@ def _validate_power_entries(min_entry: float, r: float) -> None:
         raise ValueError("noninteger Hadamard power of a matrix with negative entries")
 
 
+def _power(x: np.ndarray, r: float) -> np.ndarray:
+    """The entrywise power x ** r, refused as non-finite when it overflows,
+    with no warning first."""
+    with np.errstate(over="ignore"):
+        out = np.power(x, r)
+    if not np.isfinite(out).all():
+        raise ValueError("all entries must be finite")
+    return out
+
+
 def hadamard_power(a, r: float):
     """Entrywise power ``a ** r``.
 
@@ -206,18 +215,13 @@ def hadamard_power(a, r: float):
         _validate_power_entries(a.min_entry(), r)
         if r == 0.0:
             return DenseSymMatrix(np.ones(a.shape))
-        with np.errstate(over="ignore"):
-            main, off = np.power(a.main_diag, r), np.power(a.off, r)
-        return BandSymMatrix(a.bandwidth, main, off)
+        x = _power(np.concatenate((a.main_diag, a.off)), r)
+        return BandSymMatrix(a.bandwidth, x[: a.order], x[a.order :])
     wrapped = isinstance(a, DenseSymMatrix)
     arr = a.entries if wrapped else check_dense(to_dense_array(a), symmetric=False)
     _validate_power_entries(float(arr.min()), r)
-    if r == 0.0:
-        out = np.ones(arr.shape)
-    else:
-        with np.errstate(over="ignore"):
-            out = np.power(arr, r)
-    return DenseSymMatrix(out) if wrapped else check_dense(out, symmetric=False)
+    out = np.ones(arr.shape) if r == 0.0 else _power(arr, r)
+    return DenseSymMatrix(out) if wrapped else out
 
 
 def _parity_blocks(diag, second) -> tuple[tuple, tuple]:

@@ -2,10 +2,13 @@
 
 Subcommands: check-positivity, hadamard, chain, critical-exponent,
 id-check, counterexample, probe.  Each one composes public library calls
-and formats the result; no verdict is decided here.  Exit codes encode
-pipeline success, not mathematical verdicts: 0 means the analysis
-completed (whatever the verdict), 1 is a usage error (an argument the
-library refuses with a ValueError included), 2 an input format error.
+and formats the result; no verdict is decided here.  Only the four that
+classify a matrix, check-positivity, hadamard, counterexample and probe,
+take --tol; chain, critical-exponent and id-check refuse it as an
+unrecognized argument.  Exit codes encode pipeline success, not
+mathematical verdicts: 0 means the analysis completed (whatever the
+verdict), 1 is a usage error (an argument the library refuses with a
+ValueError included), 2 an input format error.
 The argument parser is built once per process and reused by every main()
 call; nothing in it depends on the environment, which the handlers read
 at run time.  When the first argument names a subcommand, the rest are
@@ -390,17 +393,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     commands = {}
 
-    def add(name, handler, **kwargs):
+    def add(name, handler, tol=False, **kwargs):
         p = commands[name] = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance")
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
         return p
 
-    p = add("check-positivity", _cmd_check_positivity, help="classify PD/PSD/indefinite")
+    p = add("check-positivity", _cmd_check_positivity, tol=True, help="classify PD/PSD/indefinite")
     p.add_argument("file", help="matrix JSON file")
 
-    p = add("hadamard", _cmd_hadamard, help="entrywise power plus classification")
+    p = add("hadamard", _cmd_hadamard, tol=True, help="entrywise power plus classification")
     p.add_argument("file", help="matrix JSON file")
     p.add_argument("-r", type=float, required=True, help="exponent")
 
@@ -413,11 +417,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = add("id-check", _cmd_id_check, help="infinite divisibility check")
     p.add_argument("file", help="matrix JSON file")
 
-    p = add("counterexample", _cmd_counterexample, help="falsifying matrix for r < 1")
+    p = add("counterexample", _cmd_counterexample, tol=True, help="falsifying matrix for r < 1")
     p.add_argument("--family", choices=["tridiagonal", "pentadiagonal"], required=True)
     p.add_argument("-r", type=float, required=True, help="exponent in (0, 1)")
 
-    p = add("probe", _cmd_probe, help="seeded random falsification probe")
+    p = add("probe", _cmd_probe, tol=True, help="seeded random falsification probe")
     p.add_argument("--family", choices=["tridiagonal", "pentadiagonal", "graph"], required=True)
     p.add_argument("-r", type=float, required=True, help="exponent > 0")
     p.add_argument("-n", type=int, default=100, help="number of samples")

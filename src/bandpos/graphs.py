@@ -23,7 +23,6 @@ __all__ = [
     "complete_graph",
     "penta_support_graph",
     "graph_from_edges",
-    "lex_bfs",
     "is_chordal",
     "clique_number",
     "max_near_clique",

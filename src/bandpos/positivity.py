@@ -10,20 +10,20 @@ with the estimate deciding each step, and one count at all the brackets'
 ends confirms every decision, since the count is monotone in the shift.
 The answers are those of sequential bisection; an estimate that is wrong
 sends its bracket back to the start, so it costs time, never an answer.
-A single bracket, such as the smallest eigenvalue's, only asks whether a
-count is at most its index, so its count stops at the first pivot past that
-answer.  A caller that only asks whether the eigenvalue lies below a floor
-(the probe's running minimum, or -thr for an INDEFINITE test) stops the
-bisection as soon as the bracket's lower end reaches the floor; a value it
-does get is the full bisection's.  Every route works on its input times
-the power of two that brings its max-norm into [1/2, 1), and every
-tolerance is relative to the max-norm, so A and 2**k A get the same
-verdicts, with numbers 2**k apart.  The falsification probe sets up a
-whole batch of samples at once: the same few numpy calls make those powers
-of two, the scaled entries and the Gershgorin bounds for any number of
-matrices laid out as one direct sum, and each sample is then bisected by
-the same scalar loop as a single matrix, whose set-up keeps its scalars in
-Python.
+The smallest eigenvalue is bisected in a bracket of its own, whose Sturm
+count only asks whether any eigenvalue lies below the midpoint, so it stops
+at the first negative pivot.  A caller that only asks whether the
+eigenvalue lies below a floor (the probe's running minimum, or -thr for an
+INDEFINITE test) stops the bisection as soon as the bracket's lower end
+reaches the floor; a value it does get is the full bisection's.  Every
+route works on its input times the power of two that brings its max-norm
+into [1/2, 1), and every tolerance is relative to the max-norm, so A and
+2**k A get the same verdicts, with numbers 2**k apart.  The falsification
+probe sets up a whole batch of samples at once: the same few numpy calls
+make those powers of two, the scaled entries and the Gershgorin bounds for
+any number of matrices laid out as one direct sum, and each sample is then
+bisected by the same scalar loop as a single matrix, whose set-up keeps its
+scalars in Python.
 A pentadiagonal matrix with zero first off-diagonal is the direct sum of its
 odd and even tridiagonal blocks and is bisected as such; dense input whose
 off-diagonal nonzero graph is a disjoint union of paths is a permuted
@@ -63,7 +63,6 @@ __all__ = [
     "PD",
     "PSD_BOUNDARY",
     "INDEFINITE",
-    "DEFAULT_TOL",
     "PositivityVerdict",
     "sym_tridiag_eigenvalues",
     "sym_eigenvalues",
@@ -91,8 +90,9 @@ EXACT_MINOR_LIMIT = 12
 # below STURM_BACKWARD_C * n * eps * max-norm.
 STURM_BACKWARD_C = 4.0
 
-# Sturm pivots smaller than this in magnitude become -_PIVMIN, so the next
-# pivot stays finite; the bisected matrix has max-norm in [1/2, 1).
+# Sturm pivots smaller than this in magnitude count as negative and become
+# -_PIVMIN, so the next pivot stays finite; the bisected matrix has max-norm
+# in [1/2, 1).
 _PIVMIN = 1e-290
 
 # Largest number of pivots one Sturm-count call holds in memory at once.
@@ -145,22 +145,16 @@ def _negcounts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray) -> np.nda
     return np.count_nonzero(q < 0.0, axis=0)
 
 
-def _negcount(diag: list, off2: list, x: float, k: int) -> int:
-    """_negcounts for one shift, over Python floats (off2 starts with 0.0),
-    stopped as soon as the count exceeds k: the count when it is at most k,
-    and k + 1 otherwise.  A pivot below _PIVMIN is counted either way: it is
-    negative, or it lies within _PIVMIN of zero and is replaced by -_PIVMIN."""
-    count = 0
+def _negcount(diag: list, off2: list, x: float) -> bool:
+    """Whether _negcounts is nonzero at the one shift x, over Python floats
+    (off2 starts with 0.0): whether some pivot falls below _PIVMIN.  It
+    stops at the first one."""
     q = 1.0
     for d, e2 in zip(diag, off2):
         q = d - x - e2 / q
         if q < _PIVMIN:
-            if count == k:
-                return k + 1
-            count += 1
-            if q > -_PIVMIN:
-                q = -_PIVMIN
-    return count
+            return True
+    return False
 
 
 def _warm_start(diag, off, off2, width: float, ks: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -272,20 +266,20 @@ def _scaled_floor(floor: float, t: int) -> float:
     return math.nextafter(s, math.inf) if math.ldexp(s, t) < floor else s
 
 
-def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int, k: int, floor: float) -> float | None:
-    """The k-th eigenvalue (0-based, ascending) of the tridiagonal matrix
-    2**t S, bisected from the Gershgorin bounds [lo, hi] of S to a bracket
-    of the given width or to float resolution, when it lies below floor;
-    None otherwise.  S is given by its diagonal d and its squared couplings
-    e2, e2[0] = 0.0 and e2[i] coupling rows i - 1 and i, as _scaled_form
-    and _scaled_forms make them; an order-1 S is its entry.
+def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int, floor: float) -> float | None:
+    """The smallest eigenvalue of the tridiagonal matrix 2**t S, bisected
+    from the Gershgorin bounds [lo, hi] of S to a bracket of the given width
+    or to float resolution, when it lies below floor; None otherwise.  S is
+    given by its diagonal d and its squared couplings e2, e2[0] = 0.0 and
+    e2[i] coupling rows i - 1 and i, as _scaled_form and _scaled_forms make
+    them; an order-1 S is its entry.
 
     The bisection stops as soon as its bracket's lower end reaches floor:
     every later midpoint lies at or above that end, and the count is
     monotone in the shift, so the full bisection's value could not lie
     below floor either.  A value returned is the full bisection's, bit for
-    bit.  Each Sturm count only asks whether the count is at most k, so it
-    stops at the first pivot past that answer."""
+    bit.  Each Sturm count only asks whether any eigenvalue lies below the
+    midpoint, so it stops at the first negative pivot."""
     width = math.ldexp(width, -t)
     a, b = _bracket(lo, hi, width) if len(d) > 1 else (lo, hi)
     low = _scaled_floor(floor, t)
@@ -293,47 +287,46 @@ def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        if _negcount(d, e2, mid, k) <= k:
-            a = mid
-        else:
+        if _negcount(d, e2, mid):
             b = mid
+        else:
+            a = mid
     if a >= low:
         return None
     lam = _pair_value(0.5 * (a + b), t)
     return lam if lam < floor else None
 
 
-def _bisect_one(diag, off, width: float, k: int = 0, floor: float = math.inf, e: int = 0) -> float | None:
-    """_bisect_scaled of the tridiagonal matrix 2**e (diag, off): its k-th
-    eigenvalue, bisected to the given width, when it lies below floor;
-    None otherwise."""
+def _bisect_one(diag, off, width: float, floor: float = math.inf, e: int = 0) -> float | None:
+    """_bisect_scaled of the tridiagonal matrix 2**e (diag, off): its
+    smallest eigenvalue, bisected to the given width, when it lies below
+    floor; None otherwise."""
     s, diag, off, lo, hi = _scaled_form(diag, off)
-    return _bisect_scaled(diag.tolist(), [0.0] + (off * off).tolist(), width, lo, hi, s + e, k, floor)
+    return _bisect_scaled(diag.tolist(), [0.0] + (off * off).tolist(), width, lo, hi, s + e, floor)
 
 
-def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, indices, e: int = 0) -> list[float]:
-    """Bisect the requested eigenvalues (0-based, ascending) of the
-    tridiagonal matrix 2**e (diag, off) to brackets of the given width,
-    using Gershgorin bounds as the initial bracket.  All brackets advance
-    together; each stops early if float resolution is reached before the
-    width.
+def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, e: int = 0) -> list[float]:
+    """Bisect every eigenvalue of the tridiagonal matrix 2**e (diag, off),
+    in ascending order, to brackets of the given width, using Gershgorin
+    bounds as the initial bracket.  All brackets advance together; each
+    stops early if float resolution is reached before the width.
 
     The brackets of a matrix whose pivots fit one Sturm-count call
     (n * n <= _NEGCOUNT_BLOCK) start where LAPACK's estimates steer them
     and one count certifies (_warm_start); the answers are those of
-    sequential bisection either way.  A single eigenvalue is _bisect_one's
-    to find."""
+    sequential bisection either way.  The smallest eigenvalue alone is
+    _bisect_one's to find."""
     n = diag.shape[0]
     if n == 1:
-        return [_pair_value(float(diag[0]), e) for _ in indices]
+        return [_pair_value(float(diag[0]), e)]
     s, diag, off, lo, hi = _scaled_form(diag, off)
     t = s + e
     width = math.ldexp(width, -t)
     lo, hi = _bracket(lo, hi, width)
     off2 = off * off
-    ks = np.asarray(indices)
-    a = np.full(ks.shape, lo)
-    b = np.full(ks.shape, hi)
+    ks = np.arange(n)
+    a = np.full(n, lo)
+    b = np.full(n, hi)
     if n * n <= _NEGCOUNT_BLOCK:
         _warm_start(diag, off, off2, width, ks, a, b)
     # a bracket at float resolution stops at its first midpoint: leave it out
@@ -533,7 +526,7 @@ def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     tol = _checked_tol(tol)
     form = _form(a)
     diag, off, _ = form.tridiagonal()
-    return np.sort(_tridiag_bisect(diag, off, tol, range(diag.shape[0]), form.exponent))
+    return np.sort(_tridiag_bisect(diag, off, tol, form.exponent))
 
 
 def _threshold(n: int, scale: float, tol: float) -> float:
@@ -564,7 +557,7 @@ def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float, e: 
 def _indefinite(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> bool:
     """Whether _form_class's class is INDEFINITE, its eigenvalue below -thr;
     the bisection stops as soon as its bracket's lower end reaches -thr."""
-    return _bisect_one(diag, off, tol * scale, 0, -_threshold(diag.shape[0], scale, tol)) is not None
+    return _bisect_one(diag, off, tol * scale, -_threshold(diag.shape[0], scale, tol)) is not None
 
 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:

@@ -34,6 +34,7 @@ from .bandmat import (
     BandSymMatrix,
     DenseSymMatrix,
     Matrix,
+    _power,
     check_dense,
     join_pentadiagonal,
     make_pentadiagonal,
@@ -44,7 +45,7 @@ from .bandmat import (
 )
 from .chainseq import split_at_zero_offdiag
 from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_one, _bisect_scaled, _checked_tol, _form
-from .positivity import _indefinite, _max_abs, _scaled_forms
+from .positivity import _indefinite, _scaled_forms
 
 __all__ = [
     "PowerSet",
@@ -250,14 +251,11 @@ def random_pd_pattern(rng: np.random.Generator, graph) -> DenseSymMatrix:
 
 def _powered_form(diag: np.ndarray, off: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The tridiagonal form (diag**r, off**r, max-norm) of the r-th power of
-    a nonnegative matrix whose form is (diag, off), refused as the matrix
-    classes refuse it when a power overflows.  Its caller turns numpy's
-    overflow warning off once around its loop."""
-    diag, off = np.power(diag, r), np.power(off, r)
-    scale = _max_abs(diag, off)
-    if not math.isfinite(scale):
-        raise ValueError("all entries must be finite")
-    return diag, off, scale
+    a nonnegative matrix whose form is (diag, off); the max-norm is the
+    largest entry."""
+    n = diag.shape[0]
+    x = _power(np.concatenate((diag, off)), r)
+    return x[:n], x[n:], float(x.max())
 
 
 def _checked_order_range(family: str, order_range) -> tuple[int, int]:
@@ -345,17 +343,14 @@ def probe_preserves(
         best, worst = _band_minimum(family, r, samples, seed, tol, *_checked_order_range(family, order_range))
         return ProbeReport(samples, r, best, worst, seed)
     best, worst = math.inf, None
-    # a power that overflows is refused with the matrix classes' message,
-    # with no warning first
-    with np.errstate(over="ignore"):
-        for i in range(samples):
-            sample = _draw_pattern(np.random.default_rng([seed, i]), graph)
-            form = _form(np.power(sample, r))
-            (diag, off, scale), e = form.tridiagonal(), form.exponent
-            # None unless the sample sets a new minimum (the first always does)
-            lam = _bisect_one(diag, off, tol * math.ldexp(scale, e), 0, best, e)
-            if lam is not None:
-                best, worst = lam, sample
+    for i in range(samples):
+        sample = _draw_pattern(np.random.default_rng([seed, i]), graph)
+        form = _form(_power(sample, r))
+        (diag, off, scale), e = form.tridiagonal(), form.exponent
+        # None unless the sample sets a new minimum (the first always does)
+        lam = _bisect_one(diag, off, tol * math.ldexp(scale, e), best, e)
+        if lam is not None:
+            best, worst = lam, sample
     return ProbeReport(samples, r, best, DenseSymMatrix(worst), seed)
 
 
@@ -410,12 +405,7 @@ def _bisect_batch(batch: list, orders: list, r: float, tol: float, best: float, 
     if head is not None:
         off[: head.shape[0]] = head
     n = diag.shape[0]
-    with np.errstate(over="ignore"):
-        power = np.power(np.concatenate((diag, off)), r)
-    # a power that overflows is refused with the matrix classes' message,
-    # with no warning first
-    if not math.isfinite(power.max()):
-        raise ValueError("all entries must be finite")
+    power = _power(np.concatenate((diag, off)), r)
     sizes = np.array(orders)
     starts = np.cumsum(sizes) - sizes
     norms, exps, d, o, los, his = _scaled_forms(power[:n], power[n:], starts, sizes)
@@ -423,7 +413,7 @@ def _bisect_batch(batch: list, orders: list, r: float, tol: float, best: float, 
     rows = zip(starts.tolist(), orders, norms.tolist(), exps.tolist(), los.tolist(), his.tolist())
     for sample, (p, m, scale, t, lo, hi) in zip(batch, rows):
         # None unless the sample sets a new minimum (the first always does)
-        lam = _bisect_scaled(d[p : p + m], e2[p : p + m], tol * scale, lo, hi, t, 0, best)
+        lam = _bisect_scaled(d[p : p + m], e2[p : p + m], tol * scale, lo, hi, t, best)
         if lam is not None:
             best, worst = lam, sample
     return best, worst
@@ -547,14 +537,12 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
     if lean:
         diag, off, _ = form.tridiagonal()
         couplings = np.count_nonzero(off)
-    # as in probe_preserves: an overflowing power is refused, not warned about
-    with np.errstate(over="ignore"):
-        for r in grid:
-            tri = _powered_form(diag, off, r) if lean else None
-            if tri is None or (form.route == _PATH and np.count_nonzero(tri[1]) < couplings):
-                tri = _form(np.power(form.dense, r)).tridiagonal()
-            if _indefinite(*tri, tol):
-                return False
+    for r in grid:
+        tri = _powered_form(diag, off, r) if lean else None
+        if tri is None or (form.route == _PATH and np.count_nonzero(tri[1]) < couplings):
+            tri = _form(_power(form.dense, r)).tridiagonal()
+        if _indefinite(*tri, tol):
+            return False
     return True
 
 

@@ -182,6 +182,18 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert "tol must be positive and finite" in err
 
+    @pytest.mark.parametrize("tol", ["1e-3", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["chain", "1/4,1/4"], ["critical-exponent", "data/p3.graph"], ["id-check", "data/id_block.json"]],
+        ids=["chain", "critical-exponent", "id-check"],
+    )
+    def test_tol_refused_where_no_handler_reads_it(self, capsys, argv, tol):
+        # these reports read no tolerance: a --tol would be silently ignored
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments" in err
+
     @pytest.mark.parametrize("r", ["nan", "inf"])
     @pytest.mark.parametrize(
         "argv",

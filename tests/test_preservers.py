@@ -470,6 +470,16 @@ class TestNumericProbe:
                 with pytest.raises(ValueError, match="^all entries must be finite$"):
                     id_numeric_probe(a)
 
+    def test_householder_route_overflow_refused_without_warning(self):
+        # every entry nonzero: no path order, so each exponent powers and
+        # reduces the dense matrix; PD at every exponent up to 1e200**2
+        a = 1e200 * (np.ones((4, 4)) + np.eye(4))
+        for m in (a, DenseSymMatrix(a)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^all entries must be finite$"):
+                    id_numeric_probe(m)
+
     def test_negative_entries_rejected(self):
         m = DenseSymMatrix(np.array([[1.0, -0.5], [-0.5, 1.0]]))
         with pytest.raises(ValueError):
