@@ -149,6 +149,18 @@ class DenseSymMatrix:
 Matrix = Union[BandSymMatrix, DenseSymMatrix]
 
 
+def _validated(cls, *fields):
+    """A BandSymMatrix or DenseSymMatrix of the given fields, its arrays
+    frozen, without __post_init__'s copy and checks: for finite arrays cut
+    from, or made out of, a matrix that passed them."""
+    m = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(m, name, value)
+    return m
+
+
 def make_tridiagonal(diag, offdiag) -> BandSymMatrix:
     """Symmetric tridiagonal matrix from its main and first diagonals."""
     return BandSymMatrix(1, diag, offdiag)
@@ -214,14 +226,14 @@ def hadamard_power(a, r: float):
     if isinstance(a, BandSymMatrix):
         _validate_power_entries(a.min_entry(), r)
         if r == 0.0:
-            return DenseSymMatrix(np.ones(a.shape))
+            return _validated(DenseSymMatrix, np.ones(a.shape))
         x = _power(np.concatenate((a.main_diag, a.off)), r)
-        return BandSymMatrix(a.bandwidth, x[: a.order], x[a.order :])
+        return _validated(BandSymMatrix, a.bandwidth, x[: a.order], x[a.order :])
     wrapped = isinstance(a, DenseSymMatrix)
     arr = a.entries if wrapped else check_dense(to_dense_array(a), symmetric=False)
     _validate_power_entries(float(arr.min()), r)
     out = np.ones(arr.shape) if r == 0.0 else _power(arr, r)
-    return DenseSymMatrix(out) if wrapped else out
+    return _validated(DenseSymMatrix, out) if wrapped else out
 
 
 def _parity_blocks(diag, second) -> tuple[tuple, tuple]:
@@ -249,8 +261,7 @@ def split_pentadiagonal(p: BandSymMatrix) -> tuple[BandSymMatrix, BandSymMatrix]
     """
     if not isinstance(p, BandSymMatrix) or p.bandwidth != 2:
         raise ValueError("expected a pentadiagonal BandSymMatrix")
-    odd, even = _parity_blocks(p.main_diag, p.off)
-    return make_tridiagonal(*odd), make_tridiagonal(*even)
+    return tuple(_validated(BandSymMatrix, 1, *block) for block in _parity_blocks(p.main_diag, p.off))
 
 
 def join_pentadiagonal(odd: BandSymMatrix, even: BandSymMatrix) -> BandSymMatrix:
@@ -299,7 +310,7 @@ def matrix_from_json(text: str) -> Matrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
-    return matrix_from_json_obj(obj)
+    return matrix_from_json_obj(obj, text)
 
 
 @dataclass(frozen=True)
@@ -331,7 +342,7 @@ def exact_matrix_from_json(text: str) -> tuple[Matrix, ExactBand | list[list[Fra
         obj = json.loads(text, parse_float=Decimal)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
-    m = matrix_from_json_obj(obj)
+    m = matrix_from_json_obj(obj, text)
     bandwidth, key = _KINDS[obj["kind"]]
     if bandwidth is None:
         return m, [list(map(Fraction, row)) for row in obj[key]]
@@ -340,7 +351,34 @@ def exact_matrix_from_json(text: str) -> tuple[Matrix, ExactBand | list[list[Fra
     return m, ExactBand(tuple(map(Fraction, diag)), tuple(map(Fraction, obj[key])), bandwidth)
 
 
-def matrix_from_json_obj(obj) -> Matrix:
+# A JSON number parses as an int, a float or, read exactly, a Decimal.
+_NUMBER_TYPES = frozenset((int, float, Decimal))
+
+
+def _all_numbers(x) -> bool:
+    """Whether no leaf of the nested lists x is a string, boolean, null or
+    object; their nesting is checked later."""
+    if type(x) is not list:
+        return type(x) in _NUMBER_TYPES
+    types = set(map(type, x))
+    return all(map(_all_numbers, x)) if list in types else types <= _NUMBER_TYPES
+
+
+def _only_numbers(text: str, obj: dict) -> bool:
+    """Whether the JSON text of obj, a wire-format object, holds nothing but
+    numbers besides its keys and kind, by a few fast scans: no other string,
+    no object inside the outer one, no true or null (no key or kind has
+    their u) and no false (a letter of it that no key or kind has)."""
+    at, names = -1, "".join(obj) + obj["kind"]
+    for _ in range(2 * len(obj) + 2):
+        at = text.find('"', at + 1)
+    letter = next(c for c in "fals" if c not in names)
+    return text.find('"', at + 1) < 0 and text.find("{", text.find("{") + 1) < 0 and "u" not in text and letter not in text
+
+
+def matrix_from_json_obj(obj, text: str | None = None) -> Matrix:
+    """The matrix of a parsed wire-format object; text, when given, is the
+    JSON it was parsed from.  Every entry must be a JSON number."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     kind = obj.get("kind")
@@ -349,6 +387,8 @@ def matrix_from_json_obj(obj) -> Matrix:
     bandwidth, key = _KINDS[kind]
     if set(obj) != ({"kind", key} if bandwidth is None else {"kind", "diag", key}):
         raise ValueError(f"matrix JSON for kind {kind!r} has wrong fields")
+    if not ((text is not None and _only_numbers(text, obj)) or _all_numbers([obj[k] for k in obj if k != "kind"])):
+        raise ValueError("all entries must be numbers")
     try:
         if bandwidth is None:
             return DenseSymMatrix(np.array(obj[key], dtype=float))

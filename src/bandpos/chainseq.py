@@ -78,13 +78,15 @@ def minimal_parameters(a, *, split_at_zero: bool = False) -> ChainReport:
     between zeros is tested as a chain sequence of its own, and the
     parameters and failure index still refer to the whole sequence.  The
     ratio sequence of a tridiagonal matrix vanishes exactly at its zero
-    couplings, so this tests each irreducible block.
+    couplings, so this tests each irreducible block.  A float array is read
+    as the Python floats of its tolist(), with no scan for exact numbers.
     """
-    seq = list(a)
+    floats = isinstance(a, np.ndarray) and a.dtype.kind == "f"
+    seq = a.tolist() if floats else list(a)
     if len(seq) < 1:
         raise ValueError("sequence must be nonempty")
     params: list = []
-    if len(seq) <= EXACT_LENGTH_LIMIT and all(_is_exact_number(x) for x in seq):
+    if not floats and len(seq) <= EXACT_LENGTH_LIMIT and all(_is_exact_number(x) for x in seq):
         p, q = 0, 1
         for k, ak in enumerate(seq, start=1):
             m = Fraction(ak.numerator * q, ak.denominator * (q - p))
@@ -95,8 +97,7 @@ def minimal_parameters(a, *, split_at_zero: bool = False) -> ChainReport:
                 return ChainReport(False, tuple(params), k, True)
         return ChainReport(True, tuple(params), None, True)
     boundary, prev = False, 0.0
-    for k, ak in enumerate(seq, start=1):
-        ak = float(ak)
+    for k, ak in enumerate(seq if floats else map(float, seq), start=1):
         m = ak / (1 - prev)
         params.append(m)
         if not (ak > 0 or (split_at_zero and ak == 0)):
@@ -192,8 +193,9 @@ def wall_wetzel_pd(t: BandSymMatrix) -> bool:
     """
     if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
         raise ValueError("expected a tridiagonal BandSymMatrix")
-    if t.min_entry() < 0:
+    least = t.main_diag.min()
+    if t.off.min(initial=least) < 0:
         raise ValueError("criterion applies to nonnegative matrices")
-    if not (t.main_diag > 0).all():
+    if least <= 0:
         return False
-    return t.order == 1 or minimal_parameters(tridiag_ratio_sequence(t), split_at_zero=True).is_chain
+    return t.order == 1 or minimal_parameters(ratio_sequence(t.main_diag, t.off), split_at_zero=True).is_chain

@@ -50,7 +50,6 @@ from .bandmat import (
     BandSymMatrix,
     exact_matrix_from_json,
     hadamard_power,
-    make_tridiagonal,
     matrix_from_json,
     matrix_kind,
     matrix_to_json_obj,
@@ -60,7 +59,6 @@ from .chainseq import (
     minimal_parameters,
     ratio_sequence,
     tridiag_ratio_sequence,
-    wall_wetzel_pd,
 )
 from .graphs import chordal_critical_exponent, graph_from_text, is_chordal
 from .positivity import (
@@ -167,7 +165,15 @@ def _json_text(value, nl: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + sep.join([_json_text(item, inner) for item in value]) + nl + "]"
+        types = set(map(type, value))
+        if types == {float}:
+            # the float case above, for every item in one comprehension
+            items = [repr(float(f"{x:.12g}")) if math.isfinite(x) else f'"{x:.12g}"' for x in value]
+        elif types == {Fraction}:
+            items = [encode_basestring(str(x)) for x in value]
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + sep.join(items) + nl + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -229,18 +235,26 @@ def _cmd_check_positivity(args) -> RunReport:
     }
     conventions: list[str] = []
     if exact is not None:
-        verdicts["leading_minors_exact"] = leading_principal_minors(exact)
         if m.order > EXACT_MINOR_LIMIT:
+            # leading_principal_minors(exact) is then the float certificate
+            verdicts["leading_minors_exact"] = verdicts["leading_minors"]
             conventions.append(CONVENTION_EXACT_LIMIT)
+        else:
+            verdicts["leading_minors_exact"] = leading_principal_minors(exact)
     if isinstance(m, BandSymMatrix) and m.bandwidth == 1:
-        if (m.main_diag > 0).all():
+        # wall_wetzel_pd of the signless matrix (diag(+-1) carries m to it),
+        # read off the chain report of their common ratios: no for a zero
+        # diagonal entry, yes at order 1
+        ww = bool((m.main_diag > 0).all())
+        if ww:
             if exact is not None:
-                ratios = list(ratio_sequence(exact.diag, exact.off))
+                ratios = ratio_sequence(exact.diag, exact.off)
             else:
-                ratios = list(tridiag_ratio_sequence(m))
-            verdicts["ratio_sequence"] = ratios
-            if ratios:
+                ratios = tridiag_ratio_sequence(m)
+            verdicts["ratio_sequence"] = ratios.tolist()
+            if ratios.size:
                 report = minimal_parameters(ratios, split_at_zero=True)
+                ww = report.is_chain
                 verdicts["chain_is_chain"] = report.is_chain
                 verdicts["chain_minimal_params"] = list(report.minimal_params)
                 verdicts["chain_failure_index"] = report.failure_index
@@ -252,9 +266,6 @@ def _cmd_check_positivity(args) -> RunReport:
             inapplicable = "inapplicable (negative diagonal entry)"
             verdicts["wall_wetzel_pd"] = verdicts["oracle_agreement"] = inapplicable
         else:
-            # the criterion takes nonnegative entries; diag(+-1) carries m to
-            # its signless matrix, which has the same spectrum
-            ww = wall_wetzel_pd(make_tridiagonal(m.main_diag, np.abs(m.off)))
             verdicts["wall_wetzel_pd"] = ww
             if ww == (verdict.classification == PD):
                 verdicts["oracle_agreement"] = "yes"
@@ -452,7 +463,13 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader (bandpos ... | head -1) wants no more; stdout goes to
+        # devnull, or the interpreter's last flush would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

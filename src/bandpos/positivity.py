@@ -5,43 +5,41 @@ bisection, which certifies how many eigenvalues lie below any pivot.  One
 LDL^T inertia kernel counts the eigenvalues below many shifts at once, so
 all requested brackets are bisected together, several steps per kernel call.
 For several brackets, LAPACK's eigenvalue estimates steer the bisection and
-Sturm counts certify it: each bracket first replays bisection's halving
-with the estimate deciding each step, and one count at all the brackets'
-ends confirms every decision, since the count is monotone in the shift.
-The answers are those of sequential bisection; an estimate that is wrong
-sends its bracket back to the start, so it costs time, never an answer.
-The smallest eigenvalue is bisected in a bracket of its own, whose Sturm
-count only asks whether any eigenvalue lies below the midpoint, so it stops
-at the first negative pivot.  A caller that only asks whether the
-eigenvalue lies below a floor (the probe's running minimum, or -thr for an
-INDEFINITE test) stops the bisection as soon as the bracket's lower end
-reaches the floor; a value it does get is the full bisection's.  Every
-route works on its input times the power of two that brings its max-norm
-into [1/2, 1), and every tolerance is relative to the max-norm, so A and
-2**k A get the same verdicts, with numbers 2**k apart.  The falsification
-probe sets up a whole batch of samples at once: the same few numpy calls
-make those powers of two, the scaled entries and the Gershgorin bounds for
-any number of matrices laid out as one direct sum, and each sample is then
-bisected by the same scalar loop as a single matrix, whose set-up keeps its
-scalars in Python.
+one Sturm count at all the brackets' ends certifies every step, the count
+being monotone in the shift: the answers are those of sequential bisection,
+and a wrong estimate costs time, never an answer.  The smallest eigenvalue
+is bisected in a bracket of its own, whose Sturm count stops at the first
+negative pivot.  A caller that only asks whether it lies below a floor (the
+probe's running minimum, or -thr for an INDEFINITE test) stops the
+bisection once the bracket's lower end reaches the floor; a value it does
+get is the full bisection's.  Every route works on its input times the power
+of two that brings its max-norm into [1/2, 1), and every tolerance is
+relative to the max-norm, so A and 2**k A get the same verdicts, with
+numbers 2**k apart.  The falsification probe sets up a whole batch of
+samples with the same few numpy calls (powers of two, scaled entries,
+Gershgorin bounds of a direct sum) and bisects each by the same scalar loop
+as a single matrix.
 A pentadiagonal matrix with zero first off-diagonal is the direct sum of its
 odd and even tridiagonal blocks and is bisected as such; dense input whose
 off-diagonal nonzero graph is a disjoint union of paths is a permuted
 tridiagonal matrix and is bisected in its path order.  Only other dense
 input is first reduced to tridiagonal form by Householder reflections.
-Each call finds its input's route once, as a _Form record
-(tridiagonal, odd/even split, path order or Householder), and the
-eigenvalue and minor routes read that record.
+Each call finds its input's route once, as a _Form record (tridiagonal,
+odd/even split, path order or Householder), and builds one scaled form of
+it (_scaled_form: max-norm, power of two, scaled diagonals as Python lists,
+Gershgorin bounds), which the threshold, the one-bracket bisection and the
+band minors all read.
 
 Leading principal minors come from the three-term continuant for band input
 (a pentadiagonal matrix with zero first off-diagonal multiplies the
-continuants of its odd and even blocks) and from one elimination pass for
-dense input, as prefix products of the pivots.  The pass touches only the
-nonzero entries when the nonzero graph is a union of paths, in O(n), with
-results bit for bit those of the full pass.  Rational input gets exact
-minors: exact band input (bandmat.ExactBand) from the same continuant in
-Fractions, dense Fraction rows from the same elimination over their nonzero
-entries.
+continuants of its odd and even blocks), whose running value is rescaled
+by a power of two only when it leaves a fixed window, and from one
+elimination pass for dense input, as prefix products of the pivots.  The
+pass touches only the nonzero entries when the nonzero graph is a union of
+paths, in O(n), with results bit for bit those of the full pass.  Rational
+input gets exact minors: exact band input (bandmat.ExactBand) from the same
+continuant in Fractions, dense Fraction rows from the same elimination over
+their nonzero entries.
 
 This module is deliberately independent of the chain-sequence criteria in
 ``chainseq``: the two are validated against each other.
@@ -94,6 +92,10 @@ STURM_BACKWARD_C = 4.0
 # -_PIVMIN, so the next pivot stays finite; the bisected matrix has max-norm
 # in [1/2, 1).
 _PIVMIN = 1e-290
+
+# The continuant's running pair is rescaled only when its value leaves
+# [_RENORM_LOW, _RENORM_HIGH] (see _continuant).
+_RENORM_LOW, _RENORM_HIGH = 2.0**-64, 2.0**64
 
 # Largest number of pivots one Sturm-count call holds in memory at once.
 _NEGCOUNT_BLOCK = 1 << 20
@@ -228,21 +230,24 @@ def _scaled_forms(diag: np.ndarray, off: np.ndarray, starts: np.ndarray, sizes) 
     return norm, s, diag, off, lo, hi
 
 
-def _scaled_form(diag: np.ndarray, off: np.ndarray) -> tuple:
-    """(s, 2**-s diag, 2**-s off, lo, hi) of the one tridiagonal matrix
-    (diag, off), off its n - 1 couplings: _scaled_forms's one-matrix case,
-    with the scalars in Python, so that a single matrix pays for fewer
-    numpy calls."""
+def _scaled_form(diag: np.ndarray, off: np.ndarray, e: int = 0, norm: float | None = None) -> tuple:
+    """(norm, t, d, o, lo, hi) of a matrix of max-norm norm (by default that
+    of (diag, off)) whose tridiagonal form 2**e (diag, off) is 2**t S, S of
+    max-norm in [1/2, 1) with diagonal d, couplings o (o[0] = 0.0, o[i] for
+    rows i - 1 and i) and Gershgorin bounds [lo, hi]: _scaled_forms's
+    one-matrix case, in Python lists, to pay for fewer numpy calls."""
     n = diag.shape[0]
     x = np.concatenate((diag, off))
-    s = math.frexp(np.maximum.reduce(np.abs(x)))[1]
+    m = float(np.maximum.reduce(np.abs(x)))
+    s = math.frexp(m)[1]
     x = np.ldexp(x, -s)
-    diag, off = x[:n], x[n:]
-    aoff = np.abs(off)
+    aoff = np.abs(x[n:])
     radius = np.zeros(n)
     radius[:-1] = aoff
     radius[1:] += aoff
-    return s, diag, off, float(np.minimum.reduce(diag - radius)), float(np.maximum.reduce(diag + radius))
+    lo, hi = float(np.minimum.reduce(x[:n] - radius)), float(np.maximum.reduce(x[:n] + radius))
+    x = x.tolist()
+    return m if norm is None else norm, s + e, x[:n], [0.0] + x[n:], lo, hi
 
 
 def _bracket(lo: float, hi: float, width: float) -> tuple[float, float]:
@@ -297,12 +302,17 @@ def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int
     return lam if lam < floor else None
 
 
+def _bisect_form(form: tuple, width: float, floor: float = math.inf) -> float | None:
+    """_bisect_scaled of the matrix whose _scaled_form is given."""
+    _, t, d, o, lo, hi = form
+    return _bisect_scaled(d, [x * x for x in o], width, lo, hi, t, floor)
+
+
 def _bisect_one(diag, off, width: float, floor: float = math.inf, e: int = 0) -> float | None:
     """_bisect_scaled of the tridiagonal matrix 2**e (diag, off): its
     smallest eigenvalue, bisected to the given width, when it lies below
     floor; None otherwise."""
-    s, diag, off, lo, hi = _scaled_form(diag, off)
-    return _bisect_scaled(diag.tolist(), [0.0] + (off * off).tolist(), width, lo, hi, s + e, floor)
+    return _bisect_form(_scaled_form(diag, off, e), width, floor)
 
 
 def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, e: int = 0) -> list[float]:
@@ -319,10 +329,10 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, e: int = 0)
     n = diag.shape[0]
     if n == 1:
         return [_pair_value(float(diag[0]), e)]
-    s, diag, off, lo, hi = _scaled_form(diag, off)
-    t = s + e
+    _, t, diag, off, lo, hi = _scaled_form(diag, off, e)
     width = math.ldexp(width, -t)
     lo, hi = _bracket(lo, hi, width)
+    diag, off = np.array(diag), np.array(off[1:])
     off2 = off * off
     ks = np.arange(n)
     a = np.full(n, lo)
@@ -468,22 +478,36 @@ class _Form:
         """The e of tridiagonal(): nonzero on the Householder route only."""
         return _unit_exponent(self.dense) if self.route == _HOUSEHOLDER else 0
 
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
+    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the tridiagonal matrix the oracle
-        bisects, and its max-norm: the form of 2**-e times the input, e =
-        self.exponent.  The split's blocks are joined by an exactly zero
-        coupling."""
+        bisects: the form of 2**-e times the input, e = self.exponent, the
+        split's blocks joined by an exactly zero coupling."""
         if self.dense is None:
-            scale = _max_abs(self.diag, self.off)
             if self.route == _SPLIT:
-                return (*_direct_sum(*_parity_blocks(self.diag, self.off)), scale)
-            return self.diag, self.off, scale
-        scale = float(np.abs(self.dense).max())
+                return _direct_sum(*_parity_blocks(self.diag, self.off))
+            return self.diag, self.off
         if self.route == _PATH:
             order = self.order
-            return self.dense[order, order], self.dense[order[:-1], order[1:]], scale
-        # the reduction's max-norm is 2**-e scale, the fraction of scale
-        return (*_householder_tridiagonalize(self.dense), math.frexp(scale)[0])
+            return self.dense[order, order], self.dense[order[:-1], order[1:]]
+        return _householder_tridiagonalize(self.dense)
+
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """matrix() and its max-norm; on the Householder route the fraction
+        of the input's max-norm, the reduction's being 2**-e times it."""
+        diag, off = self.matrix()
+        if self.route == _HOUSEHOLDER:
+            return diag, off, math.frexp(float(np.abs(self.dense).max()))[0]
+        return diag, off, _max_abs(diag, off)
+
+    def scaled(self) -> tuple:
+        """The input's _scaled_form.  Off the Householder route its max-norm
+        is matrix()'s: on the path route, that of the 2n - 1 path entries,
+        which hold every nonzero."""
+        diag, off = self.matrix()
+        if self.route != _HOUSEHOLDER:
+            return _scaled_form(diag, off)
+        norm = float(np.abs(self.dense).max())
+        return _scaled_form(diag, off, math.frexp(norm)[1], norm)
 
 
 def _form(a, symmetric: bool = True, reorder: bool = True) -> _Form:
@@ -525,8 +549,7 @@ def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     brackets of width <= tol."""
     tol = _checked_tol(tol)
     form = _form(a)
-    diag, off, _ = form.tridiagonal()
-    return np.sort(_tridiag_bisect(diag, off, tol, form.exponent))
+    return np.sort(_tridiag_bisect(*form.matrix(), tol, form.exponent))
 
 
 def _threshold(n: int, scale: float, tol: float) -> float:
@@ -535,16 +558,14 @@ def _threshold(n: int, scale: float, tol: float) -> float:
     return max(tol, STURM_BACKWARD_C * n * sys.float_info.epsilon) * scale
 
 
-def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float, e: int = 0) -> tuple[float, str, float]:
-    """Smallest eigenvalue, class and threshold of a matrix A of max-norm
-    S = 2**e scale, from the tridiagonal form (diag, off) of 2**-e A and its
-    max-norm scale, as _Form.tridiagonal and _Form.exponent give them, for a
-    tol already checked by _checked_tol.  The eigenvalue is bisected to
-    width tol * S; the class compares it against +-thr, thr =
-    _threshold(n, S, tol)."""
-    scale = math.ldexp(scale, e)
-    lam = _bisect_one(diag, off, tol * scale, e=e)
-    thr = _threshold(diag.shape[0], scale, tol)
+def _class(form: tuple, tol: float) -> tuple[float, str, float]:
+    """Smallest eigenvalue, class and threshold of the matrix whose
+    _scaled_form is given, for a tol already checked by _checked_tol.  The
+    eigenvalue is bisected to width tol * norm; the class compares it
+    against +-thr, thr = _threshold(n, norm, tol)."""
+    norm = form[0]
+    lam = _bisect_form(form, tol * norm)
+    thr = _threshold(len(form[2]), norm, tol)
     if lam > thr:
         cls = PD
     elif lam < -thr:
@@ -555,7 +576,7 @@ def _form_class(diag: np.ndarray, off: np.ndarray, scale: float, tol: float, e: 
 
 
 def _indefinite(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> bool:
-    """Whether _form_class's class is INDEFINITE, its eigenvalue below -thr;
+    """Whether _class's class is INDEFINITE, its eigenvalue below -thr;
     the bisection stops as soon as its bracket's lower end reaches -thr."""
     return _bisect_one(diag, off, tol * scale, -_threshold(diag.shape[0], scale, tol)) is not None
 
@@ -563,8 +584,7 @@ def _indefinite(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue to accuracy tol * max-norm."""
     tol = _checked_tol(tol)
-    form = _form(a)
-    return _form_class(*form.tridiagonal(), tol, form.exponent)[0]
+    return _class(_form(a).scaled(), tol)[0]
 
 
 def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
@@ -578,44 +598,52 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     """
     tol = _checked_tol(tol)
     form = _form(a)
-    (diag, off, scale), e = form.tridiagonal(), form.exponent
-    lam, cls, thr = _form_class(diag, off, scale, tol, e)
-    return PositivityVerdict(cls, lam, math.ldexp(scale, e), tuple(_float_minors(form)), thr)
+    scaled = form.scaled()
+    lam, cls, thr = _class(scaled, tol)
+    return PositivityVerdict(cls, lam, scaled[0], tuple(_float_minors(form, scaled)), thr)
 
 
-def _continuant(diag: np.ndarray, off: np.ndarray) -> list[tuple[float, int]]:
-    """Leading minors of the symmetric tridiagonal matrix (diag, off) by the
-    three-term continuant f_k = d_k f_{k-1} - e_{k-1}^2 f_{k-2}, each as a
-    pair (m, e) meaning m * 2**e.
+def _continuant(d: list[float], o: list[float], t: int) -> tuple[list[float], list[int]]:
+    """The leading minors f_k = d_k f_{k-1} - o_k^2 f_{k-2} = ms[k] * 2**es[k],
+    k = 0..n, of 2**t S, S = (d, o) as in _scaled_form.  The pair (f_k,
+    f_{k-1}) is scaled by a power of two only when f_k leaves [_RENORM_LOW,
+    _RENORM_HIGH], so no step overflows (a plain continuant turns an
+    overflowed tail into inf - inf = NaN); unless a product falls below the
+    normal range, the minors are those of rescaling every step, bit for bit.
+    Every ms[k] is 0 or lies in [_RENORM_LOW, _RENORM_HIGH], so that the
+    product of two, as the odd/even split takes it, neither underflows nor
+    overflows."""
+    f1, f2, e, ms, es = 1.0, 0.0, 0, [1.0], [0]
+    for x, y in zip(d, o):
+        f1, f2 = x * f1 - y * (y * f2), f1
+        e += t
+        if _RENORM_LOW <= abs(f1) <= _RENORM_HIGH:
+            ms.append(f1)
+            es.append(e)
+            continue
+        s = math.frexp(max(abs(f1), abs(f2)))[1]
+        f1, f2 = math.ldexp(f1, -s), math.ldexp(f2, -s)
+        e += s
+        # f_k alone may lie far below the window
+        m, s = math.frexp(f1)
+        ms.append(m)
+        es.append(e + s)
+    return ms, es
 
-    The entries are scaled by a power of two to below 1 and the running
-    pair is renormalized at every step.  Both are exact, so no step
-    overflows: a plain continuant turns an overflowed tail into
-    inf - inf = NaN."""
-    t = _unit_exponent(diag, off)
-    f1, f2, e, out = 1.0, 0.0, 0, []
-    for d, o in zip(np.ldexp(diag, -t).tolist(), [0.0] + np.ldexp(off, -t).tolist()):
-        f = d * f1 - o * (o * f2)
-        s = math.frexp(max(abs(f), abs(f1)))[1]
-        f1, f2 = math.ldexp(f, -s), math.ldexp(f1, -s)
-        e += s + t
-        out.append((f1, e))
-    return out
 
-
-def _band_minors(form: _Form) -> list[tuple[float, int]]:
-    """Leading minors as continuant pairs of band input, given by its
-    _Form."""
+def _band_minors(form: _Form, scaled: tuple | None = None) -> tuple[list[float], list[int]]:
+    """Leading minors of band input, given by its _Form (and _scaled_form,
+    when made), as _continuant gives them, from order 1."""
+    _, t, d, o, _, _ = scaled or form.scaled()
     if form.route == _TRIDIAGONAL:
-        return _continuant(form.diag, form.off)
+        ms, es = _continuant(d, o, t)
+        return ms[1:], es[1:]
     # the order-k leading block is blockdiag(odd block of order ceil(k/2),
-    # even block of order floor(k/2)) up to a permutation
-    odd, even = ([(1.0, 0)] + _continuant(*block) for block in _parity_blocks(form.diag, form.off))
-    pairs = []
-    for k in range(1, form.diag.shape[0] + 1):
-        (m_odd, e_odd), (m_even, e_even) = odd[(k + 1) // 2], even[k // 2]
-        pairs.append((m_odd * m_even, e_odd + e_even))
-    return pairs
+    # even block of order floor(k/2)) up to a permutation, and the form is
+    # their direct sum
+    h, ks = (len(d) + 1) // 2, range(1, len(d) + 1)
+    (m_odd, e_odd), (m_even, e_even) = _continuant(d[:h], o[:h], t), _continuant(d[h:], o[h:], t)
+    return [m_odd[(k + 1) // 2] * m_even[k // 2] for k in ks], [e_odd[(k + 1) // 2] + e_even[k // 2] for k in ks]
 
 
 def _exact_continuant(diag, off) -> list[Fraction]:
@@ -648,6 +676,8 @@ def _pair_value(m: float, e: int) -> float:
         return math.ldexp(m, e)
     except OverflowError:
         return math.copysign(math.inf, m)
+
+
 
 
 def _dense_minors(dense: np.ndarray) -> list[float]:
@@ -711,13 +741,17 @@ def _sparse_minors(rows: list[dict], block_det) -> list:
     return minors
 
 
-def _float_minors(form: _Form) -> list[float]:
-    """Leading minors of the input given by its _Form: the continuant for
-    band input; on the path route, _sparse_minors over the entries that the
-    path order makes tridiagonal (the others are zero); _dense_minors
-    otherwise.  The last two are bit for bit the same."""
+def _float_minors(form: _Form, scaled: tuple | None = None) -> list[float]:
+    """Leading minors of the input given by its _Form (and _scaled_form):
+    the continuant for band input; on the path route, _sparse_minors over
+    the entries that the path order makes tridiagonal (the others are
+    zero); _dense_minors otherwise.  The last two are bit for bit the same."""
     if form.dense is None:
-        return [_pair_value(m, e) for m, e in _band_minors(form)]
+        ms, es = _band_minors(form, scaled)
+        try:
+            return list(map(math.ldexp, ms, es))
+        except OverflowError:
+            return list(map(_pair_value, ms, es))
     dense, order = form.dense, form.order
     if order is None:
         return _dense_minors(dense)
@@ -826,7 +860,8 @@ def determinant(a) -> float:
     minor for band input."""
     form = _form(a, symmetric=False, reorder=False)
     if form.dense is None:
-        return _pair_value(*_band_minors(form)[-1])
+        ms, es = _band_minors(form)
+        return _pair_value(ms[-1], es[-1])
     return _det_float(form.dense)
 
 

@@ -44,7 +44,7 @@ from .bandmat import (
     to_dense_array,
 )
 from .chainseq import split_at_zero_offdiag
-from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_one, _bisect_scaled, _checked_tol, _form
+from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_form, _bisect_scaled, _checked_tol, _form
 from .positivity import _indefinite, _scaled_forms
 
 __all__ = [
@@ -345,10 +345,9 @@ def probe_preserves(
     best, worst = math.inf, None
     for i in range(samples):
         sample = _draw_pattern(np.random.default_rng([seed, i]), graph)
-        form = _form(_power(sample, r))
-        (diag, off, scale), e = form.tridiagonal(), form.exponent
+        scaled = _form(_power(sample, r)).scaled()
         # None unless the sample sets a new minimum (the first always does)
-        lam = _bisect_one(diag, off, tol * math.ldexp(scale, e), best, e)
+        lam = _bisect_form(scaled, tol * scaled[0], best)
         if lam is not None:
             best, worst = lam, sample
     return ProbeReport(samples, r, best, DenseSymMatrix(worst), seed)
@@ -394,7 +393,7 @@ def _bisect_batch(batch: list, orders: list, r: float, tol: float, best: float, 
         if isinstance(sample, BandSymMatrix):
             # the counterexample's form: its couplings replace the ones made
             # from its placeholder g below
-            diag, head, _ = _form(sample).tridiagonal()
+            diag, head = _form(sample).matrix()
             blocks.append((np.zeros_like(diag), diag))
         else:
             blocks += sample
@@ -535,7 +534,7 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
     form = _form(a)
     lean = form.route != _HOUSEHOLDER
     if lean:
-        diag, off, _ = form.tridiagonal()
+        diag, off = form.matrix()
         couplings = np.count_nonzero(off)
     for r in grid:
         tri = _powered_form(diag, off, r) if lean else None

@@ -1,7 +1,10 @@
 """CLI behavior: exit codes, golden outputs, JSON round trips."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from bandpos import (
     counterexample_tridiagonal,
     determinant,
     hadamard_power,
+    make_tridiagonal,
     probe_preserves,
+    wall_wetzel_pd,
 )
 from bandpos.bandmat import matrix_from_json_obj
 from bandpos import cli
@@ -68,6 +73,10 @@ GOLDEN_CASES = [
     ("check_positivity_p_exact.txt", ["check-positivity", "data/p.json"], EXACT),
     ("check_positivity_tiny_exact.txt", ["check-positivity", "data/tiny_tridiagonal.json"], EXACT),
     ("check_positivity_block_exact.txt", ["check-positivity", "data/id_block.json"], EXACT),
+    # above EXACT_MINOR_LIMIT: leading_minors_exact is the certificate, and
+    # the chain line is read off the exact chain report
+    ("check_positivity_rational16_exact.txt", ["check-positivity", "data/rational16.json"], EXACT),
+    ("check_positivity_rational16_exact.json", ["check-positivity", "data/rational16.json", "--json"], EXACT),
     ("hadamard_p_r05.json", ["hadamard", "data/p.json", "-r", "0.5", "--json"], {}),
     ("chain_quarters.json", ["chain", "1/4,1/4,1/4", "--json"], {}),
     ("critical_exponent_p3.json", ["critical-exponent", "data/p3.graph", "--json"], {}),
@@ -148,6 +157,54 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "check-positivity", str(f))
         assert code == EXIT_FORMAT and out == ""
         assert "all entries must be finite" in err
+
+    @pytest.mark.parametrize("exact", ["0", "1"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "tridiagonal", "diag": ["1", "2"], "offdiag": [true]}',
+            '{"kind": "tridiagonal", "diag": [1, 2], "offdiag": [false]}',
+            '{"kind": "tridiagonal", "diag": [1, null], "offdiag": [0]}',
+            '{"kind": "pentadiagonal", "diag": [1, 2, 3], "second": ["0.5"]}',
+            '{"kind": "pentadiagonal", "diag": [1, 2, false], "second": [0.5]}',
+            '{"kind": "dense", "rows": [[1, null], [null, 1]]}',
+            '{"kind": "dense", "rows": [[1, "0"], [0, 1]]}',
+            '{"kind": "dense", "rows": [[true, 0], [0, 1]]}',
+            '{"kind": "dense", "rows": [[1, 0], [0, false]]}',
+            '{"kind": "dense", "rows": [[1, {}], [{}, 1]]}',
+            '{"kind": "tridiagonal", "diag": {"a": 1}, "offdiag": []}',
+            '{"kind": "tridiagonal", "diag": true, "offdiag": []}',
+        ],
+    )
+    def test_entries_must_be_json_numbers(self, capsys, monkeypatch, tmp_path, text, exact):
+        # numpy would read "1" and true as 1.0, and null as nan
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        f = tmp_path / "m.json"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "check-positivity", str(f))
+        assert code == EXIT_FORMAT and out == ""
+        assert err == f"error: {f}: all entries must be numbers\n"
+        with pytest.raises(ValueError, match="all entries must be numbers"):
+            matrix_from_json_obj(json.loads(text))
+
+    @pytest.mark.parametrize("exact", ["0", "1"])
+    def test_text_scan_passes_numbers_it_cannot_rule_on(self, capsys, monkeypatch, tmp_path, exact):
+        # a repeated key (the last one counts), Infinity's f and an escaped
+        # key's u send the text to the entry-by-entry check, which passes
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        texts = [
+            '{"kind": "dense", "rows": [[5]], "rows": [[1, 0], [0, 1]]}',
+            r'{"kind": "dense", "rows": [[1e0, 0E1], [0, 1]], "\u006bind": "dense"}',
+            '{"kind": "dense", "rows": [[Infinity]]}',
+        ]
+        for i, text in enumerate(texts):
+            # a new file each time: rewriting one can cost far more
+            f = tmp_path / f"m{i}.json"
+            f.write_text(text)
+            code, out, err = run_cli(capsys, "check-positivity", str(f))
+            if i < 2:
+                assert code == EXIT_OK and "input.order: 2" in out and "classification: PD" in out
+        assert err == f"error: {f}: all entries must be finite\n"
 
     def test_integer_beyond_float_range_is_format_error(self, capsys, tmp_path):
         f = tmp_path / "huge.json"
@@ -563,6 +620,76 @@ def test_householder_reduction_beyond_the_float_range_gets_a_verdict(capsys, mon
     assert "classification: INDEFINITE" in out and "min_eigenvalue: -inf" in out.splitlines()
 
 
+class TestChainLine:
+    """wall_wetzel_pd is read off the chain report check-positivity makes."""
+
+    def test_float_line_equals_wall_wetzel_pd_of_the_signless_matrix(self, capsys, tmp_path):
+        rng = np.random.default_rng(131)
+        cases = [([2.0], []), ([0.0], []), ([1.0, 0.0, 2.0], [0.5, 0.5]), ([3.0, 1.0, 1.5], [1.0, 1.0])]
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            diag, off = rng.uniform(0.0, 3.0, n), rng.uniform(-1.5, 1.5, n - 1)
+            off[rng.random(n - 1) < 0.2] = 0.0
+            diag[rng.random(n) < 0.05] = 0.0
+            cases.append((diag.tolist(), off.tolist()))
+        lines = set()
+        for i, (diag, off) in enumerate(cases):
+            # a new file each time: rewriting one can cost far more
+            f = _tridiagonal_file(tmp_path, diag, off, f"t{i}.json")
+            code, out, _ = run_cli(capsys, "check-positivity", f, "--json")
+            assert code == EXIT_OK
+            verdicts = json.loads(out)["verdicts"]
+            want = wall_wetzel_pd(make_tridiagonal(diag, np.abs(off)))
+            assert verdicts["wall_wetzel_pd"] is want, (diag, off)
+            lines.add((want, "chain_is_chain" in verdicts, 0.0 in diag, any(x < 0 for x in off)))
+        # chain reports either way, zero diagonal entries, order 1, negative couplings
+        assert {(True, True), (False, True), (False, False), (True, False)} <= {x[:2] for x in lines}
+        assert any(x[2] for x in lines) and any(x[3] for x in lines)
+
+    def test_exact_line_is_the_exact_chain_verdict(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        rng = np.random.default_rng(137)
+        for i in range(60):
+            n = int(rng.integers(2, 10))
+            diag, off = (rng.integers(1, 13, n) / 4).tolist(), (rng.integers(-6, 7, n - 1) / 4).tolist()
+            _, out, _ = run_cli(capsys, "check-positivity", _tridiagonal_file(tmp_path, diag, off, f"t{i}.json"), "--json")
+            verdicts = json.loads(out)["verdicts"]
+            assert verdicts["wall_wetzel_pd"] is verdicts["chain_is_chain"], (diag, off)
+
+    def test_exact_boundary_matrix(self, capsys, monkeypatch, tmp_path):
+        # ratios 1/3 and 2/3: the exact recursion reaches m_2 = 1, not a chain;
+        # the float one stays just below 1.  The exact report once printed
+        # wall_wetzel_pd: yes from the float recursion beside
+        # chain_is_chain: no, and called the oracle "within tolerance band"
+        path = _tridiagonal_file(tmp_path, [3, 1, 1.5], [1, 1])
+        monkeypatch.setenv("BANDPOS_EXACT", "1")
+        _, out, _ = run_cli(capsys, "check-positivity", path)
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert lines["classification"] == "PSD_BOUNDARY"
+        assert (lines["chain_is_chain"], lines["wall_wetzel_pd"], lines["oracle_agreement"]) == ("no", "no", "yes")
+        monkeypatch.delenv("BANDPOS_EXACT")
+        _, out, _ = run_cli(capsys, "check-positivity", path)
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert (lines["chain_is_chain"], lines["wall_wetzel_pd"]) == ("yes", "yes")
+        assert lines["oracle_agreement"] == "within tolerance band"
+        assert lines["conventions"] == cli.CONVENTION_BOUNDARY
+
+
+def test_closed_stdout_ends_quietly():
+    # the child's stdout is a pipe whose read end is already closed, so its
+    # first write fails with EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(TESTS.parent / "src")}
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "bandpos.cli", "chain", "1/4,1/4,1/4"], stdout=write, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (EXIT_OK, b"")
+
+
 class TestExactLimitConvention:
     def test_text_report_names_the_limit(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("BANDPOS_EXACT", "1")
@@ -600,8 +727,9 @@ class TestExactLimitConvention:
                 [2.95, 2.35, 2.5, 2.9, 2.05, 2.25, 2.35, 2.85, 2.5, 2.1, 2.9, 2.7, 2.2, 2.85, 2.35, 2.25],
                 [0.45, 0.4, 0.45, 0.25, 0.8, 0.6, 0.4, 0.85, 0.8, 0.6, 0.6, 0.4, 0.6, 0.35, 0.35],
             ))
-        f = tmp_path / "band.json"
-        for diag, off in cases:
+        for i, (diag, off) in enumerate(cases):
+            # a new file each time: rewriting one can cost far more
+            f = tmp_path / f"band{i}.json"
             f.write_text(json.dumps({"kind": kind, "diag": diag, key: off}))
             code, out, _ = run_cli(capsys, "check-positivity", str(f))
             assert code == EXIT_OK

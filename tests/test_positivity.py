@@ -730,7 +730,7 @@ class TestBisectionFloor:
                 continue
             for tol in (width / scale, DEFAULT_TOL, 1e-3):
                 try:
-                    cls = oracle._form_class(diag, off, scale, tol)[1]
+                    cls = oracle._class(oracle._scaled_form(diag, off), tol)[1]
                 except OverflowError:
                     continue
                 assert oracle._indefinite(diag, off, scale, tol) == (cls == INDEFINITE)
