@@ -12,7 +12,6 @@ from bandpos import (
     complete_graph,
     graph_from_edges,
     is_chordal,
-    max_near_clique,
     path_graph,
     penta_support_graph,
 )
@@ -37,9 +36,8 @@ for name, g in [
     ("band graph n=6, d=2", band_graph(6, 2)),
     ("pentadiagonal support n=6", penta_support_graph(6)),
 ]:
-    cert = is_chordal(g)
     ps = chordal_critical_exponent(g)
-    print(f"  {name}: near-clique {max_near_clique(g)}, exponents {ps.render()}")
+    print(f"  {name}: near-clique {int(ps.tail_threshold) + 2}, exponents {ps.render()}")
 print("a path picks up a 3-vertex near-clique (middle vertex plus both ends),")
 print("so every tridiagonal pattern lands on [1, oo).")
 

@@ -176,14 +176,6 @@ def _max_abs(*arrays: np.ndarray) -> float:
     return max((float(np.abs(x).max()) for x in arrays if x.size), default=0.0)
 
 
-def _unit_exponent(*arrays: np.ndarray) -> int:
-    """The t with 2**-t times the largest |entry| in [1/2, 1), 0 when every
-    entry is zero.  The numeric routes work on 2**-t times their input: the
-    scaling is exact (down to 2**-1000 times the largest entry), and no
-    product of two entries then overflows."""
-    return math.frexp(_max_abs(*arrays))[1]
-
-
 def to_dense_array(a) -> np.ndarray:
     """Dense float array from a band matrix, dense matrix, or array-like."""
     if isinstance(a, (BandSymMatrix, DenseSymMatrix)):

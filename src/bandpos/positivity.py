@@ -9,7 +9,8 @@ one Sturm count at all the brackets' ends certifies every step, the count
 being monotone in the shift: the answers are those of sequential bisection,
 and a wrong estimate costs time, never an answer.  The smallest eigenvalue
 is bisected in a bracket of its own, whose Sturm count stops at the first
-negative pivot.  A caller that only asks whether it lies below a floor (the
+negative pivot; after a few plain steps a Newton estimate steers it in the
+same way, certified by at most two counts at its moved ends.  A caller that only asks whether it lies below a floor (the
 probe's running minimum, or -thr for an INDEFINITE test) stops the
 bisection once the bracket's lower end reaches the floor; a value it does
 get is the full bisection's.  Every route works on its input times the power
@@ -35,11 +36,11 @@ Leading principal minors come from the three-term continuant for band input
 continuants of its odd and even blocks), whose running value is rescaled
 by a power of two only when it leaves a fixed window, and from one
 elimination pass for dense input, as prefix products of the pivots.  The
-pass touches only the nonzero entries when the nonzero graph is a union of
-paths, in O(n), with results bit for bit those of the full pass.  Rational
-input gets exact minors: exact band input (bandmat.ExactBand) from the same
-continuant in Fractions, dense Fraction rows from the same elimination over
-their nonzero entries.
+pass touches only the path entries, held as linked pairs, when the nonzero
+graph is a union of paths, in O(n), with results bit for bit those of the
+full pass.  Rational input gets exact minors: exact band input
+(bandmat.ExactBand) from the same continuant in Fractions, dense Fraction
+rows from the same elimination over their nonzero entries (_sparse_minors).
 
 This module is deliberately independent of the chain-sequence criteria in
 ``chainseq``: the two are validated against each other.
@@ -50,12 +51,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .bandmat import BandSymMatrix, DenseSymMatrix, ExactBand, check_dense, to_dense_array
-from .bandmat import _direct_sum, _max_abs, _parity_blocks, _unit_exponent
+from .bandmat import _direct_sum, _max_abs, _parity_blocks
 
 __all__ = [
     "PD",
@@ -99,6 +101,9 @@ _RENORM_LOW, _RENORM_HIGH = 2.0**-64, 2.0**64
 
 # Largest number of pivots one Sturm-count call holds in memory at once.
 _NEGCOUNT_BLOCK = 1 << 20
+
+# Plain steps of the one-bracket bisection before _steer; Newton passes.
+_STEER_AFTER, _NEWTON_PASSES = 12, 8
 
 # Bisection steps per bracket taken from one Sturm-count call when several
 # brackets are bisected together (2**depth - 1 shifts per bracket).
@@ -271,6 +276,45 @@ def _scaled_floor(floor: float, t: int) -> float:
     return math.nextafter(s, math.inf) if math.ldexp(s, t) < floor else s
 
 
+def _newton_min(d: list, e2: list, x: float, near: float) -> float:
+    """Newton's iteration on det(S - xI), S = (d, e2) as _negcount takes
+    them, from x below S's smallest eigenvalue, to which the iterates rise
+    (det'/det is the sum of g_i = q_i'/q_i over the pivots q_i); it ends at
+    a step no larger than near or a pivot below _PIVMIN, else gives NaN."""
+    for _ in range(_NEWTON_PASSES):
+        q, g, s = 1.0, 0.0, 0.0
+        for di, ei in zip(d, e2):
+            r = ei / q
+            q = di - x - r
+            if q < _PIVMIN:
+                return x
+            g = (r * g - 1.0) / q
+            s += g
+        step = -1.0 / s
+        if not step > near:
+            return x + step
+        x += step
+    return math.nan
+
+
+def _steer(d: list, e2: list, width: float, a: float, b: float, low: float) -> tuple[float, float]:
+    """[a, b] moved to where _bisect_scaled's loop takes it: the loop's
+    halving replayed with mid > estimate (_newton_min's) in place of the
+    count, stopping also at a midpoint too near the estimate to decide.
+    _negcount is monotone in the shift (fl(d - x) and fl(e2 / q) are), so a
+    false count at the moved lower end and a true one at the moved upper end
+    prove every decision; when either fails, [a, b] comes back unmoved."""
+    near = 2.0 * STURM_BACKWARD_C * len(d) * sys.float_info.epsilon
+    est, a1, b1 = _newton_min(d, e2, a, near), a, b
+    while a1 < low and b1 - a1 > width:
+        mid = 0.5 * (a1 + b1)
+        if mid <= a1 or mid >= b1 or abs(mid - est) <= near:
+            break
+        a1, b1 = (a1, mid) if mid > est else (mid, b1)
+    ok = (a1 == a or not _negcount(d, e2, a1)) and (b1 == b or _negcount(d, e2, b1))
+    return (a1, b1) if ok else (a, b)
+
+
 def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int, floor: float) -> float | None:
     """The smallest eigenvalue of the tridiagonal matrix 2**t S, bisected
     from the Gershgorin bounds [lo, hi] of S to a bracket of the given width
@@ -284,18 +328,22 @@ def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int
     monotone in the shift, so the full bisection's value could not lie
     below floor either.  A value returned is the full bisection's, bit for
     bit.  Each Sturm count only asks whether any eigenvalue lies below the
-    midpoint, so it stops at the first negative pivot."""
+    midpoint, so it stops at the first negative pivot.  After _STEER_AFTER
+    steps, _steer moves the bracket: a bad estimate costs only time."""
     width = math.ldexp(width, -t)
     a, b = _bracket(lo, hi, width) if len(d) > 1 else (lo, hi)
-    low = _scaled_floor(floor, t)
+    low, steps = _scaled_floor(floor, t), 0
     while a < low and b - a > width:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        if _negcount(d, e2, mid):
+        if steps == _STEER_AFTER:
+            a, b = _steer(d, e2, width, a, b, low)
+        elif _negcount(d, e2, mid):
             b = mid
         else:
             a = mid
+        steps += 1
     if a >= low:
         return None
     lam = _pair_value(0.5 * (a + b), t)
@@ -374,13 +422,13 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, e: int = 0)
         return np.ldexp(0.5 * (a + b), t).tolist()
 
 
-def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Reduce a dense symmetric matrix to tridiagonal form; returns the
     diagonal and first off-diagonal of the tridiagonal matrix similar to
-    2**-t a, of max-norm in [1/2, 1), t = _unit_exponent(a).  It is not
-    scaled back, so a reduction beyond the float range stays finite."""
-    t = _unit_exponent(a)
-    m = np.ldexp(a, -t)
+    2**-t a, of max-norm in [1/2, 1), and the max-norm of a, of exponent t.
+    It is not scaled back: a reduction beyond the float range stays finite."""
+    norm = _max_abs(a)
+    m = np.ldexp(a, -math.frexp(norm)[1])
     n = m.shape[0]
     # flat buffers for the factors [v w] (p x 2) and [w; v] (2 x p) of the
     # rank-2 update; a C-ordered reshape of a prefix is contiguous, laid out
@@ -412,7 +460,7 @@ def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vw, wv = left[: 2 * p].reshape(p, 2), right[: 2 * p].reshape(2, p)
         vw[:, 0], vw[:, 1], wv[0], wv[1] = v, w, w, v
         sub -= vw @ wv
-    return np.diag(m).copy(), np.diag(m, 1).copy()
+    return np.diag(m).copy(), np.diag(m, 1).copy(), norm
 
 
 def _path_order(dense: np.ndarray) -> list[int] | None:
@@ -473,10 +521,14 @@ class _Form:
     dense: np.ndarray | None = None
     order: list[int] | None = None
 
+    @cached_property
+    def _reduction(self) -> tuple[np.ndarray, np.ndarray, float]:
+        return _householder_tridiagonalize(self.dense)
+
     @property
     def exponent(self) -> int:
         """The e of tridiagonal(): nonzero on the Householder route only."""
-        return _unit_exponent(self.dense) if self.route == _HOUSEHOLDER else 0
+        return math.frexp(self._reduction[2])[1] if self.route == _HOUSEHOLDER else 0
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the tridiagonal matrix the oracle
@@ -489,24 +541,24 @@ class _Form:
         if self.route == _PATH:
             order = self.order
             return self.dense[order, order], self.dense[order[:-1], order[1:]]
-        return _householder_tridiagonalize(self.dense)
+        return self._reduction[:2]
 
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
         """matrix() and its max-norm; on the Householder route the fraction
         of the input's max-norm, the reduction's being 2**-e times it."""
-        diag, off = self.matrix()
         if self.route == _HOUSEHOLDER:
-            return diag, off, math.frexp(float(np.abs(self.dense).max()))[0]
+            diag, off, norm = self._reduction
+            return diag, off, math.frexp(norm)[0]
+        diag, off = self.matrix()
         return diag, off, _max_abs(diag, off)
 
     def scaled(self) -> tuple:
         """The input's _scaled_form.  Off the Householder route its max-norm
         is matrix()'s: on the path route, that of the 2n - 1 path entries,
         which hold every nonzero."""
-        diag, off = self.matrix()
         if self.route != _HOUSEHOLDER:
-            return _scaled_form(diag, off)
-        norm = float(np.abs(self.dense).max())
+            return _scaled_form(*self.matrix())
+        diag, off, norm = self._reduction
         return _scaled_form(diag, off, math.frexp(norm)[1], norm)
 
 
@@ -678,8 +730,6 @@ def _pair_value(m: float, e: int) -> float:
         return math.copysign(math.inf, m)
 
 
-
-
 def _dense_minors(dense: np.ndarray) -> list[float]:
     """Leading minors from one elimination pass without row exchanges: the
     order-k minor is the product of the first k pivots.  From the first
@@ -700,17 +750,13 @@ def _dense_minors(dense: np.ndarray) -> list[float]:
 
 
 def _sparse_minors(rows: list[dict], block_det) -> list:
-    """_dense_minors over the entries held in rows: rows[i] maps column j to
-    entry (i, j), every entry left out is zero, and rows is updated in
+    """_dense_minors over the entries held in rows, for dense Fraction rows
+    (_exact_minors; float input takes _float_minors): rows[i] maps column j
+    to entry (i, j), every entry left out is zero, and rows is updated in
     place.  Each step does exactly _dense_minors' operations,
     m[i, j] -= (m[i, k] / piv) * m[k, j], for the rows i holding column k
-    and the columns j of pivot row k; every other update subtracts a signed
-    zero.  From the first zero or non-finite pivot on, the order-j minor is
-    block_det(j).
-
-    Ints, floats and Fractions all work; no entry is converted.  Eliminating
-    a vertex of a path joins its two neighbours, so a symmetric pattern
-    whose graph is a union of paths keeps O(n) entries throughout."""
+    and the columns j of pivot row k; every other update subtracts a zero.
+    From the first zero pivot on, the order-j minor is block_det(j)."""
     n = len(rows)
     below = [[] for _ in range(n)]  # below[k]: the rows i > k holding column k
     for i, row in enumerate(rows):
@@ -720,9 +766,7 @@ def _sparse_minors(rows: list[dict], block_det) -> list:
     minors, det = [], 1
     for k, pivot_row in enumerate(rows):
         piv = pivot_row.get(k, 0)
-        # only a float is inf or NaN; math.isfinite would convert a Fraction
-        # to float, which overflows above about 1.8e308
-        if piv == 0 or (isinstance(piv, float) and not math.isfinite(piv)):
+        if piv == 0:
             return minors + [block_det(j) for j in range(k + 1, n + 1)]
         det *= piv
         minors.append(det)
@@ -734,7 +778,7 @@ def _sparse_minors(rows: list[dict], block_det) -> list:
                 if j in row:
                     row[j] -= f * x
                 else:
-                    # fill: zero minus the product, up to the sign of a zero
+                    # fill: zero minus the product
                     row[j] = -(f * x)
                     if j < i:
                         below[j].append(i)
@@ -743,9 +787,12 @@ def _sparse_minors(rows: list[dict], block_det) -> list:
 
 def _float_minors(form: _Form, scaled: tuple | None = None) -> list[float]:
     """Leading minors of the input given by its _Form (and _scaled_form):
-    the continuant for band input; on the path route, _sparse_minors over
-    the entries that the path order makes tridiagonal (the others are
-    zero); _dense_minors otherwise.  The last two are bit for bit the same."""
+    the continuant for band input, _dense_minors on the Householder route.
+    On the path route, _dense_minors' arithmetic and fallback over the
+    diagonal and, for each vertex i of the order and the vertex j after it,
+    the pair (a_ij, a_ji), every other entry being zero: the minors are
+    _dense_minors', bit for bit.  Eliminating vertex k updates its at most
+    two neighbours and links them by the fill: O(n) in all."""
     if form.dense is None:
         ms, es = _band_minors(form, scaled)
         try:
@@ -755,11 +802,28 @@ def _float_minors(form: _Form, scaled: tuple | None = None) -> list[float]:
     dense, order = form.dense, form.order
     if order is None:
         return _dense_minors(dense)
-    rows = [{i: x} for i, x in enumerate(np.diag(dense).tolist())]
-    ahead, behind = order[1:], order[:-1]
+    # a missing neighbour is -1, whose reads and writes meet only the spare
+    # last slot of each list
+    n, ahead, behind = len(order), order[1:], order[:-1]
+    d, fwd, bwd = np.diag(dense).tolist() + [0.0], [0.0] * (n + 1), [0.0] * (n + 1)
+    prev, after = [-1] * (n + 1), [-1] * (n + 1)
     for i, j, x, y in zip(behind, ahead, dense[behind, ahead].tolist(), dense[ahead, behind].tolist()):
-        rows[i][j], rows[j][i] = x, y
-    return _sparse_minors(rows, lambda j: _det_float(dense[:j, :j]))
+        after[i], prev[j], fwd[i], bwd[i] = j, i, x, y
+    minors, det = [], 1.0
+    for k in range(n):
+        piv = d[k]
+        if piv == 0.0 or not math.isfinite(piv):
+            return minors + [_det_float(dense[:j, :j]) for j in range(k + 1, n + 1)]
+        det *= piv
+        minors.append(det)
+        i, j = prev[k], after[k]
+        fi, fj = fwd[i] / piv, bwd[k] / piv
+        d[i] -= fi * bwd[i]
+        d[j] -= fj * fwd[k]
+        after[i], prev[j] = j, i
+        # fill: zero minus the product, up to the sign of a zero
+        fwd[i], bwd[i] = -(fi * fwd[k]), -(fj * bwd[i])
+    return minors
 
 
 def _det_float(a: np.ndarray) -> float:

@@ -45,6 +45,8 @@ GOLDEN_CASES = [
     ("check_positivity_a01.txt", ["check-positivity", "data/a01.json"], {}),
     ("check_positivity_p.txt", ["check-positivity", "data/p.json"], {}),
     ("check_positivity_permuted.txt", ["check-positivity", "data/permuted_tridiagonal.json"], {}),
+    # a full pentadiagonal, stored dense: no path order, so Householder
+    ("check_positivity_dense_penta.txt", ["check-positivity", "data/dense_pentadiagonal.json"], {}),
     ("check_positivity_tiny.txt", ["check-positivity", "data/tiny_tridiagonal.json"], {}),
     ("hadamard_p_r05.txt", ["hadamard", "data/p.json", "-r", "0.5"], {}),
     ("chain_quarters.txt", ["chain", "1/4,1/4,1/4"], {}),

@@ -452,7 +452,9 @@ class TestBisectionBitIdentity:
             a = a + a.T
             want = frozen_householder_tridiagonalize(a)
             # the reduction is of 2**-t a, not scaled back
-            got = [np.ldexp(x, oracle._unit_exponent(a)) for x in _householder_tridiagonalize(a)]
+            diag, off, norm = _householder_tridiagonalize(a)
+            assert norm == float(np.abs(a).max())
+            got = [np.ldexp(x, math.frexp(norm)[1]) for x in (diag, off)]
             assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
             reducible += n > 2 and 0.0 in want[1].tolist()
         assert reducible > 50
@@ -979,10 +981,11 @@ class TestLargeEntries:
             a = rng.uniform(-3.0, 3.0, (n, n))
             a = a + a.T
             assert oracle._path_order(a) is None and np.abs(big * a).max() > 2.0**480
-            diag, off = _householder_tridiagonalize(a)
-            big_diag, big_off = _householder_tridiagonalize(big * a)
+            diag, off, norm = _householder_tridiagonalize(a)
+            big_diag, big_off, big_norm = _householder_tridiagonalize(big * a)
             # both are reductions of the same 2**-t a; t differs by 600
-            assert oracle._unit_exponent(big * a) == oracle._unit_exponent(a) + 600
+            assert big_norm == big * norm == big * float(np.abs(a).max())
+            assert math.frexp(big_norm)[1] == math.frexp(norm)[1] + 600
             assert big_diag.tolist() == diag.tolist() and big_off.tolist() == off.tolist()
             verdict, big_verdict = classify_positivity(a), classify_positivity(big * a)
             assert big_verdict.classification == verdict.classification
