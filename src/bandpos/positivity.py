@@ -28,8 +28,8 @@ input is first reduced to tridiagonal form by Householder reflections.
 Each call finds its input's route once, as a _Form record (tridiagonal,
 odd/even split, path order or Householder), and builds one scaled form of
 it (_scaled_form: max-norm, power of two, scaled diagonals as Python lists,
-Gershgorin bounds), which the threshold, the one-bracket bisection and the
-band minors all read.
+Gershgorin bounds), which every bisection, the threshold and the band
+minors read.
 
 Leading principal minors come from the three-term continuant for band input
 (a pentadiagonal matrix with zero first off-diagonal multiplies the
@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -356,15 +355,8 @@ def _bisect_form(form: tuple, width: float, floor: float = math.inf) -> float | 
     return _bisect_scaled(d, [x * x for x in o], width, lo, hi, t, floor)
 
 
-def _bisect_one(diag, off, width: float, floor: float = math.inf, e: int = 0) -> float | None:
-    """_bisect_scaled of the tridiagonal matrix 2**e (diag, off): its
-    smallest eigenvalue, bisected to the given width, when it lies below
-    floor; None otherwise."""
-    return _bisect_form(_scaled_form(diag, off, e), width, floor)
-
-
-def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, e: int = 0) -> list[float]:
-    """Bisect every eigenvalue of the tridiagonal matrix 2**e (diag, off),
+def _tridiag_bisect(form: tuple, width: float) -> list[float]:
+    """Bisect every eigenvalue of the matrix whose _scaled_form is given,
     in ascending order, to brackets of the given width, using Gershgorin
     bounds as the initial bracket.  All brackets advance together; each
     stops early if float resolution is reached before the width.
@@ -373,11 +365,11 @@ def _tridiag_bisect(diag: np.ndarray, off: np.ndarray, width: float, e: int = 0)
     (n * n <= _NEGCOUNT_BLOCK) start where LAPACK's estimates steer them
     and one count certifies (_warm_start); the answers are those of
     sequential bisection either way.  The smallest eigenvalue alone is
-    _bisect_one's to find."""
-    n = diag.shape[0]
+    _bisect_form's to find."""
+    _, t, diag, off, lo, hi = form
+    n = len(diag)
     if n == 1:
-        return [_pair_value(float(diag[0]), e)]
-    _, t, diag, off, lo, hi = _scaled_form(diag, off, e)
+        return [_pair_value(diag[0], t)]
     width = math.ldexp(width, -t)
     lo, hi = _bracket(lo, hi, width)
     diag, off = np.array(diag), np.array(off[1:])
@@ -521,44 +513,26 @@ class _Form:
     dense: np.ndarray | None = None
     order: list[int] | None = None
 
-    @cached_property
-    def _reduction(self) -> tuple[np.ndarray, np.ndarray, float]:
-        return _householder_tridiagonalize(self.dense)
-
-    @property
-    def exponent(self) -> int:
-        """The e of tridiagonal(): nonzero on the Householder route only."""
-        return math.frexp(self._reduction[2])[1] if self.route == _HOUSEHOLDER else 0
-
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the tridiagonal matrix the oracle
-        bisects: the form of 2**-e times the input, e = self.exponent, the
-        split's blocks joined by an exactly zero coupling."""
+        bisects, off the Householder route: the split's blocks joined by an
+        exactly zero coupling, or the path entries in path order."""
         if self.dense is None:
             if self.route == _SPLIT:
                 return _direct_sum(*_parity_blocks(self.diag, self.off))
             return self.diag, self.off
-        if self.route == _PATH:
-            order = self.order
-            return self.dense[order, order], self.dense[order[:-1], order[1:]]
-        return self._reduction[:2]
-
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """matrix() and its max-norm; on the Householder route the fraction
-        of the input's max-norm, the reduction's being 2**-e times it."""
-        if self.route == _HOUSEHOLDER:
-            diag, off, norm = self._reduction
-            return diag, off, math.frexp(norm)[0]
-        diag, off = self.matrix()
-        return diag, off, _max_abs(diag, off)
+        order = self.order
+        return self.dense[order, order], self.dense[order[:-1], order[1:]]
 
     def scaled(self) -> tuple:
-        """The input's _scaled_form.  Off the Householder route its max-norm
-        is matrix()'s: on the path route, that of the 2n - 1 path entries,
-        which hold every nonzero."""
+        """The input's _scaled_form, the one form every bisection reads.  Off
+        the Householder route its max-norm is matrix()'s: on the path route,
+        that of the 2n - 1 path entries, which hold every nonzero.  On it,
+        the max-norm is the input's, of exponent e, and the reduction that of
+        2**-e times the input, so the power of two carries e."""
         if self.route != _HOUSEHOLDER:
             return _scaled_form(*self.matrix())
-        diag, off, norm = self._reduction
+        diag, off, norm = _householder_tridiagonalize(self.dense)
         return _scaled_form(diag, off, math.frexp(norm)[1], norm)
 
 
@@ -600,8 +574,7 @@ def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """All eigenvalues of a symmetric matrix (band or dense), ascending;
     brackets of width <= tol."""
     tol = _checked_tol(tol)
-    form = _form(a)
-    return np.sort(_tridiag_bisect(*form.matrix(), tol, form.exponent))
+    return np.sort(_tridiag_bisect(_form(a).scaled(), tol))
 
 
 def _threshold(n: int, scale: float, tol: float) -> float:
@@ -627,10 +600,12 @@ def _class(form: tuple, tol: float) -> tuple[float, str, float]:
     return lam, cls, thr
 
 
-def _indefinite(diag: np.ndarray, off: np.ndarray, scale: float, tol: float) -> bool:
-    """Whether _class's class is INDEFINITE, its eigenvalue below -thr;
-    the bisection stops as soon as its bracket's lower end reaches -thr."""
-    return _bisect_one(diag, off, tol * scale, -_threshold(diag.shape[0], scale, tol)) is not None
+def _indefinite(form: tuple, tol: float) -> bool:
+    """Whether _class's class of the matrix whose _scaled_form is given is
+    INDEFINITE, its eigenvalue below -thr; the bisection stops as soon as
+    its bracket's lower end reaches -thr."""
+    norm = form[0]
+    return _bisect_form(form, tol * norm, -_threshold(len(form[2]), norm, tol)) is not None
 
 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:

@@ -10,7 +10,7 @@ random probe that searches for falsifying matrices.
 
 The probe and the infinite-divisibility grid classify many Hadamard powers,
 so they build no matrix object per power: they power the two diagonals of
-the tridiagonal matrix the oracle bisects (positivity._Form.tridiagonal).
+the tridiagonal matrix the oracle bisects (positivity._Form.matrix).
 The probe draws each band sample from its own generator, then sets up a
 batch of samples at once: their couplings, powers, powers of two and
 Gershgorin bounds come from one set of numpy calls over the samples laid
@@ -45,7 +45,7 @@ from .bandmat import (
 )
 from .chainseq import split_at_zero_offdiag
 from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_form, _bisect_scaled, _checked_tol, _form
-from .positivity import _indefinite, _scaled_forms
+from .positivity import _indefinite, _scaled_form, _scaled_forms
 
 __all__ = [
     "PowerSet",
@@ -148,16 +148,14 @@ class ProbeReport:
 def tridiag_preserver_set(n: int) -> PowerSet:
     """Exponents whose Hadamard power preserves PD/PSD for every
     nonnegative tridiagonal matrix of order n: the interval [1, oo)."""
-    if n < 3:
-        raise ValueError("preserver set is defined for order n >= 3")
+    _checked_int(n, 3, "preserver set is defined for integer orders n >= 3")
     return PowerSet(1.0)
 
 
 def penta_preserver_set(n: int) -> PowerSet:
     """Preserving exponents for the pentadiagonal family of order n:
     [0, oo) for n in {3, 4} and [1, oo) for n >= 5."""
-    if n < 3:
-        raise ValueError("preserver set is defined for order n >= 3")
+    n = _checked_int(n, 3, "preserver set is defined for integer orders n >= 3")
     return PowerSet(0.0) if n <= 4 else PowerSet(1.0)
 
 
@@ -247,15 +245,6 @@ def random_pd_pattern(rng: np.random.Generator, graph) -> DenseSymMatrix:
     """Random PD matrix with nonnegative entries and the zero pattern of the
     given graph, built strictly diagonally dominant."""
     return DenseSymMatrix(_draw_pattern(rng, graph))
-
-
-def _powered_form(diag: np.ndarray, off: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The tridiagonal form (diag**r, off**r, max-norm) of the r-th power of
-    a nonnegative matrix whose form is (diag, off); the max-norm is the
-    largest entry."""
-    n = diag.shape[0]
-    x = _power(np.concatenate((diag, off)), r)
-    return x[:n], x[n:], float(x.max())
 
 
 def _checked_order_range(family: str, order_range) -> tuple[int, int]:
@@ -387,7 +376,7 @@ def _bisect_batch(batch: list, orders: list, r: float, tol: float, best: float, 
     sample end.  One set of numpy calls makes the couplings, the r-th power,
     each sample's power of two and its Gershgorin bounds for the whole
     batch; then each sample is bisected on its slice of the scaled entries
-    by _bisect_one's loop, as far as the running minimum needs."""
+    by _bisect_scaled, as far as the running minimum needs."""
     blocks, head = [], None
     for sample in batch:
         if isinstance(sample, BandSymMatrix):
@@ -443,7 +432,8 @@ class IdVerdict:
 def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
     """Infinite divisibility of a nonnegative tridiagonal or
     pentadiagonal-form matrix: PSD and no two consecutive nonzero
-    off-diagonal entries (|b_i| > tol counts as nonzero).
+    off-diagonal entries (|b_i| > tol counts as nonzero; tol must be finite
+    and at least 0, which counts only exact zeros as zero).
 
     Pentadiagonal input is decided on its odd and even tridiagonal blocks:
     the pattern test runs on each parity subsequence of the second
@@ -453,6 +443,8 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
         raise ValueError("expected a tridiagonal or pentadiagonal-form BandSymMatrix")
     if m.min_entry() < 0:
         raise ValueError("matrix has a negative entry")
+    if not 0 <= tol < math.inf:
+        raise ValueError("pattern tol must be non-negative and finite")
     if m.bandwidth == 1:
         bad = _consecutive_nonzero(m.off, tol)
         if bad is not None:
@@ -467,7 +459,7 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
                     "not ID: consecutive nonzero entries in the "
                     f"{parity}-position second-diagonal subsequence",
                 )
-    if any(_indefinite(*_form(t).tridiagonal(), DEFAULT_TOL) for t in tridiagonals):
+    if any(_indefinite(_form(t).scaled(), DEFAULT_TOL) for t in tridiagonals):
         return IdVerdict(False, "not ID: matrix is not PSD")
     blocks = tuple(split_at_zero_offdiag(m, tol)) if m.bandwidth == 1 else ()
     return IdVerdict(True, "PSD with no two consecutive nonzero off-diagonal entries", blocks)
@@ -535,12 +527,14 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
     lean = form.route != _HOUSEHOLDER
     if lean:
         diag, off = form.matrix()
-        couplings = np.count_nonzero(off)
+        n, entries, couplings = diag.shape[0], np.concatenate((diag, off)), np.count_nonzero(off)
     for r in grid:
-        tri = _powered_form(diag, off, r) if lean else None
-        if tri is None or (form.route == _PATH and np.count_nonzero(tri[1]) < couplings):
-            tri = _form(_power(form.dense, r)).tridiagonal()
-        if _indefinite(*tri, tol):
+        x = _power(entries, r) if lean else None
+        if x is None or (form.route == _PATH and np.count_nonzero(x[n:]) < couplings):
+            scaled = _form(_power(form.dense, r)).scaled()
+        else:
+            scaled = _scaled_form(x[:n], x[n:])
+        if _indefinite(scaled, tol):
             return False
     return True
 

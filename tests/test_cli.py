@@ -55,6 +55,10 @@ GOLDEN_CASES = [
     ("critical_exponent_p3.txt", ["critical-exponent", "data/p3.graph"], {}),
     ("id_check_a0.txt", ["id-check", "data/a0.json"], {}),
     ("id_check_block.txt", ["id-check", "data/id_block.json"], {}),
+    # dense input: the grid on the Householder route, and on the path route
+    # of a permuted direct sum of ID blocks
+    ("id_check_dense_penta.txt", ["id-check", "data/dense_pentadiagonal.json"], {}),
+    ("id_check_permuted.txt", ["id-check", "data/id_permuted.json"], {}),
     ("counterexample_tri_r05.txt", ["counterexample", "--family", "tridiagonal", "-r", "0.5"], {}),
     ("probe_penta_r2.json", ["probe", "--family", "pentadiagonal", "-r", "2", "-n", "20", "--seed", "7", "--json"], {}),
     # the injected counterexample makes the running minimum negative from

@@ -430,7 +430,7 @@ class TestBisectionBitIdentity:
             # the draw of an eigenvalue index, kept so that the inputs stay
             # the same seeded sequence
             rng.integers(0, n)
-            assert oracle._bisect_one(diag, off, width) == sequential_bisect(diag, off, width, 0)
+            assert oracle._bisect_form(oracle._scaled_form(diag, off), width) == sequential_bisect(diag, off, width, 0)
 
     def test_householder_equals_frozen_reduction(self):
         rng = np.random.default_rng(89)
@@ -532,7 +532,7 @@ class TestWarmStart:
         monkeypatch.setattr(oracle, "_warm_start", counted)
         for case, (diag, off, width) in enumerate(warm_start_inputs(131, 1800)):
             want = reference_spectrum(diag, off, width)
-            assert oracle._tridiag_bisect(diag, off, width) == want
+            assert oracle._tridiag_bisect(oracle._scaled_form(diag, off), width) == want
             if case % 6 == 0:
                 assert sym_eigenvalues(make_tridiagonal(diag, off), width).tolist() == sorted(want)
         # the estimates steered almost every bracket
@@ -570,7 +570,7 @@ class TestWarmStart:
     def test_bad_estimates_change_no_spectrum(self, estimate, monkeypatch):
         inputs = list(warm_start_inputs(149, 60))
         matrices = list(random_symmetric_inputs(151, 40))
-        want = [oracle._tridiag_bisect(d, o, w) for d, o, w in inputs]
+        want = [oracle._tridiag_bisect(oracle._scaled_form(d, o), w) for d, o, w in inputs]
         want_matrices = [sym_eigenvalues(a, 1e-12).tolist() for a in matrices]
         eigvalsh, calls = np.linalg.eigvalsh, []
 
@@ -582,7 +582,7 @@ class TestWarmStart:
             return {"shifted": w + 1e-6, "reversed": w[::-1], "nan": np.full_like(w, np.nan)}[estimate]
 
         monkeypatch.setattr(oracle.np.linalg, "eigvalsh", bad)
-        assert [oracle._tridiag_bisect(d, o, w) for d, o, w in inputs] == want
+        assert [oracle._tridiag_bisect(oracle._scaled_form(d, o), w) for d, o, w in inputs] == want
         assert [sym_eigenvalues(a, 1e-12).tolist() for a in matrices] == want_matrices
         assert len(calls) >= len(inputs)
 
@@ -677,7 +677,7 @@ class TestBisectionFloor:
             for floor in (-math.inf, -top):
                 if floor == -math.inf or max(np.abs(diag).max(), np.abs(off).max(initial=0.0)) <= 2.0**1020:
                     counts = 0
-                    assert oracle._bisect_one(diag, off, width, floor) is None and counts == 0
+                    assert oracle._bisect_form(oracle._scaled_form(diag, off), width, floor) is None and counts == 0
             try:
                 want = sequential_bisect(diag, off, width, 0)
             except OverflowError:
@@ -688,7 +688,7 @@ class TestBisectionFloor:
             floors += [math.nextafter(want, math.inf), 0.0, -0.0, tiny, -tiny, 2.0**-1050, -(2.0**-1050)]
             floors += [2.0**-1022, top, -top, 0.5 * want, 0.875 * want, 1.125 * want, 2.0 * want]
             for floor in floors:
-                got = oracle._bisect_one(diag, off, width, floor)
+                got = oracle._bisect_form(oracle._scaled_form(diag, off), width, floor)
                 if want < floor:
                     assert got is not None and got.hex() == want.hex(), (case, floor)
                     returned += 1
@@ -726,16 +726,29 @@ class TestBisectionFloor:
         assert oracle._scaled_floor(math.inf, 0) == math.inf and oracle._scaled_floor(-math.inf, 0) == -math.inf
 
     def test_indefinite_is_the_form_class_verdict(self):
+        inputs = []
         for diag, off, width in floor_inputs(173, 200):
             scale = max(float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0)))
-            if scale == 0.0:
-                continue
-            for tol in (width / scale, DEFAULT_TOL, 1e-3):
+            if scale != 0.0:
+                inputs.append((oracle._scaled_form(diag, off), width / scale))
+        # Householder route: singular, PD and shifted indefinite Gram matrices
+        # of max-norms 2**-500 to 2**501, whose reduction is of 2**-e times
+        # the input, e the max-norm's exponent
+        rng = np.random.default_rng(181)
+        for case in range(90):
+            n = int(rng.integers(3, 9))
+            b = rng.uniform(-1.0, 1.0, (n, n - 1 + case % 3 // 2))
+            a = b @ b.T - (0.05 * np.eye(n) if case % 3 == 1 else 0.0)
+            form = oracle._form(np.ldexp(a, int(rng.choice([-500, -60, 0, 60, 500])) + case % 2))
+            assert form.route == oracle._HOUSEHOLDER
+            inputs.append((form.scaled(), 10.0 ** -rng.uniform(6.0, 16.0)))
+        for scaled, rel in inputs:
+            for tol in (rel, DEFAULT_TOL, 1e-3):
                 try:
-                    cls = oracle._class(oracle._scaled_form(diag, off), tol)[1]
+                    cls = oracle._class(scaled, tol)[1]
                 except OverflowError:
                     continue
-                assert oracle._indefinite(diag, off, scale, tol) == (cls == INDEFINITE)
+                assert oracle._indefinite(scaled, tol) == (cls == INDEFINITE)
 
 
 def leading_blocks_det(dense):
@@ -1032,7 +1045,8 @@ class TestLargeEntries:
         spectrum = sym_eigenvalues(a)
         assert spectrum[0] == -math.inf and np.isfinite(spectrum[-1])
         assert sym_eigenvalues(-a.dense())[-1] == math.inf
-        assert oracle._bisect_one(np.array([-1.5e308] * 2), np.array([1.5e308]), 1.0, -1e308) == -math.inf
+        huge = oracle._scaled_form(np.array([-1.5e308] * 2), np.array([1.5e308]))
+        assert oracle._bisect_form(huge, 1.0, -1e308) == -math.inf
 
     def test_dense_determinant_keeps_entries_far_below_the_largest(self):
         # the elimination runs on the input as given, so an entry 2**-1000

@@ -75,16 +75,19 @@ class TestPreserverSets:
         for n in (3, 10):
             ps = tridiag_preserver_set(n)
             assert ps.normalized() == PowerSet(1.0)
-        with pytest.raises(ValueError):
-            tridiag_preserver_set(2)
+        for bad in (2, 3.7, 3.0, True, "5"):
+            with pytest.raises(ValueError):
+                tridiag_preserver_set(bad)
 
     def test_pentadiagonal(self):
         assert penta_preserver_set(3) == PowerSet(0.0)
         assert penta_preserver_set(4) == PowerSet(0.0)
         assert penta_preserver_set(5) == PowerSet(1.0)
         assert penta_preserver_set(9) == PowerSet(1.0)
-        with pytest.raises(ValueError):
-            penta_preserver_set(2)
+        assert penta_preserver_set(np.int64(4)) == PowerSet(0.0)
+        for bad in (2, 5.5, 4.0, True, None):
+            with pytest.raises(ValueError):
+                penta_preserver_set(bad)
 
 
 class TestCounterexamples:
@@ -415,9 +418,9 @@ class TestIdVerdict:
         seen = []
         real = preservers._indefinite
 
-        def spy(diag, *args):
-            seen.append(diag.shape[0])
-            return real(diag, *args)
+        def spy(form, *args):
+            seen.append(len(form[2]))
+            return real(form, *args)
 
         monkeypatch.setattr(preservers, "_indefinite", spy)
         assert id_verdict(make_pentadiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.5, 0.0])).infinitely_divisible
@@ -431,6 +434,23 @@ class TestIdVerdict:
         for bad in (DenseSymMatrix(np.eye(3)), make_tridiagonal([1.0, 1.0], [-0.5])):
             with pytest.raises(ValueError):
                 id_verdict(bad)
+
+    def test_pattern_tol_must_be_finite_and_non_negative(self):
+        # a NaN tol counts every coupling as zero, and a negative one counts
+        # exact zeros as nonzero: both gave wrong verdicts and blocks
+        t, d = make_tridiagonal([1.0, 2.0, 1.0], [1.0, 1.0]), make_tridiagonal([1.0, 0.0, 1.0], [0.0, 0.0])
+        for tol in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+            for check in (id_verdict, is_id_tridiagonal, id_blocks):
+                with pytest.raises(ValueError, match="pattern tol must be non-negative and finite"):
+                    check(t, tol)
+            with pytest.raises(ValueError, match="pattern tol"):
+                id_verdict(d, tol)
+            with pytest.raises(ValueError, match="pattern tol"):
+                is_id_pentadiagonal(make_pentadiagonal([1.0, 2.0, 1.0], [1.0]), tol)
+        # tol = 0 counts exact zeros only
+        assert not is_id_tridiagonal(t, 0.0)
+        verdict = id_verdict(d, 0)
+        assert verdict.infinitely_divisible and [b.order for b in verdict.blocks] == [1, 1, 1]
 
 
 class TestNumericProbe:

@@ -215,6 +215,18 @@ def _id_inputs():
         big = 10.0 ** float(rng.uniform(120, 200))
         huge = make_tridiagonal(diag * big + big, off * big)
         inputs += [("overflow band", huge), ("overflow dense", _permuted(rng, huge.dense()))]
+    # Householder patterns of max-norm near 2**-500 and 2**500: the form's
+    # power of two is the max-norm's exponent plus the reduction's
+    for k in range(24):
+        n = int(rng.integers(2, 9))
+        b = rng.uniform(0.0, 1.0, (n, max(1, n - 1)))
+        inputs.append(("scaled householder", DenseSymMatrix(np.ldexp(b @ b.T, 500 if k % 2 else -500))))
+    # max-norm near 2**-1050, below the normal range, where the threshold
+    # tol * max-norm underflows: the grid reads it as classify_positivity does
+    for k in range(6):
+        n = int(rng.integers(3, 11))
+        b = rng.uniform(0.0, 1.0, (n, n - 1))
+        inputs.append(("subnormal householder", DenseSymMatrix(np.ldexp(b @ b.T, -1050))))
     return inputs
 
 
@@ -239,22 +251,24 @@ def test_id_probe_matches_frozen_loop():
     assert outcomes == {True, False, "ValueError: all entries must be finite"}
 
 
-def _form_key(diag, off, scale):
-    return [x.hex() for x in diag.tolist()], [x.hex() for x in off.tolist()], scale.hex()
+def _form_key(form):
+    norm, t, d, o, lo, hi = form
+    return norm.hex(), t, [x.hex() for x in d], [x.hex() for x in o], lo.hex(), hi.hex()
 
 
 def test_id_probe_bisects_the_forms_of_the_powers(monkeypatch):
-    # each exponent bisects exactly the tridiagonal form that
+    # each exponent bisects exactly the scaled form that
     # classify_positivity(hadamard_power(a, r)) bisects: the same route,
-    # path order included after a coupling underflows, and the same arrays
+    # path order included after a coupling underflows, and the same max-norm,
+    # power of two, entries and bounds
     from bandpos import positivity, preservers
 
     seen = []
     real = preservers._indefinite
 
-    def spy(diag, off, scale, tol):
-        seen.append(_form_key(diag, off, scale))
-        return real(diag, off, scale, tol)
+    def spy(form, tol):
+        seen.append(_form_key(form))
+        return real(form, tol)
 
     monkeypatch.setattr(preservers, "_indefinite", spy)
     split = 0
@@ -265,6 +279,6 @@ def test_id_probe_bisects_the_forms_of_the_powers(monkeypatch):
                 continue
             powered = hadamard_power(a, r)
             form = positivity._form(powered)
-            assert seen == [_form_key(*form.tridiagonal())], (label, r)
+            assert seen == [_form_key(form.scaled())], (label, r)
             split += label == "tiny permuted" and form.order != positivity._form(a).order
     assert split > 0
