@@ -35,6 +35,15 @@ __all__ = [
 ]
 
 
+def _float_array(x) -> np.ndarray:
+    """x as a float array; an integer or exact rational beyond the float
+    range is refused as non-finite, as an inf entry is."""
+    try:
+        return np.array(x, dtype=float)
+    except OverflowError as exc:
+        raise ValueError("all entries must be finite") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class BandSymMatrix:
     """Symmetric tridiagonal or pentadiagonal-form matrix, stored as its main
@@ -63,8 +72,8 @@ class BandSymMatrix:
         d = self.bandwidth
         if d not in (1, 2):
             raise ValueError("bandwidth must be 1 or 2")
-        main = np.atleast_1d(np.array(self.main_diag, dtype=float))
-        off = np.array(self.off, dtype=float)
+        main = np.atleast_1d(_float_array(self.main_diag))
+        off = _float_array(self.off)
         n = main.shape[0]
         if d == 2 and n < 3:
             raise ValueError("pentadiagonal matrices need order >= 3")
@@ -124,7 +133,7 @@ class DenseSymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
+        a = _float_array(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries must form a square matrix")
         check_dense(a)
@@ -180,7 +189,7 @@ def to_dense_array(a) -> np.ndarray:
     """Dense float array from a band matrix, dense matrix, or array-like."""
     if isinstance(a, (BandSymMatrix, DenseSymMatrix)):
         return a.dense()
-    arr = np.array(a, dtype=float)
+    arr = _float_array(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
     return arr
@@ -381,10 +390,6 @@ def matrix_from_json_obj(obj, text: str | None = None) -> Matrix:
         raise ValueError(f"matrix JSON for kind {kind!r} has wrong fields")
     if not ((text is not None and _only_numbers(text, obj)) or _all_numbers([obj[k] for k in obj if k != "kind"])):
         raise ValueError("all entries must be numbers")
-    try:
-        if bandwidth is None:
-            return DenseSymMatrix(np.array(obj[key], dtype=float))
-        return BandSymMatrix(bandwidth, obj["diag"], obj[key])
-    except OverflowError as exc:
-        # an integer or exact rational beyond the float range
-        raise ValueError("all entries must be finite") from exc
+    if bandwidth is None:
+        return DenseSymMatrix(obj[key])
+    return BandSymMatrix(bandwidth, obj["diag"], obj[key])

@@ -38,9 +38,10 @@ by a power of two only when it leaves a fixed window, and from one
 elimination pass for dense input, as prefix products of the pivots.  The
 pass touches only the path entries, held as linked pairs, when the nonzero
 graph is a union of paths, in O(n), with results bit for bit those of the
-full pass.  Rational input gets exact minors: exact band input
-(bandmat.ExactBand) from the same continuant in Fractions, dense Fraction
-rows from the same elimination over their nonzero entries (_sparse_minors).
+full pass.  Rational input gets exact minors on integers: exact band
+input (bandmat.ExactBand) from the same continuant, rows of Fractions or
+ints from Bareiss's fraction-free elimination of each leading block
+(_int_det), its rows scaled by their denominators' lcm.
 
 This module is deliberately independent of the chain-sequence criteria in
 ``chainseq``: the two are validated against each other.
@@ -56,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bandmat import BandSymMatrix, DenseSymMatrix, ExactBand, check_dense, to_dense_array
-from .bandmat import _direct_sum, _max_abs, _parity_blocks
+from .bandmat import _direct_sum, _float_array, _max_abs, _parity_blocks
 
 __all__ = [
     "PD",
@@ -349,12 +350,6 @@ def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int
     return lam if lam < floor else None
 
 
-def _bisect_form(form: tuple, width: float, floor: float = math.inf) -> float | None:
-    """_bisect_scaled of the matrix whose _scaled_form is given."""
-    _, t, d, o, lo, hi = form
-    return _bisect_scaled(d, [x * x for x in o], width, lo, hi, t, floor)
-
-
 def _tridiag_bisect(form: tuple, width: float) -> list[float]:
     """Bisect every eigenvalue of the matrix whose _scaled_form is given,
     in ascending order, to brackets of the given width, using Gershgorin
@@ -365,7 +360,7 @@ def _tridiag_bisect(form: tuple, width: float) -> list[float]:
     (n * n <= _NEGCOUNT_BLOCK) start where LAPACK's estimates steer them
     and one count certifies (_warm_start); the answers are those of
     sequential bisection either way.  The smallest eigenvalue alone is
-    _bisect_form's to find."""
+    _unit_min's to find."""
     _, t, diag, off, lo, hi = form
     n = len(diag)
     if n == 1:
@@ -542,7 +537,7 @@ def _form(a, symmetric: bool = True, reorder: bool = True) -> _Form:
     when symmetric.  Without reorder, dense input gets no route and no path
     order is looked for."""
     if isinstance(a, ExactBand):
-        diag, off = np.array(a.diag, dtype=float), np.array(a.off, dtype=float)
+        diag, off = _float_array(a.diag), _float_array(a.off)
         return _Form(_SPLIT if a.offset == 2 else _TRIDIAGONAL, diag, off)
     if isinstance(a, BandSymMatrix):
         return _Form(_SPLIT if a.bandwidth == 2 else _TRIDIAGONAL, a.main_diag, a.off)
@@ -583,29 +578,38 @@ def _threshold(n: int, scale: float, tol: float) -> float:
     return max(tol, STURM_BACKWARD_C * n * sys.float_info.epsilon) * scale
 
 
+def _unit_min(form: tuple, tol: float, stop: bool = False) -> tuple[float | None, float]:
+    """(v, thr) of the matrix 2**t S whose _scaled_form is given: v is S's
+    smallest eigenvalue, bisected to width tol * s, s = 2**-t norm being
+    S's max-norm, and thr = _threshold(n, s, tol).  With stop, the
+    bisection stops once its bracket's lower end reaches -thr, and v is
+    None unless it lies below.  Read off S, the class is the same for A and
+    2**k A even where tol * norm or 2**t v leaves the normal range."""
+    norm, t, d, o, lo, hi = form
+    s = math.ldexp(norm, -t)
+    thr = _threshold(len(d), s, tol)
+    return _bisect_scaled(d, [x * x for x in o], tol * s, lo, hi, 0, -thr if stop else math.inf), thr
+
+
 def _class(form: tuple, tol: float) -> tuple[float, str, float]:
     """Smallest eigenvalue, class and threshold of the matrix whose
-    _scaled_form is given, for a tol already checked by _checked_tol.  The
-    eigenvalue is bisected to width tol * norm; the class compares it
-    against +-thr, thr = _threshold(n, norm, tol)."""
-    norm = form[0]
-    lam = _bisect_form(form, tol * norm)
-    thr = _threshold(len(form[2]), norm, tol)
-    if lam > thr:
+    _scaled_form is given, for a tol already checked by _checked_tol: the
+    class compares _unit_min's v against its +-thr, the eigenvalue is
+    2**t v and the threshold _threshold(n, norm, tol)."""
+    v, thr = _unit_min(form, tol)
+    if v > thr:
         cls = PD
-    elif lam < -thr:
+    elif v < -thr:
         cls = INDEFINITE
     else:
         cls = PSD_BOUNDARY
-    return lam, cls, thr
+    return _pair_value(v, form[1]), cls, _threshold(len(form[2]), form[0], tol)
 
 
 def _indefinite(form: tuple, tol: float) -> bool:
     """Whether _class's class of the matrix whose _scaled_form is given is
-    INDEFINITE, its eigenvalue below -thr; the bisection stops as soon as
-    its bracket's lower end reaches -thr."""
-    norm = form[0]
-    return _bisect_form(form, tol * norm, -_threshold(len(form[2]), norm, tol)) is not None
+    INDEFINITE; the bisection stops as soon as the answer is certain."""
+    return _unit_min(form, tol, stop=True)[0] is not None
 
 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
@@ -724,42 +728,6 @@ def _dense_minors(dense: np.ndarray) -> list[float]:
     return minors
 
 
-def _sparse_minors(rows: list[dict], block_det) -> list:
-    """_dense_minors over the entries held in rows, for dense Fraction rows
-    (_exact_minors; float input takes _float_minors): rows[i] maps column j
-    to entry (i, j), every entry left out is zero, and rows is updated in
-    place.  Each step does exactly _dense_minors' operations,
-    m[i, j] -= (m[i, k] / piv) * m[k, j], for the rows i holding column k
-    and the columns j of pivot row k; every other update subtracts a zero.
-    From the first zero pivot on, the order-j minor is block_det(j)."""
-    n = len(rows)
-    below = [[] for _ in range(n)]  # below[k]: the rows i > k holding column k
-    for i, row in enumerate(rows):
-        for j in row:
-            if j < i:
-                below[j].append(i)
-    minors, det = [], 1
-    for k, pivot_row in enumerate(rows):
-        piv = pivot_row.get(k, 0)
-        if piv == 0:
-            return minors + [block_det(j) for j in range(k + 1, n + 1)]
-        det *= piv
-        minors.append(det)
-        right = [(j, x) for j, x in pivot_row.items() if j > k]
-        for i in below[k]:
-            row = rows[i]
-            f = row[k] / piv
-            for j, x in right:
-                if j in row:
-                    row[j] -= f * x
-                else:
-                    # fill: zero minus the product
-                    row[j] = -(f * x)
-                    if j < i:
-                        below[j].append(i)
-    return minors
-
-
 def _float_minors(form: _Form, scaled: tuple | None = None) -> list[float]:
     """Leading minors of the input given by its _Form (and _scaled_form):
     the continuant for band input, _dense_minors on the Householder route.
@@ -822,32 +790,36 @@ def _det_float(a: np.ndarray) -> float:
     return _pair_value(det, e)
 
 
-def _det_exact(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            if f:
-                for cc in range(c, n):
-                    m[r][cc] -= f * m[c][cc]
-    det = Fraction(sign)
-    for c in range(n):
-        det *= m[c][c]
-    return det
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination (Bareiss 1968) with row exchanges.  After each step every
+    entry left is a minor of the row-exchanged input, so each division
+    (a * piv - f * b) // prev, f being the row's entry under the pivot and
+    prev the step before's pivot, is exact."""
+    m, sign, prev = list(rows), 1, 1
+    while len(m) > 1:
+        if not m[0][0]:
+            i = next((i for i, row in enumerate(m) if row[0]), None)
+            if i is None:
+                return 0
+            m[0], m[i], sign = m[i], m[0], -sign
+        (piv, *top), rest = m[0], m[1:]
+        m = [[(a * piv - row[0] * b) // prev for a, b in zip(row[1:], top)] for row in rest]
+        prev = piv
+    return sign * m[0][0]
 
 
 def _exact_minors(rows: list[list[Fraction]]) -> list[Fraction]:
-    """_sparse_minors of Fraction rows, with _det_exact after a zero pivot."""
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    return _sparse_minors(sparse, lambda j: _det_exact([r[:j] for r in rows[:j]]))
+    """Exact leading minors of rows of Fractions or ints: row i times the
+    lcm q_i of its denominators is an integer row, so the order-k minor is
+    _int_det of those rows' leading k-block over q_1 ... q_k."""
+    ints, scale, minors = [], 1, []
+    for k, row in enumerate(rows, 1):
+        q = math.lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (q // x.denominator) for x in row])
+        scale *= q
+        minors.append(Fraction(_int_det([r[:k] for r in ints]), scale))
+    return minors
 
 
 def _exact_rows(a) -> list[list[Fraction]] | None:
@@ -876,11 +848,12 @@ def leading_principal_minors(a) -> list:
 
     When the entries are ints or Fractions (and n <= 12) the minors are
     computed exactly and returned as Fractions: from the continuant, in
-    O(n), for exact band input (bandmat.ExactBand), and from one
-    elimination pass for rows.  Otherwise they are floats: from the
-    continuant for band input, and from one elimination pass for dense
-    input.  Exact band input above the limit gets the float continuant
-    minors of its float matrix, those of classify_positivity's certificate.
+    O(n), for exact band input (bandmat.ExactBand), and from a
+    fraction-free elimination on integers of each leading block for rows.
+    Otherwise they are floats: from the continuant for band input, and from
+    one elimination pass for dense input.  Exact band input above the limit
+    gets the float continuant minors of its float matrix, those of
+    classify_positivity's certificate.
     """
     if isinstance(a, ExactBand):
         return _exact_band_minors(a) if a.order <= EXACT_MINOR_LIMIT else _float_minors(_form(a))

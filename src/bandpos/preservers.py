@@ -44,7 +44,7 @@ from .bandmat import (
     to_dense_array,
 )
 from .chainseq import split_at_zero_offdiag
-from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_form, _bisect_scaled, _checked_tol, _form
+from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_scaled, _checked_tol, _form
 from .positivity import _indefinite, _scaled_form, _scaled_forms
 
 __all__ = [
@@ -334,9 +334,9 @@ def probe_preserves(
     best, worst = math.inf, None
     for i in range(samples):
         sample = _draw_pattern(np.random.default_rng([seed, i]), graph)
-        scaled = _form(_power(sample, r)).scaled()
+        norm, t, d, o, lo, hi = _form(_power(sample, r)).scaled()
         # None unless the sample sets a new minimum (the first always does)
-        lam = _bisect_form(scaled, tol * scaled[0], best)
+        lam = _bisect_scaled(d, [x * x for x in o], tol * norm, lo, hi, t, best)
         if lam is not None:
             best, worst = lam, sample
     return ProbeReport(samples, r, best, DenseSymMatrix(worst), seed)

@@ -79,6 +79,8 @@ GOLDEN_CASES = [
     ("check_positivity_p_exact.txt", ["check-positivity", "data/p.json"], EXACT),
     ("check_positivity_tiny_exact.txt", ["check-positivity", "data/tiny_tridiagonal.json"], EXACT),
     ("check_positivity_block_exact.txt", ["check-positivity", "data/id_block.json"], EXACT),
+    # dense Fraction rows: minors by fraction-free elimination on integers
+    ("check_positivity_dense_penta_exact.txt", ["check-positivity", "data/dense_pentadiagonal.json"], EXACT),
     # above EXACT_MINOR_LIMIT: leading_minors_exact is the certificate, and
     # the chain line is read off the exact chain report
     ("check_positivity_rational16_exact.txt", ["check-positivity", "data/rational16.json"], EXACT),
@@ -428,7 +430,7 @@ class TestExactMode:
         def refuse(*args):
             raise AssertionError("exact band input went through a dense route")
 
-        for name in ("_exact_rows", "_exact_minors", "_dense_minors", "_det_exact", "_det_float"):
+        for name in ("_exact_rows", "_exact_minors", "_dense_minors", "_int_det", "_det_float"):
             monkeypatch.setattr(positivity, name, refuse)
         monkeypatch.setattr(cli.np, "diagonal", refuse)
         monkeypatch.setenv("BANDPOS_EXACT", "1")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bandpos import (
+    DEFAULT_ID_GRID,
     INDEFINITE,
     PD,
     PSD_BOUNDARY,
@@ -23,6 +24,7 @@ from bandpos import (
     classify_positivity,
     determinant,
     hadamard_power,
+    id_numeric_probe,
     leading_principal_minors,
     make_pentadiagonal,
     make_tridiagonal,
@@ -35,6 +37,7 @@ from bandpos import (
 )
 from bandpos import positivity as oracle
 from bandpos.positivity import DEFAULT_TOL, _householder_tridiagonalize
+from test_minors_reference import frozen_det_exact
 
 # Roots of the characteristic cubic of A(0.1) = tridiag([1, 2.1, 1], [1, 1]):
 # (1, 0, -1) is an eigenvector for 1; the rest solve x^2 - 3.1x + 0.1 = 0.
@@ -168,6 +171,25 @@ class TestRawArrayValidation:
     def test_minors_and_determinant_reject_order_zero(self, fn):
         with pytest.raises(ValueError, match="order must be at least 1"):
             fn(np.zeros((0, 0)))
+
+    def test_integer_beyond_the_float_range_rejected_as_not_finite(self):
+        # every entry point refuses it as the JSON parse does, not with a
+        # bare OverflowError from the float conversion
+        big = [[10**400, 0], [0, 1]]
+        calls = [
+            lambda: classify_positivity(big),
+            lambda: min_eigenvalue(big),
+            lambda: determinant(big),
+            lambda: hadamard_power(big, 2),
+            lambda: id_numeric_probe(big),
+            lambda: DenseSymMatrix(big),
+            lambda: make_tridiagonal([10**400, 1], [0]),
+            lambda: make_pentadiagonal([1, 1, 1], [Fraction(10**400, 3)]),
+            lambda: classify_positivity(ExactBand((Fraction(10**400), Fraction(1)), (Fraction(0),), 1)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^all entries must be finite$"):
+                call()
 
     def test_no_rows_are_no_exact_minors(self):
         with pytest.raises(ValueError, match="expected a square matrix"):
@@ -384,6 +406,12 @@ def random_symmetric_inputs(seed, count):
             yield make(rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 2.0, offs))
 
 
+def bisect_form(form, width, floor=math.inf):
+    """_bisect_scaled of the matrix whose _scaled_form is given."""
+    _, t, d, o, lo, hi = form
+    return oracle._bisect_scaled(d, [x * x for x in o], width, lo, hi, t, floor)
+
+
 def sturm_form(a):
     """The tridiagonal (diag, off) the oracle bisects, and the max-norm of a:
     a tridiagonal as it is, a pentadiagonal-form matrix as the direct sum of
@@ -430,7 +458,7 @@ class TestBisectionBitIdentity:
             # the draw of an eigenvalue index, kept so that the inputs stay
             # the same seeded sequence
             rng.integers(0, n)
-            assert oracle._bisect_form(oracle._scaled_form(diag, off), width) == sequential_bisect(diag, off, width, 0)
+            assert bisect_form(oracle._scaled_form(diag, off), width) == sequential_bisect(diag, off, width, 0)
 
     def test_householder_equals_frozen_reduction(self):
         rng = np.random.default_rng(89)
@@ -677,7 +705,7 @@ class TestBisectionFloor:
             for floor in (-math.inf, -top):
                 if floor == -math.inf or max(np.abs(diag).max(), np.abs(off).max(initial=0.0)) <= 2.0**1020:
                     counts = 0
-                    assert oracle._bisect_form(oracle._scaled_form(diag, off), width, floor) is None and counts == 0
+                    assert bisect_form(oracle._scaled_form(diag, off), width, floor) is None and counts == 0
             try:
                 want = sequential_bisect(diag, off, width, 0)
             except OverflowError:
@@ -688,7 +716,7 @@ class TestBisectionFloor:
             floors += [math.nextafter(want, math.inf), 0.0, -0.0, tiny, -tiny, 2.0**-1050, -(2.0**-1050)]
             floors += [2.0**-1022, top, -top, 0.5 * want, 0.875 * want, 1.125 * want, 2.0 * want]
             for floor in floors:
-                got = oracle._bisect_form(oracle._scaled_form(diag, off), width, floor)
+                got = bisect_form(oracle._scaled_form(diag, off), width, floor)
                 if want < floor:
                     assert got is not None and got.hex() == want.hex(), (case, floor)
                     returned += 1
@@ -807,15 +835,17 @@ class TestMinorsByRecurrence:
         assert determinant(p_matrix) == 0.0
 
 
-def random_rational_rows(rng, n, kind):
+def random_rational_rows(rng, n, kind, large=False):
     """Symmetric Fraction rows of a tridiagonal, pentadiagonal-form or dense
-    pattern, with small numerators so that some pivots vanish."""
+    pattern, with small numerators so that some pivots vanish, or with
+    large ones, numerators up to +-10**6 over denominators up to 10**3."""
     offset = {"tridiagonal": 1, "pentadiagonal": 2}.get(kind)
+    top, den = (10**6, 1000) if large else (3, 3)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if offset is None or j - i in (0, offset):
-                rows[i][j] = rows[j][i] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+                rows[i][j] = rows[j][i] = Fraction(int(rng.integers(-top, top + 1)), int(rng.integers(1, den + 1)))
     return rows
 
 
@@ -823,10 +853,10 @@ class TestExactMinors:
     @pytest.mark.parametrize("kind", ["tridiagonal", "pentadiagonal", "dense"])
     def test_one_pass_equals_determinant_per_block(self, kind):
         rng = np.random.default_rng(83)
-        for _ in range(40):
+        for case in range(60):
             n = int(rng.integers(1, oracle.EXACT_MINOR_LIMIT + 1))
-            rows = random_rational_rows(rng, n, kind)
-            want = [oracle._det_exact([r[: k + 1] for r in rows[: k + 1]]) for k in range(n)]
+            rows = random_rational_rows(rng, n, kind, large=case >= 40)
+            want = [frozen_det_exact([r[: k + 1] for r in rows[: k + 1]]) for k in range(n)]
             got = leading_principal_minors(rows)
             assert all(type(m) is Fraction for m in got)
             assert got == want
@@ -905,7 +935,7 @@ class TestExactBandMinors:
             rows = exact_band_rows(band)
             got = leading_principal_minors(band)
             assert all(type(m) is Fraction for m in got)
-            assert got == [oracle._det_exact([r[: k + 1] for r in rows[: k + 1]]) for k in range(n)]
+            assert got == [frozen_det_exact([r[: k + 1] for r in rows[: k + 1]]) for k in range(n)]
             assert got == leading_principal_minors(rows)
 
     @pytest.mark.parametrize(
@@ -944,7 +974,7 @@ class TestExactBandMinors:
         def refuse(*args):
             raise AssertionError("exact band input went through a dense route")
 
-        for name in ("_exact_rows", "_exact_minors", "_dense_minors", "_det_exact", "_det_float"):
+        for name in ("_exact_rows", "_exact_minors", "_dense_minors", "_int_det", "_det_float"):
             monkeypatch.setattr(oracle, name, refuse)
         rng = np.random.default_rng(103)
         for n in (3, 12, 13, 24):
@@ -1046,7 +1076,7 @@ class TestLargeEntries:
         assert spectrum[0] == -math.inf and np.isfinite(spectrum[-1])
         assert sym_eigenvalues(-a.dense())[-1] == math.inf
         huge = oracle._scaled_form(np.array([-1.5e308] * 2), np.array([1.5e308]))
-        assert oracle._bisect_form(huge, 1.0, -1e308) == -math.inf
+        assert bisect_form(huge, 1.0, -1e308) == -math.inf
 
     def test_dense_determinant_keeps_entries_far_below_the_largest(self):
         # the elimination runs on the input as given, so an entry 2**-1000
@@ -1120,6 +1150,18 @@ class TestScaleEquivariance:
                 if is_normal(math.ldexp(lam, k)):
                     assert big_lam.hex() == math.ldexp(lam, k).hex(), (case, k)
         assert classes == {PD, PSD_BOUNDARY, INDEFINITE}
+
+    def test_class_is_read_where_tol_times_the_max_norm_underflows(self):
+        # a singular Gram matrix stored at 2**-1050, where tol * max-norm and
+        # the smallest eigenvalue lie below the normal range, and its stored
+        # entries times 2**1050: both forms bisect the same scaled matrix
+        b = np.random.default_rng(5).uniform(0.0, 1.0, (6, 5))
+        tiny = np.ldexp(b @ b.T, -1050)
+        for a in (tiny, np.ldexp(tiny, 1050)):
+            assert classify_positivity(a).classification == INDEFINITE
+        for r in DEFAULT_ID_GRID:
+            powered = classify_positivity(hadamard_power(tiny, r))
+            assert id_numeric_probe(tiny, [r]) == (powered.classification != INDEFINITE), r
 
     def test_tiny_entries_keep_their_digits(self):
         # eigenvalues (1 + cos(j pi / 4)) 1e-170, j = 1, 2, 3: PD, and the
