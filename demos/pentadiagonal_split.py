@@ -43,11 +43,8 @@ block[:3, :3], block[3:, 3:] = odd.dense(), even.dense()
 print("equals blockdiag(odd, even):", np.array_equal(m, block))
 
 banner("The split preserves the spectrum")
-block_eigs = np.sort(np.concatenate([
-    sym_tridiag_eigenvalues(odd, 1e-12),
-    sym_tridiag_eigenvalues(even, 1e-12),
-]))
-print("eigenvalues of P:      ", np.round(sym_eigenvalues(p, 1e-12), 9))
+block_eigs = np.sort(np.concatenate([sym_tridiag_eigenvalues(odd), sym_tridiag_eigenvalues(even)]))
+print("eigenvalues of P:      ", np.round(sym_eigenvalues(p), 9))
 print("eigenvalues of blocks: ", np.round(block_eigs, 9))
 print("P is", classify_positivity(p).classification, "(the odd block is singular)")
 

@@ -1,23 +1,21 @@
 """Numerical positivity oracle.
 
 Eigenvalues of symmetric tridiagonal matrices are found by Sturm-sequence
-bisection, which certifies how many eigenvalues lie below any pivot.  One
-LDL^T inertia kernel counts the eigenvalues below many shifts at once, so
-all requested brackets are bisected together, several steps per kernel call.
-For several brackets, LAPACK's eigenvalue estimates steer the bisection and
-one Sturm count at all the brackets' ends certifies every step, the count
-being monotone in the shift: the answers are those of sequential bisection,
-and a wrong estimate costs time, never an answer.  The smallest eigenvalue
-is bisected in a bracket of its own, whose Sturm count stops at the first
-negative pivot; after a few plain steps a Newton estimate steers it in the
-same way, certified by at most two counts at its moved ends.  A caller that only asks whether it lies below a floor (the
-probe's running minimum, or -thr for an INDEFINITE test) stops the
-bisection once the bracket's lower end reaches the floor; a value it does
-get is the full bisection's.  Every route works on its input times the power
-of two that brings its max-norm into [1/2, 1), and every tolerance is
-relative to the max-norm, so A and 2**k A get the same verdicts, with
-numbers 2**k apart.  The falsification probe sets up a whole batch of
-samples with the same few numpy calls (powers of two, scaled entries,
+bisection, which certifies how many eigenvalues lie below any pivot.  The
+smallest eigenvalue, the only one a verdict reads, is bisected in a bracket
+of its own, whose Sturm count stops at the first negative pivot; after a
+few plain steps a Newton estimate steers it in the same way, certified by
+at most two counts at its moved ends, the count being monotone in the
+shift: a wrong estimate costs time, never an answer.  A caller that only
+asks whether it lies below a floor (the probe's running minimum, or -thr
+for an INDEFINITE test) stops the bisection once the bracket's lower end
+reaches the floor; a value it does get is the full bisection's.  Every
+route works on its input times the power of two that brings its max-norm
+into [1/2, 1), and every tolerance is relative to the max-norm, so A and
+2**k A get the same verdicts, with numbers 2**k apart.  The full spectrum,
+which no verdict reads, is LAPACK's for the same routed matrix, scaled the
+same way (sym_eigenvalues).  The falsification probe sets up a whole batch
+of samples with the same few numpy calls (powers of two, scaled entries,
 Gershgorin bounds of a direct sum) and bisects each by the same scalar loop
 as a single matrix.
 A pentadiagonal matrix with zero first off-diagonal is the direct sum of its
@@ -40,8 +38,8 @@ pass touches only the path entries, held as linked pairs, when the nonzero
 graph is a union of paths, in O(n), with results bit for bit those of the
 full pass.  Rational input gets exact minors on integers: exact band
 input (bandmat.ExactBand) from the same continuant, rows of Fractions or
-ints from Bareiss's fraction-free elimination of each leading block
-(_int_det), its rows scaled by their denominators' lcm.
+ints from one pass of Bareiss's fraction-free elimination, whose k-th
+pivot is the order-k minor, its rows scaled by their denominators' lcm.
 
 This module is deliberately independent of the chain-sequence criteria in
 ``chainseq``: the two are validated against each other.
@@ -99,15 +97,8 @@ _PIVMIN = 1e-290
 # [_RENORM_LOW, _RENORM_HIGH] (see _continuant).
 _RENORM_LOW, _RENORM_HIGH = 2.0**-64, 2.0**64
 
-# Largest number of pivots one Sturm-count call holds in memory at once.
-_NEGCOUNT_BLOCK = 1 << 20
-
 # Plain steps of the one-bracket bisection before _steer; Newton passes.
 _STEER_AFTER, _NEWTON_PASSES = 12, 8
-
-# Bisection steps per bracket taken from one Sturm-count call when several
-# brackets are bisected together (2**depth - 1 shifts per bracket).
-_MULTISECT_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -128,90 +119,17 @@ class PositivityVerdict:
     threshold: float
 
 
-def _negcounts(diag: np.ndarray, off2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues below each shift x: the negative LDL^T pivots
-    q_i = (d_i - x) - off2_{i-1} / q_{i-1} of T - xI, with any pivot
-    smaller than _PIVMIN in magnitude replaced by -_PIVMIN."""
-    n = diag.shape[0]
-    if n * shifts.shape[0] > _NEGCOUNT_BLOCK:
-        parts = np.array_split(shifts, -(-n * shifts.shape[0] // _NEGCOUNT_BLOCK))
-        return np.concatenate([_negcounts(diag, off2, s) for s in parts])
-    q = np.subtract.outer(diag, shifts)
-    rows, e2s = list(q), off2.tolist()
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for prev, row, e2 in zip(rows, rows[1:], e2s):
-            row -= e2 / prev
-    if (np.abs(q) < _PIVMIN).any():
-        # rare: some pivot needs the substitution, so redo row by row with it
-        q = np.subtract.outer(diag, shifts)
-        rows = list(q)
-        for i, row in enumerate(rows):
-            if i:
-                row -= e2s[i - 1] / rows[i - 1]
-            row[np.abs(row) < _PIVMIN] = -_PIVMIN
-    return np.count_nonzero(q < 0.0, axis=0)
-
-
 def _negcount(diag: list, off2: list, x: float) -> bool:
-    """Whether _negcounts is nonzero at the one shift x, over Python floats
-    (off2 starts with 0.0): whether some pivot falls below _PIVMIN.  It
-    stops at the first one."""
+    """Whether some eigenvalue of the tridiagonal matrix (diag, off2) lies
+    below x, over Python floats (off2 holds the squared couplings and starts
+    with 0.0): whether some LDL^T pivot q_i = (d_i - x) - off2_i / q_{i-1}
+    of T - xI falls below _PIVMIN.  It stops at the first one."""
     q = 1.0
     for d, e2 in zip(diag, off2):
         q = d - x - e2 / q
         if q < _PIVMIN:
             return True
     return False
-
-
-def _warm_start(diag, off, off2, width: float, ks: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Move the brackets [a, b] of the eigenvalues ks, in place, to where
-    sequential bisection takes them, steered by LAPACK's estimates and
-    certified by one Sturm count at their ends.
-
-    Each bracket replays bisection's halving with the decision
-    mid < estimate in place of a Sturm count, and stops where bisection
-    stops or at the first midpoint too near its estimate to decide.  The
-    count is monotone in the shift (Demmel, Dhillon and Ren 1995), so
-    count(a) <= k < count(b) at the ends certifies every decision taken on
-    the way, and the bracket is the one bisection reaches.  A bracket that
-    fails the check keeps its start, as do all when an estimate is not
-    finite: a bad estimate costs time, never an answer."""
-    n = diag.shape[0]
-    try:
-        est = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[ks]
-    except np.linalg.LinAlgError:
-        return
-    if not np.isfinite(est).all():
-        return
-    # an estimate's error and the count's backward error are both about
-    # n * eps * scale: a midpoint this near its estimate is left to the count
-    near = 2.0 * STURM_BACKWARD_C * n * sys.float_info.epsilon * _max_abs(diag, off)
-    # halve every bracket without stopping, keeping each step's ends, and
-    # read each bracket's path up to its first stop.  The brackets share
-    # their start, so all reach the width after about as many halvings; at
-    # most 64 are taken (a bracket off zero meets float resolution within
-    # about 55), and a bracket not stopped by then carries on in the
-    # multisection loop.  A width that underflowed to zero stops none.
-    steps = math.ceil(math.log2(float(b[0] - a[0])) - math.log2(max(width, math.ulp(0.0)))) + 1
-    ends_a, ends_b = [a], [b]
-    al, bl = a, b
-    for _ in range(min(max(steps, 1), 64)):
-        mid = 0.5 * (al + bl)
-        right = mid < est
-        al, bl = np.where(right, mid, al), np.where(right, bl, mid)
-        ends_a.append(al)
-        ends_b.append(bl)
-    ends_a, ends_b = np.array(ends_a), np.array(ends_b)
-    mids = 0.5 * (ends_a + ends_b)
-    stop = (ends_b - ends_a <= width) | (mids <= ends_a) | (mids >= ends_b) | (np.abs(mids - est) <= near)
-    stop[-1] = True
-    cols = np.arange(ks.size)
-    step = stop.argmax(axis=0)
-    al, bl = ends_a[step, cols], ends_b[step, cols]
-    counts = _negcounts(diag, off2, np.concatenate((al, bl)))
-    ok = (counts[: ks.size] <= ks) & (ks < counts[ks.size :])
-    a[ok], b[ok] = al[ok], bl[ok]
 
 
 def _scaled_forms(diag: np.ndarray, off: np.ndarray, starts: np.ndarray, sizes) -> tuple:
@@ -348,65 +266,6 @@ def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int
         return None
     lam = _pair_value(0.5 * (a + b), t)
     return lam if lam < floor else None
-
-
-def _tridiag_bisect(form: tuple, width: float) -> list[float]:
-    """Bisect every eigenvalue of the matrix whose _scaled_form is given,
-    in ascending order, to brackets of the given width, using Gershgorin
-    bounds as the initial bracket.  All brackets advance together; each
-    stops early if float resolution is reached before the width.
-
-    The brackets of a matrix whose pivots fit one Sturm-count call
-    (n * n <= _NEGCOUNT_BLOCK) start where LAPACK's estimates steer them
-    and one count certifies (_warm_start); the answers are those of
-    sequential bisection either way.  The smallest eigenvalue alone is
-    _unit_min's to find."""
-    _, t, diag, off, lo, hi = form
-    n = len(diag)
-    if n == 1:
-        return [_pair_value(diag[0], t)]
-    width = math.ldexp(width, -t)
-    lo, hi = _bracket(lo, hi, width)
-    diag, off = np.array(diag), np.array(off[1:])
-    off2 = off * off
-    ks = np.arange(n)
-    a = np.full(n, lo)
-    b = np.full(n, hi)
-    if n * n <= _NEGCOUNT_BLOCK:
-        _warm_start(diag, off, off2, width, ks, a, b)
-    # a bracket at float resolution stops at its first midpoint: leave it out
-    mid = 0.5 * (a + b)
-    live = np.flatnonzero((b - a > width) & (mid > a) & (mid < b))
-    while live.size:
-        # the midpoints of the next _MULTISECT_DEPTH steps of every live
-        # bracket, in heap order: node j's step sees the bracket split at
-        # node (j - 1) // 2, so each is 0.5 * (a + b) of exactly that bracket
-        al, bl, kl = a[live], b[live], ks[live]
-        ends, levels = np.stack((al, bl), axis=1), []
-        for _ in range(_MULTISECT_DEPTH):
-            mids = 0.5 * (ends[:, :-1] + ends[:, 1:])
-            levels.append(mids)
-            split = np.empty((live.size, 2 * ends.shape[1] - 1))
-            split[:, 0::2], split[:, 1::2] = ends, mids
-            ends = split
-        mids = np.concatenate(levels, axis=1)
-        counts = _negcounts(diag, off2, mids.ravel()).reshape(mids.shape)
-        # walk each bracket down the tree with the sequential stops
-        cols, node = np.arange(live.size), np.zeros(live.size, dtype=np.intp)
-        going = np.ones(live.size, dtype=bool)
-        for _ in range(_MULTISECT_DEPTH):
-            mid = mids[cols, node]
-            going &= (mid > al) & (mid < bl)
-            below = counts[cols, node] <= kl
-            al = np.where(going & below, mid, al)
-            bl = np.where(going & ~below, mid, bl)
-            going &= bl - al > width
-            node = 2 * node + 1 + below
-        a[live], b[live] = al, bl
-        live = live[going]
-    # an eigenvalue beyond the float range scales back to +-inf
-    with np.errstate(over="ignore"):
-        return np.ldexp(0.5 * (a + b), t).tolist()
 
 
 def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -557,19 +416,39 @@ def _checked_tol(tol) -> float:
     return float(tol)
 
 
-def sym_tridiag_eigenvalues(t: BandSymMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending, each
-    bracketed by Sturm bisection to width <= tol."""
+def sym_tridiag_eigenvalues(t: BandSymMatrix) -> np.ndarray:
+    """sym_eigenvalues of a tridiagonal BandSymMatrix."""
     if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
         raise ValueError("expected a tridiagonal BandSymMatrix")
-    return sym_eigenvalues(t, tol)
+    return sym_eigenvalues(t)
 
 
-def sym_eigenvalues(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix (band or dense), ascending;
-    brackets of width <= tol."""
-    tol = _checked_tol(tol)
-    return np.sort(_tridiag_bisect(_form(a).scaled(), tol))
+def sym_eigenvalues(a) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix (band or dense), ascending:
+    LAPACK's (numpy.linalg.eigvalsh) for the matrix the oracle routes to,
+    the tridiagonal matrix it bisects or, on the Householder route, the
+    dense input, times 2**-t, 2**t being the power of two of its max-norm,
+    scaled back by 2**t.  So A and 2**k A get spectra exactly 2**k apart,
+    band input and its dense form the same bits (a permuted dense form, its
+    path order walking a block backwards, can differ in the last bits), and
+    an eigenvalue beyond the float range is +-inf.  The matrix is held
+    densely and LAPACK takes a copy: two arrays of n * n floats, 144 MB at
+    order 3000.  The bits are LAPACK's, not promised alike across BLAS
+    builds or thread counts; numpy.linalg.LinAlgError is raised when LAPACK
+    does not converge.  No verdict reads the full spectrum."""
+    form = _form(a)
+    if form.route == _HOUSEHOLDER:
+        m = form.dense
+    else:
+        diag, off = form.matrix()
+        n = diag.shape[0]
+        m = np.diag(diag)
+        m[range(1, n), range(n - 1)] = m[range(n - 1), range(1, n)] = off
+    t = math.frexp(_max_abs(m))[1]
+    # m is this call's own array (_form copies dense input): scale it in place
+    np.ldexp(m, -t, out=m)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.eigvalsh(m), t)
 
 
 def _threshold(n: int, scale: float, tol: float) -> float:
@@ -812,13 +691,24 @@ def _int_det(rows: list[list[int]]) -> int:
 def _exact_minors(rows: list[list[Fraction]]) -> list[Fraction]:
     """Exact leading minors of rows of Fractions or ints: row i times the
     lcm q_i of its denominators is an integer row, so the order-k minor is
-    _int_det of those rows' leading k-block over q_1 ... q_k."""
-    ints, scale, minors = [], 1, []
-    for k, row in enumerate(rows, 1):
+    that of those rows' leading k-block over q_1 ... q_k.  One Bareiss pass
+    without exchanges gives every one, its k-th pivot being the order-k
+    minor; from the first zero pivot on, each comes from _int_det of its
+    block."""
+    ints, scales, scale = [], [], 1
+    for row in rows:
         q = math.lcm(*(x.denominator for x in row))
         ints.append([x.numerator * (q // x.denominator) for x in row])
         scale *= q
-        minors.append(Fraction(_int_det([r[:k] for r in ints]), scale))
+        scales.append(scale)
+    n, m, prev, minors = len(ints), ints, 1, []
+    for k in range(n):
+        (piv, *top), rest = m[0], m[1:]
+        if not piv:
+            return minors + [Fraction(_int_det([r[:j] for r in ints[:j]]), scales[j - 1]) for j in range(k + 1, n + 1)]
+        minors.append(Fraction(piv, scales[k]))
+        m = [[(a * piv - row[0] * b) // prev for a, b in zip(row[1:], top)] for row in rest]
+        prev = piv
     return minors
 
 
@@ -848,8 +738,8 @@ def leading_principal_minors(a) -> list:
 
     When the entries are ints or Fractions (and n <= 12) the minors are
     computed exactly and returned as Fractions: from the continuant, in
-    O(n), for exact band input (bandmat.ExactBand), and from a
-    fraction-free elimination on integers of each leading block for rows.
+    O(n), for exact band input (bandmat.ExactBand), and from one
+    fraction-free elimination pass on integers for rows.
     Otherwise they are floats: from the continuant for band input, and from
     one elimination pass for dense input.  Exact band input above the limit
     gets the float continuant minors of its float matrix, those of

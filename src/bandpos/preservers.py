@@ -43,7 +43,7 @@ from .bandmat import (
     split_pentadiagonal,
     to_dense_array,
 )
-from .chainseq import split_at_zero_offdiag
+from .chainseq import check_pattern_tol, split_at_zero_offdiag
 from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_scaled, _checked_tol, _form
 from .positivity import _indefinite, _scaled_form, _scaled_forms
 
@@ -96,8 +96,8 @@ class PowerSet:
     includes_naturals: bool = False
 
     def __post_init__(self):
-        if self.tail_threshold < 0:
-            raise ValueError("tail threshold must be nonnegative")
+        if not 0 <= self.tail_threshold < math.inf:
+            raise ValueError("tail threshold must be nonnegative and finite")
         object.__setattr__(self, "tail_threshold", float(self.tail_threshold))
 
     def contains(self, r: float) -> bool:
@@ -443,8 +443,7 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
         raise ValueError("expected a tridiagonal or pentadiagonal-form BandSymMatrix")
     if m.min_entry() < 0:
         raise ValueError("matrix has a negative entry")
-    if not 0 <= tol < math.inf:
-        raise ValueError("pattern tol must be non-negative and finite")
+    check_pattern_tol(tol)
     if m.bandwidth == 1:
         bad = _consecutive_nonzero(m.off, tol)
         if bad is not None:

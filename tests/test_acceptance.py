@@ -106,12 +106,8 @@ def test_criterion_05_theorem3_forward_probe_and_split():
         rng = np.random.default_rng([505, i])
         p = random_pd_pentadiagonal(rng, int(rng.integers(5, 9)))
         odd, even = split_pentadiagonal(p)
-        block_eigs = np.sort(
-            np.concatenate(
-                [sym_tridiag_eigenvalues(odd, 1e-13), sym_tridiag_eigenvalues(even, 1e-13)]
-            )
-        )
-        dense_eigs = sym_eigenvalues(p.dense(), 1e-13)
+        block_eigs = np.sort(np.concatenate([sym_tridiag_eigenvalues(odd), sym_tridiag_eigenvalues(even)]))
+        dense_eigs = sym_eigenvalues(p.dense())
         np.testing.assert_allclose(dense_eigs, block_eigs, atol=1e-12)
     _ok(5, "pentadiagonal probe clean for n in 5..8; split eigenvalues match to 1e-12")
 

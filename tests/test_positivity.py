@@ -6,7 +6,6 @@ path) elsewhere.
 """
 
 import math
-import statistics
 import sys
 from fractions import Fraction
 
@@ -51,9 +50,15 @@ def random_tridiagonal(rng, n):
     return make_tridiagonal(rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 2.0, max(n - 1, 0)))
 
 
+def spectrum_allowance(n, norm):
+    """8 n eps times the max-norm norm of an order-n matrix: how far a
+    computed spectrum may lie from the exact one."""
+    return 8.0 * n * sys.float_info.epsilon * norm
+
+
 class TestTridiagEigenvalues:
     def test_a01_closed_form(self, a01):
-        got = sym_tridiag_eigenvalues(a01, tol=1e-12)
+        got = sym_tridiag_eigenvalues(a01)
         np.testing.assert_allclose(got, A01_EIGS, atol=1e-11)
         assert (got > 0).all()
 
@@ -63,13 +68,9 @@ class TestTridiagEigenvalues:
 
     def test_limit_matrix_c_has_negative_eigenvalue(self):
         t = make_tridiagonal([1.0, 1.0, 1.0], [1.0, 1.0])
-        got = sym_tridiag_eigenvalues(t, tol=1e-12)
+        got = sym_tridiag_eigenvalues(t)
         np.testing.assert_allclose(got, C_EIGS, atol=1e-11)
         assert got[0] < 0
-
-    def test_bad_tol(self, a01):
-        with pytest.raises(ValueError):
-            sym_tridiag_eigenvalues(a01, tol=0.0)
 
     def test_requires_tridiagonal(self, p_matrix):
         with pytest.raises(ValueError):
@@ -80,19 +81,33 @@ class TestTridiagEigenvalues:
         for _ in range(60):
             n = int(rng.integers(1, 11))
             t = random_tridiagonal(rng, n)
-            ours = sym_tridiag_eigenvalues(t, tol=1e-12)
+            ours = sym_tridiag_eigenvalues(t)
             theirs = np.linalg.eigvalsh(t.dense())
             np.testing.assert_allclose(ours, theirs, atol=1e-10)
+
+    def test_toeplitz_spectra_match_the_closed_form(self):
+        # tridiag(b, a, b) of order n has eigenvalues a + 2b cos(k pi / (n + 1)),
+        # k = 1..n; its band form and a permuted dense form get them to within
+        # 8 n eps of the max-norm
+        rng = np.random.default_rng(173)
+        for _ in range(600):
+            n = int(rng.integers(2, 41))
+            a, b = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+            want = sorted(a + 2.0 * b * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
+            allowance = spectrum_allowance(n, max(abs(a), abs(b)))
+            band = make_tridiagonal([a] * n, [b] * (n - 1))
+            perm = rng.permutation(n)
+            for m in (band, band.dense()[np.ix_(perm, perm)]):
+                np.testing.assert_allclose(sym_eigenvalues(m), want, rtol=0, atol=allowance)
 
     def test_order_one(self):
         t = make_tridiagonal([4.5], [])
         np.testing.assert_array_equal(sym_tridiag_eigenvalues(t), [4.5])
 
     def test_large_scale_terminates_at_float_resolution(self):
-        # requested width below the ulp at this magnitude: bisection must
-        # stop at float resolution instead of stalling
+        # entries near 1e6: the spectrum keeps its relative accuracy
         t = make_tridiagonal([1e6, 2e6, 3e6], [1e5, 1e5])
-        got = sym_tridiag_eigenvalues(t, tol=1e-12)
+        got = sym_tridiag_eigenvalues(t)
         np.testing.assert_allclose(got, np.linalg.eigvalsh(t.dense()), rtol=1e-12)
 
 
@@ -103,7 +118,7 @@ class TestDenseEigenvalues:
             n = int(rng.integers(1, 9))
             a = rng.uniform(-1, 1, size=(n, n))
             sym = 0.5 * (a + a.T)
-            ours = sym_eigenvalues(sym, tol=1e-12)
+            ours = sym_eigenvalues(sym)
             theirs = np.linalg.eigvalsh(sym)
             np.testing.assert_allclose(ours, theirs, atol=1e-10)
 
@@ -112,8 +127,8 @@ class TestDenseEigenvalues:
         for _ in range(30):
             n = int(rng.integers(2, 11))
             t = random_tridiagonal(rng, n)
-            via_band = sym_tridiag_eigenvalues(t, tol=1e-12)
-            via_dense = sym_eigenvalues(t.dense(), tol=1e-12)
+            via_band = sym_tridiag_eigenvalues(t)
+            via_dense = sym_eigenvalues(t.dense())
             np.testing.assert_allclose(via_band, via_dense, atol=1e-10)
 
 
@@ -136,7 +151,7 @@ class TestMinEigenvalue:
 class TestTolValidation:
     """One check refuses a tol that is not positive and finite."""
 
-    @pytest.mark.parametrize("fn", [min_eigenvalue, sym_eigenvalues, classify_positivity])
+    @pytest.mark.parametrize("fn", [min_eigenvalue, classify_positivity])
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
     def test_refused(self, a01, fn, tol):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
@@ -426,12 +441,6 @@ def sturm_form(a):
 
 
 class TestBisectionBitIdentity:
-    def test_all_eigenvalues_equal_sequential_bisection(self):
-        for a in random_symmetric_inputs(59, 200):
-            diag, off, _ = sturm_form(a)
-            want = sorted(sequential_bisect(diag, off, 1e-12, k) for k in range(diag.shape[0]))
-            assert sym_eigenvalues(a, 1e-12).tolist() == want
-
     def test_min_eigenvalue_equals_sequential_bisection(self):
         for a in random_symmetric_inputs(61, 200):
             diag, off, scale = sturm_form(a)
@@ -487,14 +496,6 @@ class TestBisectionBitIdentity:
             reducible += n > 2 and 0.0 in want[1].tolist()
         assert reducible > 50
 
-    def test_sturm_counts_split_into_shift_blocks(self, monkeypatch):
-        t = random_tridiagonal(np.random.default_rng(73), 40)
-        whole = sym_eigenvalues(t)
-        monkeypatch.setattr(oracle, "_NEGCOUNT_BLOCK", 100)
-        # n * n pivots no longer fit one count: the bisection starts cold
-        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", refuse_estimate)
-        assert np.array_equal(sym_eigenvalues(t), whole)
-
     def test_pentadiagonal_spectra_match_lapack(self):
         rng = np.random.default_rng(79)
         tol = 1e-10
@@ -503,68 +504,13 @@ class TestBisectionBitIdentity:
             dense = p.dense()
             allowance = tol * max(1.0, float(np.abs(dense).max()))
             want = np.linalg.eigvalsh(dense)
-            np.testing.assert_allclose(sym_eigenvalues(p, tol), want, rtol=0, atol=allowance)
+            np.testing.assert_allclose(sym_eigenvalues(p), want, rtol=0, atol=allowance)
             assert min_eigenvalue(p, tol) == pytest.approx(want[0], rel=0, abs=allowance)
 
 
-def reference_spectrum(diag, off, width):
-    """sequential_bisect of every eigenvalue in index order."""
-    return [sequential_bisect(diag, off, width, k) for k in range(diag.shape[0])]
-
-
-def warm_start_inputs(seed, count):
-    """Seeded tridiagonals (diag, off) with a bisection width: small
-    integers and equal diagonals (eigenvalues on midpoints), zero couplings,
-    magnitudes 1e-8 to 1e8 and 1e+-150, entries of size 2**500.  Widths
-    run from 1e-6 to 1e-16 of the max-norm, below float resolution at the
-    small end."""
-    rng = np.random.default_rng(seed)
-    for case in range(count):
-        n = int(rng.integers(2, 11))
-        kind = case % 6
-        if kind == 0:
-            diag, off = rng.integers(-2, 3, n), rng.integers(-1, 2, n - 1)
-        elif kind == 1:
-            diag, off = np.full(n, int(rng.integers(-3, 4))), np.where(rng.random(n - 1) < 0.2, 0, 1)
-        elif kind == 2:
-            diag, off = rng.uniform(-1.0, 3.0, n), rng.uniform(0.0, 2.0, n - 1)
-            off[rng.random(n - 1) < 0.3] = 0.0
-        elif kind == 3:
-            diag = rng.uniform(-1.0, 3.0, n) * 10.0 ** int(rng.integers(-8, 9))
-            off = rng.uniform(-2.0, 2.0, n - 1) * 10.0 ** int(rng.integers(-8, 9))
-        elif kind == 4:
-            diag = rng.uniform(-1.0, 3.0, n) * 10.0 ** int(rng.choice([-150, 150]))
-            off = rng.uniform(-2.0, 2.0, n - 1) * 10.0 ** int(rng.choice([-150, 150]))
-        else:
-            diag, off = rng.uniform(-1.0, 3.0, n) * 2.0**500, rng.uniform(-2.0, 2.0, n - 1) * 2.0**500
-        diag, off = diag.astype(float), off.astype(float)
-        norm = max(float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0))) or 1.0
-        yield diag, off, 10.0 ** -rng.uniform(6.0, 16.5) * norm
-
-
 class TestWarmStart:
-    """LAPACK's estimates steer the all-eigenvalue bisection and one Sturm
-    count certifies it: the spectra are those of sequential bisection."""
-
-    def test_spectra_equal_sequential_bisection(self, monkeypatch):
-        moved = total = 0
-        warm = oracle._warm_start
-
-        def counted(diag, off, off2, width, ks, a, b):
-            nonlocal moved, total
-            start = a.copy(), b.copy()
-            warm(diag, off, off2, width, ks, a, b)
-            moved += int(np.count_nonzero((a != start[0]) | (b != start[1])))
-            total += ks.size
-
-        monkeypatch.setattr(oracle, "_warm_start", counted)
-        for case, (diag, off, width) in enumerate(warm_start_inputs(131, 1800)):
-            want = reference_spectrum(diag, off, width)
-            assert oracle._tridiag_bisect(oracle._scaled_form(diag, off), width) == want
-            if case % 6 == 0:
-                assert sym_eigenvalues(make_tridiagonal(diag, off), width).tolist() == sorted(want)
-        # the estimates steered almost every bracket
-        assert moved > 0.9 * total
+    """The full spectrum is LAPACK's for the matrix the oracle routes to;
+    the smallest eigenvalue alone takes no estimate."""
 
     def test_repeated_eigenvalues_of_pentadiagonal_direct_sums(self):
         rng = np.random.default_rng(137)
@@ -576,13 +522,15 @@ class TestWarmStart:
                 d, o = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 2.0, m - 1)
             # equal odd and even blocks: every eigenvalue twice
             p = make_pentadiagonal(np.repeat(d, 2).astype(float), np.repeat(o, 2).astype(float))
-            width = 10.0 ** -rng.uniform(6.0, 16.5)
-            diag, off, _ = sturm_form(p)
-            got = sym_eigenvalues(p, width).tolist()
-            assert got == sorted(reference_spectrum(diag, off, width))
-            assert got[0::2] == got[1::2]
+            dense = p.dense()
+            got = sym_eigenvalues(p)
+            allowance = spectrum_allowance(p.order, float(np.abs(dense).max()))
+            np.testing.assert_allclose(got, np.linalg.eigvalsh(dense), rtol=0, atol=allowance)
+            assert got[0::2].tolist() == got[1::2].tolist()
 
     def test_householder_reduced_spectra(self):
+        # the oracle bisects this reduction: its tridiagonal, scaled back,
+        # has its input's spectrum
         rng = np.random.default_rng(139)
         for case in range(150):
             n = int(rng.integers(3, 11))
@@ -590,54 +538,15 @@ class TestWarmStart:
             a = rng.uniform(-2.0, 2.0, (n, n)) if case % 2 else rng.choice([-2.0, -1.0, 1.0, 2.0], (n, n))
             a = np.triu(a) + np.triu(a, 1).T
             assert oracle._path_order(a) is None
-            width = 10.0 ** -rng.uniform(6.0, 16.5)
-            diag, off, _ = sturm_form(a)
-            assert sym_eigenvalues(a, width).tolist() == sorted(reference_spectrum(diag, off, width))
-
-    @pytest.mark.parametrize("estimate", ["shifted", "reversed", "nan", "raises"])
-    def test_bad_estimates_change_no_spectrum(self, estimate, monkeypatch):
-        inputs = list(warm_start_inputs(149, 60))
-        matrices = list(random_symmetric_inputs(151, 40))
-        want = [oracle._tridiag_bisect(oracle._scaled_form(d, o), w) for d, o, w in inputs]
-        want_matrices = [sym_eigenvalues(a, 1e-12).tolist() for a in matrices]
-        eigvalsh, calls = np.linalg.eigvalsh, []
-
-        def bad(a):
-            calls.append(a.shape[0])
-            if estimate == "raises":
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            w = eigvalsh(a)
-            return {"shifted": w + 1e-6, "reversed": w[::-1], "nan": np.full_like(w, np.nan)}[estimate]
-
-        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", bad)
-        assert [oracle._tridiag_bisect(oracle._scaled_form(d, o), w) for d, o, w in inputs] == want
-        assert [sym_eigenvalues(a, 1e-12).tolist() for a in matrices] == want_matrices
-        assert len(calls) >= len(inputs)
+            diag, off, norm = _householder_tridiagonalize(a)
+            reduced = np.ldexp(make_tridiagonal(diag, off).dense(), math.frexp(norm)[1])
+            want = np.linalg.eigvalsh(a)
+            np.testing.assert_allclose(np.linalg.eigvalsh(reduced), want, rtol=0, atol=spectrum_allowance(n, norm))
 
     def test_one_bracket_takes_no_estimate(self, monkeypatch):
         t = random_tridiagonal(np.random.default_rng(73), 40)
         monkeypatch.setattr(oracle.np.linalg, "eigvalsh", refuse_estimate)
         assert classify_positivity(t).min_eigenvalue == min_eigenvalue(t)
-
-    def test_few_sturm_counts_per_spectrum(self, monkeypatch):
-        calls = 0
-        negcounts = oracle._negcounts
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return negcounts(*args)
-
-        monkeypatch.setattr(oracle, "_negcounts", counted)
-        rng = np.random.default_rng(157)
-        per_spectrum = []
-        for _ in range(50):
-            t = random_tridiagonal(rng, 64)
-            before = calls
-            sym_eigenvalues(t)
-            per_spectrum.append(calls - before)
-        assert statistics.median(per_spectrum) <= 2
-
 
 def floor_inputs(seed, count):
     """Seeded tridiagonals (diag, off, width) for the floored bisection:
@@ -1035,7 +944,7 @@ class TestLargeEntries:
             assert big_verdict.min_eigenvalue == big * verdict.min_eigenvalue
             assert big_verdict.threshold == big * verdict.threshold
             assert min_eigenvalue(big * a) == big * min_eigenvalue(a)
-            big_spectrum = sym_eigenvalues(big * a, big * DEFAULT_TOL)
+            big_spectrum = sym_eigenvalues(big * a)
             assert big_spectrum.tolist() == (big * sym_eigenvalues(a)).tolist()
 
     def test_dense_determinant_overflow_is_infinite_without_warning(self):
@@ -1144,8 +1053,8 @@ class TestScaleEquivariance:
                 assert big_verdict.min_eigenvalue.hex() == want.hex(), (case, k)
                 assert min_eigenvalue(big).hex() == want.hex()
                 assert big_verdict.threshold == math.ldexp(verdict.threshold, k)
-            spectrum = sym_eigenvalues(a, DEFAULT_TOL).tolist()
-            big_spectrum = sym_eigenvalues(big, math.ldexp(DEFAULT_TOL, k)).tolist()
+            spectrum = sym_eigenvalues(a).tolist()
+            big_spectrum = sym_eigenvalues(big).tolist()
             for lam, big_lam in zip(spectrum, big_spectrum):
                 if is_normal(math.ldexp(lam, k)):
                     assert big_lam.hex() == math.ldexp(lam, k).hex(), (case, k)
@@ -1174,10 +1083,11 @@ class TestScaleEquivariance:
         assert wall_wetzel_pd(t)
 
     def test_width_that_underflows_once_normalized(self):
-        # tol * 2**-1001 is zero: every bracket bisects to float resolution
+        # entries near 2**1000, where tol times the normalized max-norm
+        # underflows: the spectrum keeps its full relative accuracy
         a = 2.0**1000 * np.array([[2.0, 1.0], [1.0, 3.0]])
         want = [2.0**1000 * (2.5 - math.sqrt(1.25)), 2.0**1000 * (2.5 + math.sqrt(1.25))]
-        np.testing.assert_allclose(sym_eigenvalues(a, 1e-40), want, rtol=1e-15)
+        np.testing.assert_allclose(sym_eigenvalues(a), want, rtol=1e-15)
 
     def test_householder_route_above_squared_overflow(self):
         a = np.array([[4.0, 1, 2, 1], [1, 5, 1, 3], [2, 1, 6, 1], [1, 3, 1, 7]])
@@ -1305,7 +1215,7 @@ class TestPathRoute:
         for band, dense in permuted_band_inputs(127, 120):
             allowance = tol * max(1.0, float(np.linalg.norm(dense, 2)))
             want = np.linalg.eigvalsh(dense)
-            np.testing.assert_allclose(sym_eigenvalues(dense, tol), want, rtol=0, atol=allowance)
+            np.testing.assert_allclose(sym_eigenvalues(dense), want, rtol=0, atol=allowance)
             assert abs(min_eigenvalue(dense, tol) - want[0]) <= allowance
 
     @pytest.mark.parametrize(

@@ -69,6 +69,12 @@ class TestPowerSet:
         with pytest.raises(ValueError):
             PowerSet(-0.5)
 
+    @pytest.mark.parametrize("tail", [math.nan, math.inf])
+    def test_non_finite_tail_rejected(self, tail):
+        # a NaN tail rendered "[nan, ∞)" and held no exponent
+        with pytest.raises(ValueError, match="^tail threshold must be nonnegative"):
+            PowerSet(tail)
+
 
 class TestPreserverSets:
     def test_tridiagonal(self):
