@@ -72,6 +72,13 @@ class TestTridiagEigenvalues:
         np.testing.assert_allclose(got, C_EIGS, atol=1e-11)
         assert got[0] < 0
 
+    def test_bad_tol(self, a01):
+        # the spectrum is LAPACK's to full accuracy: it takes no tol at all
+        with pytest.raises(TypeError):
+            sym_tridiag_eigenvalues(a01, tol=1e-12)
+        with pytest.raises(TypeError):
+            sym_tridiag_eigenvalues(a01, 1e-12)
+
     def test_requires_tridiagonal(self, p_matrix):
         with pytest.raises(ValueError):
             sym_tridiag_eigenvalues(p_matrix)
@@ -96,6 +103,25 @@ class TestTridiagEigenvalues:
             want = sorted(a + 2.0 * b * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
             allowance = spectrum_allowance(n, max(abs(a), abs(b)))
             band = make_tridiagonal([a] * n, [b] * (n - 1))
+            perm = rng.permutation(n)
+            for m in (band, band.dense()[np.ix_(perm, perm)]):
+                np.testing.assert_allclose(sym_eigenvalues(m), want, rtol=0, atol=allowance)
+
+    def test_split_toeplitz_spectra_match_the_closed_form(self):
+        # the pentadiagonal-form matrix of diagonal a and couplings b at
+        # offset 2 is the direct sum of tridiag(b, a, b) of orders ceil(n / 2)
+        # and floor(n / 2); its band form (the odd/even split) and a permuted
+        # dense form (the path route) get that closed form to within 8 n eps
+        # of the max-norm
+        rng = np.random.default_rng(179)
+        for _ in range(300):
+            n = int(rng.integers(3, 41))
+            a, b = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+            want = sorted(
+                a + 2.0 * b * math.cos(k * math.pi / (m + 1)) for m in ((n + 1) // 2, n // 2) for k in range(1, m + 1)
+            )
+            allowance = spectrum_allowance(n, max(abs(a), abs(b)))
+            band = make_pentadiagonal([a] * n, [b] * (n - 2))
             perm = rng.permutation(n)
             for m in (band, band.dense()[np.ix_(perm, perm)]):
                 np.testing.assert_allclose(sym_eigenvalues(m), want, rtol=0, atol=allowance)
@@ -130,6 +156,55 @@ class TestDenseEigenvalues:
             via_band = sym_tridiag_eigenvalues(t)
             via_dense = sym_eigenvalues(t.dense())
             np.testing.assert_allclose(via_band, via_dense, atol=1e-10)
+
+    def test_bad_tol(self, a01):
+        # the spectrum is LAPACK's to full accuracy: it takes no tol at all
+        for a in (a01, a01.dense()):
+            with pytest.raises(TypeError):
+                sym_eigenvalues(a, tol=1e-12)
+            with pytest.raises(TypeError):
+                sym_eigenvalues(a, 1e-12)
+
+    def test_circulant_spectra_match_the_closed_form(self):
+        # the symmetric circulant of first row (a, b, c, 0, ..., 0, c, b) has
+        # eigenvalues a + 2b cos(2 pi k / n) + 2c cos(4 pi k / n), k = 0..n-1;
+        # its nonzero graph holds a cycle, so it takes the Householder route
+        rng = np.random.default_rng(181)
+        for _ in range(200):
+            n = int(rng.integers(5, 31))
+            a, b, c = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            row = np.zeros(n)
+            row[0], row[1], row[-1], row[2], row[-2] = a, b, b, c, c
+            circulant = np.array([np.roll(row, i) for i in range(n)])
+            assert oracle._path_order(circulant) is None
+            want = sorted(
+                a + 2.0 * b * math.cos(2.0 * math.pi * k / n) + 2.0 * c * math.cos(4.0 * math.pi * k / n)
+                for k in range(n)
+            )
+            allowance = spectrum_allowance(n, max(abs(a), abs(b), abs(c)))
+            np.testing.assert_allclose(sym_eigenvalues(circulant), want, rtol=0, atol=allowance)
+
+    @pytest.mark.parametrize("route", ["householder", "dense-sym-matrix", "path", "band"])
+    def test_input_is_left_unchanged(self, route):
+        # the spectrum scales its own copy of the matrix in place
+        rng = np.random.default_rng(191)
+        if route == "band":
+            a = make_pentadiagonal(rng.uniform(-3.0, 3.0, 9), rng.uniform(-2.0, 2.0, 7))
+            before = (a.main_diag.copy(), a.off.copy())
+            sym_eigenvalues(a)
+            after = (a.main_diag, a.off)
+        else:
+            dense = random_tridiagonal(rng, 9).dense()
+            if route != "path":
+                couplings = rng.uniform(0.5, 1.0, 7)
+                dense = dense + np.diag(couplings, 2) + np.diag(couplings, -2)
+            a = DenseSymMatrix(dense) if route == "dense-sym-matrix" else dense
+            before = (dense.copy(),)
+            sym_eigenvalues(a)
+            after = (a.entries if route == "dense-sym-matrix" else a,)
+            assert (oracle._path_order(dense) is None) == (route != "path")
+        for x, y in zip(before, after):
+            assert x.tolist() == y.tolist()
 
 
 class TestMinEigenvalue:
