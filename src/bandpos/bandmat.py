@@ -37,11 +37,14 @@ __all__ = [
 
 def _float_array(x) -> np.ndarray:
     """x as a float array; an integer or exact rational beyond the float
-    range is refused as non-finite, as an inf entry is."""
+    range is refused as non-finite, as an inf entry is, and ragged nesting
+    with bandpos's message, not numpy's."""
     try:
         return np.array(x, dtype=float)
     except OverflowError as exc:
         raise ValueError("all entries must be finite") from exc
+    except ValueError as exc:
+        raise ValueError("entries must form a rectangular array of numbers") from exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,12 +133,14 @@ def ratio_sequence(diag, off) -> np.ndarray:
     Float input gives a float array; Fraction input gives an object array
     of exact Fractions, each made once from its entries' numerators and
     denominators.  Any other object array keeps numpy's object arithmetic.
-    The diagonal entries must be nonzero.  Float ratios are formed from the
-    entries' mantissas and scaled by their exponents last, so no product
-    overflows or underflows; they are the plain formula's wherever its
-    products are normal floats.
+    A zero diagonal entry is refused for every input type.  Float ratios
+    are formed from the entries' mantissas and scaled by their exponents
+    last, so no product overflows or underflows; they are the plain
+    formula's wherever its products are normal floats.
     """
     diag, off = np.asarray(diag), np.asarray(off)
+    if not diag.all():
+        raise ValueError("diagonal entries must be nonzero")
     if diag.dtype == object:
         a, b = diag.tolist(), off.tolist()
         if diag.ndim != 1 or off.shape != (diag.size - 1,) or not all(isinstance(x, Fraction) for x in a + b):

@@ -21,13 +21,13 @@ as a single matrix.
 A pentadiagonal matrix with zero first off-diagonal is the direct sum of its
 odd and even tridiagonal blocks and is bisected as such; dense input whose
 off-diagonal nonzero graph is a disjoint union of paths is a permuted
-tridiagonal matrix and is bisected in its path order.  Only other dense
-input is first reduced to tridiagonal form by Householder reflections.
-Each call finds its input's route once, as a _Form record (tridiagonal,
-odd/even split, path order or Householder), and builds one scaled form of
-it (_scaled_form: max-norm, power of two, scaled diagonals as Python lists,
-Gershgorin bounds), which every bisection, the threshold and the band
-minors read.
+tridiagonal matrix and is bisected in its path order.  Any other dense
+input is bisected as the diagonal matrix of its eigenvalues from LAPACK,
+so its minimum has LAPACK's bits.  Each call finds its input's route once,
+as a _Form record (tridiagonal, odd/even split, path order or LAPACK
+spectrum), and builds one scaled form of it (_scaled_form: max-norm, power
+of two, scaled diagonals as Python lists, Gershgorin bounds), which every
+bisection, the threshold and the band minors read.
 
 Leading principal minors come from the three-term continuant for band input
 (a pentadiagonal matrix with zero first off-diagonal multiplies the
@@ -155,10 +155,11 @@ def _scaled_forms(diag: np.ndarray, off: np.ndarray, starts: np.ndarray, sizes) 
 
 def _scaled_form(diag: np.ndarray, off: np.ndarray, e: int = 0, norm: float | None = None) -> tuple:
     """(norm, t, d, o, lo, hi) of a matrix of max-norm norm (by default that
-    of (diag, off)) whose tridiagonal form 2**e (diag, off) is 2**t S, S of
-    max-norm in [1/2, 1) with diagonal d, couplings o (o[0] = 0.0, o[i] for
-    rows i - 1 and i) and Gershgorin bounds [lo, hi]: _scaled_forms's
-    one-matrix case, in Python lists, to pay for fewer numpy calls."""
+    of (diag, off)) bisected as 2**e (diag, off) = 2**t S (on the LAPACK
+    spectrum route, diag holds eigenvalues and off zeros), S of max-norm in
+    [1/2, 1) with diagonal d, couplings o (o[0] = 0.0, o[i] for rows i - 1
+    and i) and Gershgorin bounds [lo, hi]: _scaled_forms's one-matrix case,
+    in Python lists, to pay for fewer numpy calls."""
     n = diag.shape[0]
     x = np.concatenate((diag, off))
     m = float(np.maximum.reduce(np.abs(x)))
@@ -268,47 +269,6 @@ def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int
     return lam if lam < floor else None
 
 
-def _householder_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Reduce a dense symmetric matrix to tridiagonal form; returns the
-    diagonal and first off-diagonal of the tridiagonal matrix similar to
-    2**-t a, of max-norm in [1/2, 1), and the max-norm of a, of exponent t.
-    It is not scaled back: a reduction beyond the float range stays finite."""
-    norm = _max_abs(a)
-    m = np.ldexp(a, -math.frexp(norm)[1])
-    n = m.shape[0]
-    # flat buffers for the factors [v w] (p x 2) and [w; v] (2 x p) of the
-    # rank-2 update; a C-ordered reshape of a prefix is contiguous, laid out
-    # as a freshly stacked array
-    left, right = np.empty(2 * n), np.empty(2 * n)
-    for k in range(n - 2):
-        # a contiguous copy: np.dot on the strided column view rounds
-        # differently
-        x = m[k + 1 :, k].copy()
-        nx = math.sqrt(float(np.dot(x, x)))
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += math.copysign(nx, x[0]) if x[0] != 0.0 else nx
-        nv = math.sqrt(float(np.dot(v, v)))
-        if nv == 0.0:
-            continue
-        v /= nv
-        # the reflected column is (x0 - 2 v0 (v.x), 0, ..., 0) up to rounding;
-        # only its first entry, the off-diagonal, is read again
-        m[k, k + 1] = x[0] - 2.0 * v[0] * float(np.dot(v, x))
-        sub = m[k + 1 :, k + 1 :]
-        # with w = 2(sub v - (v.sub v) v), (I - 2vv^T) sub (I - 2vv^T) is
-        # sub - v w^T - w v^T: one rank-2 update
-        w = sub @ v
-        w -= float(np.dot(v, w)) * v
-        w *= 2.0
-        p = n - 1 - k
-        vw, wv = left[: 2 * p].reshape(p, 2), right[: 2 * p].reshape(2, p)
-        vw[:, 0], vw[:, 1], wv[0], wv[1] = v, w, w, v
-        sub -= vw @ wv
-    return np.diag(m).copy(), np.diag(m, 1).copy(), norm
-
-
 def _path_order(dense: np.ndarray) -> list[int] | None:
     """A vertex order that makes dense tridiagonal, when its off-diagonal
     nonzero graph is symmetric and a disjoint union of paths: the paths by
@@ -350,7 +310,7 @@ def _path_order(dense: np.ndarray) -> list[int] | None:
 
 
 # The routes from an input to the tridiagonal matrix the oracle bisects.
-_TRIDIAGONAL, _SPLIT, _PATH, _HOUSEHOLDER = "tridiagonal", "odd/even split", "path order", "Householder"
+_TRIDIAGONAL, _SPLIT, _PATH, _SPECTRUM = "tridiagonal", "odd/even split", "path order", "LAPACK spectrum"
 
 
 @dataclass(frozen=True)
@@ -358,8 +318,9 @@ class _Form:
     """An input's route to the tridiagonal matrix the oracle bisects, and
     what the route reads; _form builds it once per call.  Band input holds
     its main diagonal and stored off-diagonal as float arrays, dense input
-    its validated array and, on the path route, its path order.  route is
-    None for dense input when no route was asked for."""
+    its validated array and, on the path route, its path order (on the
+    LAPACK spectrum route, its eigenvalues are bisected).  route is None
+    for dense input when no route was asked for."""
 
     route: str | None
     diag: np.ndarray | None = None
@@ -369,8 +330,8 @@ class _Form:
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of the tridiagonal matrix the oracle
-        bisects, off the Householder route: the split's blocks joined by an
-        exactly zero coupling, or the path entries in path order."""
+        bisects, off the LAPACK spectrum route: the split's blocks joined by
+        an exactly zero coupling, or the path entries in path order."""
         if self.dense is None:
             if self.route == _SPLIT:
                 return _direct_sum(*_parity_blocks(self.diag, self.off))
@@ -380,14 +341,17 @@ class _Form:
 
     def scaled(self) -> tuple:
         """The input's _scaled_form, the one form every bisection reads.  Off
-        the Householder route its max-norm is matrix()'s: on the path route,
-        that of the 2n - 1 path entries, which hold every nonzero.  On it,
-        the max-norm is the input's, of exponent e, and the reduction that of
-        2**-e times the input, so the power of two carries e."""
-        if self.route != _HOUSEHOLDER:
+        the LAPACK spectrum route its max-norm is matrix()'s: on the path
+        route, that of the 2n - 1 path entries, which hold every nonzero.  On
+        it, the max-norm is the input's, of exponent e, and the form holds
+        LAPACK's eigenvalues of 2**-e times the input, so the power of two
+        carries e; their bits may differ across BLAS builds and threads."""
+        if self.route != _SPECTRUM:
             return _scaled_form(*self.matrix())
-        diag, off, norm = _householder_tridiagonalize(self.dense)
-        return _scaled_form(diag, off, math.frexp(norm)[1], norm)
+        norm = _max_abs(self.dense)
+        e = math.frexp(norm)[1]
+        eig = np.linalg.eigvalsh(np.ldexp(self.dense, -e))
+        return _scaled_form(eig, np.zeros(eig.shape[0] - 1), e, norm)
 
 
 def _form(a, symmetric: bool = True, reorder: bool = True) -> _Form:
@@ -406,7 +370,7 @@ def _form(a, symmetric: bool = True, reorder: bool = True) -> _Form:
     if not reorder:
         return _Form(None, dense=dense)
     order = _path_order(dense)
-    return _Form(_HOUSEHOLDER if order is None else _PATH, dense=dense, order=order)
+    return _Form(_SPECTRUM if order is None else _PATH, dense=dense, order=order)
 
 
 def _checked_tol(tol) -> float:
@@ -426,7 +390,7 @@ def sym_tridiag_eigenvalues(t: BandSymMatrix) -> np.ndarray:
 def sym_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a symmetric matrix (band or dense), ascending:
     LAPACK's (numpy.linalg.eigvalsh) for the matrix the oracle routes to,
-    the tridiagonal matrix it bisects or, on the Householder route, the
+    the tridiagonal matrix it bisects or, on the LAPACK spectrum route, the
     dense input, times 2**-t, 2**t being the power of two of its max-norm,
     scaled back by 2**t.  So A and 2**k A get spectra exactly 2**k apart,
     band input and its dense form the same bits (a permuted dense form, its
@@ -437,7 +401,7 @@ def sym_eigenvalues(a) -> np.ndarray:
     builds or thread counts; numpy.linalg.LinAlgError is raised when LAPACK
     does not converge.  No verdict reads the full spectrum."""
     form = _form(a)
-    if form.route == _HOUSEHOLDER:
+    if form.route == _SPECTRUM:
         m = form.dense
     else:
         diag, off = form.matrix()
@@ -500,11 +464,13 @@ def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
 def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     """Classify a symmetric matrix as PD, PSD_BOUNDARY, or INDEFINITE.
 
-    Deterministic for fixed input and tol: the verdict compares the
-    bisected smallest eigenvalue against +-thr, where thr is
-    max(tol, STURM_BACKWARD_C * n * eps) * max-norm; a tol below the Sturm
-    count's backward error cannot decide a sign.  Both are relative to the
-    max-norm, so A and 2**k A get the same class.
+    The verdict compares the bisected smallest eigenvalue against +-thr,
+    where thr is max(tol, STURM_BACKWARD_C * n * eps) * max-norm; a tol
+    below the Sturm count's backward error cannot decide a sign.  Both are
+    relative to the max-norm, so A and 2**k A get the same class.  It is
+    deterministic for fixed input and tol, except on the LAPACK spectrum
+    route, whose minimum has LAPACK's bits: there the class is fixed only
+    outside LAPACK's error of +-thr.
     """
     tol = _checked_tol(tol)
     form = _form(a)
@@ -609,7 +575,7 @@ def _dense_minors(dense: np.ndarray) -> list[float]:
 
 def _float_minors(form: _Form, scaled: tuple | None = None) -> list[float]:
     """Leading minors of the input given by its _Form (and _scaled_form):
-    the continuant for band input, _dense_minors on the Householder route.
+    the continuant for band input, _dense_minors on the LAPACK spectrum route.
     On the path route, _dense_minors' arithmetic and fallback over the
     diagonal and, for each vertex i of the order and the vertex j after it,
     the pair (a_ij, a_ji), every other entry being zero: the minors are

@@ -44,7 +44,7 @@ from .bandmat import (
     to_dense_array,
 )
 from .chainseq import check_pattern_tol, split_at_zero_offdiag
-from .positivity import DEFAULT_TOL, _HOUSEHOLDER, _PATH, _bisect_scaled, _checked_tol, _form
+from .positivity import DEFAULT_TOL, _PATH, _SPECTRUM, _bisect_scaled, _checked_tol, _form
 from .positivity import _indefinite, _scaled_form, _scaled_forms
 
 __all__ = [
@@ -312,8 +312,8 @@ def probe_preserves(
     in the order of their indices, and set up in batches of about
     _PROBE_BATCH entries: one set of numpy calls per batch makes every
     sample's couplings, power, power of two and Gershgorin bracket, so
-    memory does not grow with samples.  Graph samples are powered and
-    reduced one by one.
+    memory does not grow with samples.  Graph samples are powered one by
+    one, each bisected on its own route.
     """
     r = float(r)
     if r <= 0:
@@ -502,9 +502,9 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
     dense input whose nonzero graph is a union of paths, power the two
     diagonals of that form for each exponent; the path order is found anew
     only for a power in which a coupling underflows to zero.  Other dense
-    input is powered and reduced for each exponent.  Each exponent asks only
-    whether classify_positivity's class is INDEFINITE, and its bisection
-    stops as soon as the answer is certain.
+    input gets the LAPACK spectrum of its power for each exponent.  Each
+    exponent asks only whether classify_positivity's class is INDEFINITE,
+    and its bisection stops as soon as the answer is certain.
     """
     if r_grid is None:
         r_grid = DEFAULT_ID_GRID
@@ -523,7 +523,7 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("matrix has a negative entry")
     tol = _checked_tol(tol)
     form = _form(a)
-    lean = form.route != _HOUSEHOLDER
+    lean = form.route != _SPECTRUM
     if lean:
         diag, off = form.matrix()
         n, entries, couplings = diag.shape[0], np.concatenate((diag, off)), np.count_nonzero(off)

@@ -99,6 +99,13 @@ class TestConstruction:
                 "second diagonal must be a flat list of numbers, got nesting depth 2",
             ),
             (make_tridiagonal, ([1, 2], 0.5), "off-diagonal must be a flat list of numbers, got nesting depth 0"),
+            # ragged nesting: refused in bandpos's words, not numpy's
+            (_band_json, ("tridiagonal", [[1], [2, 3]], [0.5]), "entries must form a rectangular array of numbers"),
+            (
+                matrix_from_json,
+                ('{"kind": "dense", "rows": [[1, 2], [3]]}',),
+                "entries must form a rectangular array of numbers",
+            ),
         ],
     )
     def test_refusals(self, build, args, message):

@@ -179,8 +179,18 @@ def test_ratio_sequence_then_chain_as_the_cli_runs_them():
             assert _report_key(minimal_parameters(ratios, split_at_zero=True)) == _report_key(want)
 
 
-def test_a_zero_diagonal_entry_divides_by_zero_in_both():
+def test_a_zero_diagonal_entry_is_refused_for_every_input_type():
+    # the frozen object arithmetic divides by zero; floats would give inf
+    # with a divide-by-zero warning
     for diag in ((Fraction(1), 0, Fraction(2)), np.array([1, 0, 2], dtype=object)):
-        for fn in (ratio_sequence, frozen_ratio_sequence):
-            with pytest.raises(ZeroDivisionError):
-                fn(diag, (Fraction(1, 2), 1))
+        with pytest.raises(ZeroDivisionError):
+            frozen_ratio_sequence(diag, (Fraction(1, 2), 1))
+    for diag, off in (
+        (np.array([1.0, 0.0, 2.0]), np.array([0.5, 1.0])),
+        (np.array([1.0, -0.0]), np.array([0.5])),
+        ((Fraction(1), Fraction(0), Fraction(2)), (Fraction(1, 2), Fraction(1))),
+        ((Fraction(1), 0, Fraction(2)), (Fraction(1, 2), 1)),
+        (np.array([1, 0, 2], dtype=object), np.array([1, 1], dtype=object)),
+    ):
+        with pytest.raises(ValueError, match="^diagonal entries must be nonzero$"):
+            ratio_sequence(diag, off)

@@ -45,7 +45,7 @@ GOLDEN_CASES = [
     ("check_positivity_a01.txt", ["check-positivity", "data/a01.json"], {}),
     ("check_positivity_p.txt", ["check-positivity", "data/p.json"], {}),
     ("check_positivity_permuted.txt", ["check-positivity", "data/permuted_tridiagonal.json"], {}),
-    # a full pentadiagonal, stored dense: no path order, so Householder
+    # a full pentadiagonal, stored dense: no path order, so LAPACK spectrum
     ("check_positivity_dense_penta.txt", ["check-positivity", "data/dense_pentadiagonal.json"], {}),
     ("check_positivity_tiny.txt", ["check-positivity", "data/tiny_tridiagonal.json"], {}),
     ("hadamard_p_r05.txt", ["hadamard", "data/p.json", "-r", "0.5"], {}),
@@ -55,7 +55,7 @@ GOLDEN_CASES = [
     ("critical_exponent_p3.txt", ["critical-exponent", "data/p3.graph"], {}),
     ("id_check_a0.txt", ["id-check", "data/a0.json"], {}),
     ("id_check_block.txt", ["id-check", "data/id_block.json"], {}),
-    # dense input: the grid on the Householder route, and on the path route
+    # dense input: the grid on the LAPACK spectrum route, and on the path route
     # of a permuted direct sum of ID blocks
     ("id_check_dense_penta.txt", ["id-check", "data/dense_pentadiagonal.json"], {}),
     ("id_check_permuted.txt", ["id-check", "data/id_permuted.json"], {}),
@@ -64,7 +64,7 @@ GOLDEN_CASES = [
     # the injected counterexample makes the running minimum negative from
     # sample 0, so every later sample is bisected only as far as that needs
     ("probe_tri_r05.json", ["probe", "--family", "tridiagonal", "-r", "0.5", "-n", "64", "--seed", "7", "--json"], {}),
-    # graph samples are Householder-reduced
+    # K5 samples take the LAPACK spectrum route
     (
         "probe_k5_r15.json",
         ["probe", "--family", "graph", "--graph", "data/k5.graph", "-r", "1.5", "-n", "64", "--seed", "7", "--json"],
@@ -213,6 +213,20 @@ class TestExitCodes:
             if i < 2:
                 assert code == EXIT_OK and "input.order: 2" in out and "classification: PD" in out
         assert err == f"error: {f}: all entries must be finite\n"
+
+    @pytest.mark.parametrize("exact", ["0", "1"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"kind": "dense", "rows": [[1, 2], [3]]}', '{"kind": "tridiagonal", "diag": [[1], [2, 3]], "offdiag": [0.5]}'],
+        ids=["dense", "band"],
+    )
+    def test_ragged_nesting_is_format_error(self, capsys, monkeypatch, tmp_path, text, exact):
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        f = tmp_path / "ragged.json"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "check-positivity", str(f))
+        assert (code, out) == (EXIT_FORMAT, "")
+        assert err == f"error: {f}: entries must form a rectangular array of numbers\n"
 
     def test_integer_beyond_float_range_is_format_error(self, capsys, tmp_path):
         f = tmp_path / "huge.json"
@@ -617,10 +631,10 @@ def test_eigenvalue_beyond_the_float_range_is_reported(capsys, monkeypatch, tmp_
 
 @pytest.mark.parametrize("exact", ["0", "1"])
 def test_householder_reduction_beyond_the_float_range_gets_a_verdict(capsys, monkeypatch, tmp_path, exact):
-    # dense input of no path pattern whose reduction, scaled back, would
-    # hold -inf: the reduction is bisected at its power of two instead
+    # dense input of no path pattern whose eigenvalues, scaled back, would
+    # hold -inf: they are bisected at their power of two instead
     monkeypatch.setenv("BANDPOS_EXACT", exact)
-    path = tmp_path / "householder.json"
+    path = tmp_path / "spectrum.json"
     rows = [[-1.5e308, 1.5e308, 1e308], [1.5e308, -1.5e308, 1e308], [1e308, 1e308, -1.5e308]]
     path.write_text(json.dumps({"kind": "dense", "rows": rows}), encoding="utf-8")
     code, out, err = run_cli(capsys, "check-positivity", str(path))

@@ -35,7 +35,7 @@ from bandpos import (
     wall_wetzel_pd,
 )
 from bandpos import positivity as oracle
-from bandpos.positivity import DEFAULT_TOL, _householder_tridiagonalize
+from bandpos.positivity import DEFAULT_TOL
 from test_minors_reference import frozen_det_exact
 
 # Roots of the characteristic cubic of A(0.1) = tridiag([1, 2.1, 1], [1, 1]):
@@ -168,7 +168,7 @@ class TestDenseEigenvalues:
     def test_circulant_spectra_match_the_closed_form(self):
         # the symmetric circulant of first row (a, b, c, 0, ..., 0, c, b) has
         # eigenvalues a + 2b cos(2 pi k / n) + 2c cos(4 pi k / n), k = 0..n-1;
-        # its nonzero graph holds a cycle, so it takes the Householder route
+        # its nonzero graph holds a cycle, so it takes the LAPACK spectrum route
         rng = np.random.default_rng(181)
         for _ in range(200):
             n = int(rng.integers(5, 31))
@@ -261,6 +261,11 @@ class TestRawArrayValidation:
     def test_minors_and_determinant_reject_order_zero(self, fn):
         with pytest.raises(ValueError, match="order must be at least 1"):
             fn(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("fn", [classify_positivity, leading_principal_minors, determinant])
+    def test_ragged_rows_rejected(self, fn):
+        with pytest.raises(ValueError, match="^entries must form a rectangular array of numbers$"):
+            fn([[1.0, 2.0], [3.0]])
 
     def test_integer_beyond_the_float_range_rejected_as_not_finite(self):
         # every entry point refuses it as the JSON parse does, not with a
@@ -446,34 +451,6 @@ def refuse_estimate(a):
     raise AssertionError("an eigenvalue estimate was taken")
 
 
-def frozen_householder_tridiagonalize(a):
-    """Householder reduction as first written, writing the whole reflected
-    column and stacking the rank-2 factors each step (frozen copy: the
-    reference the library's reduction must reproduce bit for bit)."""
-    m = np.array(a, dtype=float, copy=True)
-    n = m.shape[0]
-    for k in range(n - 2):
-        x = m[k + 1 :, k].copy()
-        nx = math.sqrt(float(np.dot(x, x)))
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += math.copysign(nx, x[0]) if x[0] != 0.0 else nx
-        nv = math.sqrt(float(np.dot(v, v)))
-        if nv == 0.0:
-            continue
-        v /= nv
-        col = x - 2.0 * v * float(np.dot(v, x))
-        m[k + 1 :, k] = col
-        m[k, k + 1 :] = col
-        sub = m[k + 1 :, k + 1 :]
-        w = sub @ v
-        w -= float(np.dot(v, w)) * v
-        w *= 2.0
-        sub -= np.stack((v, w), axis=1) @ np.stack((w, v))
-    return np.diag(m).copy(), np.diag(m, 1).copy()
-
-
 def random_symmetric_inputs(seed, count):
     """Tridiagonals and pentadiagonal-form matrices (some with integer
     entries and zero couplings, which put pivots exactly on zero)
@@ -505,10 +482,16 @@ def bisect_form(form, width, floor=math.inf):
 def sturm_form(a):
     """The tridiagonal (diag, off) the oracle bisects, and the max-norm of a:
     a tridiagonal as it is, a pentadiagonal-form matrix as the direct sum of
-    its split_pentadiagonal blocks, a dense array after the frozen
-    Householder reduction."""
+    its split_pentadiagonal blocks, a dense array of order 1 or 2 (a path)
+    as it is, and a larger dense array (no zero entry, so no path) as
+    LAPACK's eigenvalues of 2**-e a, 2**e the power of two of its max-norm,
+    scaled back, with zero couplings."""
     if not isinstance(a, BandSymMatrix):
-        return (*frozen_householder_tridiagonalize(a), float(np.abs(a).max()))
+        norm = float(np.abs(a).max())
+        if a.shape[0] <= 2:
+            return np.diag(a).copy(), np.diag(a, 1).copy(), norm
+        e = math.frexp(norm)[1]
+        return np.ldexp(np.linalg.eigvalsh(np.ldexp(a, -e)), e), np.zeros(a.shape[0] - 1), norm
     blocks = (a,) if a.bandwidth == 1 else split_pentadiagonal(a)
     diag = np.concatenate([b.main_diag for b in blocks])
     off = np.concatenate([blocks[0].off] + [np.r_[0.0, b.off] for b in blocks[1:]])
@@ -544,33 +527,6 @@ class TestBisectionBitIdentity:
             rng.integers(0, n)
             assert bisect_form(oracle._scaled_form(diag, off), width) == sequential_bisect(diag, off, width, 0)
 
-    def test_householder_equals_frozen_reduction(self):
-        rng = np.random.default_rng(89)
-        reducible = 0
-        for case in range(520):
-            n = int(rng.integers(1, 33))
-            a = rng.uniform(-2.0, 2.0, (n, n))
-            if case % 4 == 1:
-                a = rng.integers(-2, 3, (n, n)).astype(float)
-            elif case % 4 == 2:
-                a[rng.random((n, n)) < 0.7] = 0.0
-            elif case % 4 == 3:
-                # block diagonal, or diagonal: some reflections find a zero
-                # column below the diagonal and are skipped
-                h = int(rng.integers(0, n))
-                a[:h, h:] = a[h:, :h] = 0.0
-                if case % 8 == 7:
-                    a = np.diag(np.diag(a))
-            a = a + a.T
-            want = frozen_householder_tridiagonalize(a)
-            # the reduction is of 2**-t a, not scaled back
-            diag, off, norm = _householder_tridiagonalize(a)
-            assert norm == float(np.abs(a).max())
-            got = [np.ldexp(x, math.frexp(norm)[1]) for x in (diag, off)]
-            assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
-            reducible += n > 2 and 0.0 in want[1].tolist()
-        assert reducible > 50
-
     def test_pentadiagonal_spectra_match_lapack(self):
         rng = np.random.default_rng(79)
         tol = 1e-10
@@ -585,7 +541,7 @@ class TestBisectionBitIdentity:
 
 class TestWarmStart:
     """The full spectrum is LAPACK's for the matrix the oracle routes to;
-    the smallest eigenvalue alone takes no estimate."""
+    the smallest eigenvalue of band input takes no estimate."""
 
     def test_repeated_eigenvalues_of_pentadiagonal_direct_sums(self):
         rng = np.random.default_rng(137)
@@ -602,21 +558,6 @@ class TestWarmStart:
             allowance = spectrum_allowance(p.order, float(np.abs(dense).max()))
             np.testing.assert_allclose(got, np.linalg.eigvalsh(dense), rtol=0, atol=allowance)
             assert got[0::2].tolist() == got[1::2].tolist()
-
-    def test_householder_reduced_spectra(self):
-        # the oracle bisects this reduction: its tridiagonal, scaled back,
-        # has its input's spectrum
-        rng = np.random.default_rng(139)
-        for case in range(150):
-            n = int(rng.integers(3, 11))
-            # no zero entry: the nonzero graph is complete, not a union of paths
-            a = rng.uniform(-2.0, 2.0, (n, n)) if case % 2 else rng.choice([-2.0, -1.0, 1.0, 2.0], (n, n))
-            a = np.triu(a) + np.triu(a, 1).T
-            assert oracle._path_order(a) is None
-            diag, off, norm = _householder_tridiagonalize(a)
-            reduced = np.ldexp(make_tridiagonal(diag, off).dense(), math.frexp(norm)[1])
-            want = np.linalg.eigvalsh(a)
-            np.testing.assert_allclose(np.linalg.eigvalsh(reduced), want, rtol=0, atol=spectrum_allowance(n, norm))
 
     def test_one_bracket_takes_no_estimate(self, monkeypatch):
         t = random_tridiagonal(np.random.default_rng(73), 40)
@@ -743,16 +684,16 @@ class TestBisectionFloor:
             scale = max(float(np.abs(diag).max()), float(np.abs(off).max(initial=0.0)))
             if scale != 0.0:
                 inputs.append((oracle._scaled_form(diag, off), width / scale))
-        # Householder route: singular, PD and shifted indefinite Gram matrices
-        # of max-norms 2**-500 to 2**501, whose reduction is of 2**-e times
-        # the input, e the max-norm's exponent
+        # LAPACK spectrum route: singular, PD and shifted indefinite Gram
+        # matrices of max-norms 2**-500 to 2**501, whose eigenvalues are
+        # those of 2**-e times the input, e the max-norm's exponent
         rng = np.random.default_rng(181)
         for case in range(90):
             n = int(rng.integers(3, 9))
             b = rng.uniform(-1.0, 1.0, (n, n - 1 + case % 3 // 2))
             a = b @ b.T - (0.05 * np.eye(n) if case % 3 == 1 else 0.0)
             form = oracle._form(np.ldexp(a, int(rng.choice([-500, -60, 0, 60, 500])) + case % 2))
-            assert form.route == oracle._HOUSEHOLDER
+            assert form.route == oracle._SPECTRUM
             inputs.append((form.scaled(), 10.0 ** -rng.uniform(6.0, 16.0)))
         for scaled, rel in inputs:
             for tol in (rel, DEFAULT_TOL, 1e-3):
@@ -996,32 +937,6 @@ class TestLargeEntries:
         want = np.repeat(self.WANT, a.order // 4)
         np.testing.assert_allclose(sym_eigenvalues(a), want, rtol=1e-9)
 
-    def test_householder_reduction_of_huge_input_is_scaled_exactly(self):
-        # dense input of no path pattern, far above where squared entries
-        # overflow, is reduced at an exact power of two of its size: the
-        # reduction of 2**-t a is a's, and every number after it is 2**600
-        # times a's
-        big = 2.0**600
-        rng = np.random.default_rng(131)
-        for _ in range(60):
-            n = int(rng.integers(3, 12))
-            a = rng.uniform(-3.0, 3.0, (n, n))
-            a = a + a.T
-            assert oracle._path_order(a) is None and np.abs(big * a).max() > 2.0**480
-            diag, off, norm = _householder_tridiagonalize(a)
-            big_diag, big_off, big_norm = _householder_tridiagonalize(big * a)
-            # both are reductions of the same 2**-t a; t differs by 600
-            assert big_norm == big * norm == big * float(np.abs(a).max())
-            assert math.frexp(big_norm)[1] == math.frexp(norm)[1] + 600
-            assert big_diag.tolist() == diag.tolist() and big_off.tolist() == off.tolist()
-            verdict, big_verdict = classify_positivity(a), classify_positivity(big * a)
-            assert big_verdict.classification == verdict.classification
-            assert big_verdict.min_eigenvalue == big * verdict.min_eigenvalue
-            assert big_verdict.threshold == big * verdict.threshold
-            assert min_eigenvalue(big * a) == big * min_eigenvalue(a)
-            big_spectrum = sym_eigenvalues(big * a)
-            assert big_spectrum.tolist() == (big * sym_eigenvalues(a)).tolist()
-
     def test_dense_determinant_overflow_is_infinite_without_warning(self):
         # band input gets +-inf from its continuant pair; dense input the
         # same from its pivot pair (the suite turns a RuntimeWarning into
@@ -1044,8 +959,8 @@ class TestLargeEntries:
             make_tridiagonal([-1.5e308, -1.5e308], [1.5e308]),
             make_pentadiagonal([-1.5e308] * 4, [1.5e308] * 2),
             DenseSymMatrix(make_tridiagonal([-1.5e308, -1.5e308], [1.5e308]).dense()),
-            # no path pattern: the Householder reduction is bisected as it
-            # is, of 2**-t a, since scaled back it would hold -inf
+            # no path pattern: the eigenvalues of 2**-t a are bisected as
+            # they are, since scaled back they would hold -inf
             DenseSymMatrix(1e308 * np.array([[-1.5, 1.5, 1.0], [1.5, -1.5, 1.0], [1.0, 1.0, -1.5]])),
         ],
         ids=["tridiagonal", "pentadiagonal", "dense", "householder"],
@@ -1257,10 +1172,10 @@ class TestPathRoute:
         def refuse(*args):
             raise AssertionError("a permuted band matrix took a dense route")
 
-        monkeypatch.setattr(oracle, "_householder_tridiagonalize", refuse)
         monkeypatch.setattr(oracle, "_dense_minors", refuse)
         for band, dense in permuted_band_inputs(107, 40):
             for a in (dense, DenseSymMatrix(dense), band.dense()):
+                assert oracle._form(a).route == oracle._PATH
                 classify_positivity(a)
                 min_eigenvalue(a)
                 assert len(sym_eigenvalues(a)) == band.order
@@ -1323,20 +1238,12 @@ class TestPathRoute:
          np.array([[1.0, 1.0], [0.0, 1.0]])],
         ids=["C3", "C4", "C7", "star", "K3", "K5", "power-0", "cycle-plus-path", "asymmetric"],
     )
-    def test_other_patterns_keep_householder(self, dense, monkeypatch):
+    def test_other_patterns_keep_householder(self, dense):
         assert oracle._path_order(dense) is None
         if not np.array_equal(dense, dense.T):
             return
-        calls = []
-        reduce = oracle._householder_tridiagonalize
-
-        def counted(a):
-            calls.append(a.shape[0])
-            return reduce(a)
-
-        monkeypatch.setattr(oracle, "_householder_tridiagonalize", counted)
+        assert oracle._form(dense).route == oracle._SPECTRUM
         lam = min_eigenvalue(dense)
-        assert calls == [dense.shape[0]]
         assert abs(lam - np.linalg.eigvalsh(dense)[0]) <= 1e-10 * max(1.0, float(np.abs(dense).max()))
 
     def test_dense_array_and_order_built_once(self, monkeypatch):

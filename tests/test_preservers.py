@@ -497,8 +497,9 @@ class TestNumericProbe:
                     id_numeric_probe(a)
 
     def test_householder_route_overflow_refused_without_warning(self):
-        # every entry nonzero: no path order, so each exponent powers and
-        # reduces the dense matrix; PD at every exponent up to 1e200**2
+        # every entry nonzero: no path order, so each exponent powers the
+        # dense matrix and takes its LAPACK spectrum; PD at every exponent up
+        # to 1e200**2
         a = 1e200 * (np.ones((4, 4)) + np.eye(4))
         for m in (a, DenseSymMatrix(a)):
             with warnings.catch_warnings():

@@ -202,9 +202,10 @@ def _id_inputs():
                 first[:] = 1e-200  # underflows at r >= 2: the power is pentadiagonal form
             general = p.dense() + np.diag(first, 1) + np.diag(first, -1)
             inputs.append(("general band", DenseSymMatrix(general)))
-        # a Householder pattern: Gram matrix of nonnegative vectors
+        # no path pattern, so the LAPACK spectrum route: Gram matrix of
+        # nonnegative vectors
         b = rng.uniform(0.0, 1.0, (n, max(1, n - 1)))
-        inputs.append(("householder", DenseSymMatrix(b @ b.T)))
+        inputs.append(("spectrum", DenseSymMatrix(b @ b.T)))
         # a coupling of 1e-200 vanishes at r = 2 and 3: the path splits
         tiny = off.copy()
         if n >= 2:
@@ -215,18 +216,18 @@ def _id_inputs():
         big = 10.0 ** float(rng.uniform(120, 200))
         huge = make_tridiagonal(diag * big + big, off * big)
         inputs += [("overflow band", huge), ("overflow dense", _permuted(rng, huge.dense()))]
-    # Householder patterns of max-norm near 2**-500 and 2**500: the form's
-    # power of two is the max-norm's exponent plus the reduction's
+    # spectrum-route patterns of max-norm near 2**-500 and 2**500: the
+    # form's power of two is the max-norm's exponent plus the eigenvalues'
     for k in range(24):
         n = int(rng.integers(2, 9))
         b = rng.uniform(0.0, 1.0, (n, max(1, n - 1)))
-        inputs.append(("scaled householder", DenseSymMatrix(np.ldexp(b @ b.T, 500 if k % 2 else -500))))
+        inputs.append(("scaled spectrum", DenseSymMatrix(np.ldexp(b @ b.T, 500 if k % 2 else -500))))
     # max-norm near 2**-1050, below the normal range, where the threshold
     # tol * max-norm underflows: the grid reads it as classify_positivity does
     for k in range(6):
         n = int(rng.integers(3, 11))
         b = rng.uniform(0.0, 1.0, (n, n - 1))
-        inputs.append(("subnormal householder", DenseSymMatrix(np.ldexp(b @ b.T, -1050))))
+        inputs.append(("subnormal spectrum", DenseSymMatrix(np.ldexp(b @ b.T, -1050))))
     return inputs
 
 
