@@ -17,7 +17,6 @@ from bandpos import (
     penta_preserver_set,
     split_pentadiagonal,
     sym_eigenvalues,
-    sym_tridiag_eigenvalues,
 )
 
 
@@ -43,7 +42,7 @@ block[:3, :3], block[3:, 3:] = odd.dense(), even.dense()
 print("equals blockdiag(odd, even):", np.array_equal(m, block))
 
 banner("The split preserves the spectrum")
-block_eigs = np.sort(np.concatenate([sym_tridiag_eigenvalues(odd), sym_tridiag_eigenvalues(even)]))
+block_eigs = np.sort(np.concatenate([sym_eigenvalues(odd), sym_eigenvalues(even)]))
 print("eigenvalues of P:      ", np.round(sym_eigenvalues(p), 9))
 print("eigenvalues of blocks: ", np.round(block_eigs, 9))
 print("P is", classify_positivity(p).classification, "(the odd block is singular)")

@@ -77,6 +77,8 @@ class BandSymMatrix:
             raise ValueError("bandwidth must be 1 or 2")
         main = np.atleast_1d(_float_array(self.main_diag))
         off = _float_array(self.off)
+        if main.ndim != 1:
+            raise ValueError(f"main diagonal must be a flat list of numbers, got nesting depth {main.ndim}")
         n = main.shape[0]
         if d == 2 and n < 3:
             raise ValueError("pentadiagonal matrices need order >= 3")
@@ -87,8 +89,6 @@ class BandSymMatrix:
             raise ValueError(f"{name} must be a flat list of numbers, got nesting depth {off.ndim}")
         if off.shape != (n - d,):
             raise ValueError(f"{name} must have {n - d} entries, got {off.size}")
-        if main.ndim != 1:
-            raise ValueError(f"main diagonal must have {n} entries")
         if not (np.isfinite(main).all() and np.isfinite(off).all()):
             raise ValueError("all entries must be finite")
         main.setflags(write=False)

@@ -133,17 +133,20 @@ def ratio_sequence(diag, off) -> np.ndarray:
     Float input gives a float array; Fraction input gives an object array
     of exact Fractions, each made once from its entries' numerators and
     denominators.  Any other object array keeps numpy's object arithmetic.
-    A zero diagonal entry is refused for every input type.  Float ratios
-    are formed from the entries' mantissas and scaled by their exponents
-    last, so no product overflows or underflows; they are the plain
-    formula's wherever its products are normal floats.
+    A zero diagonal entry, and an off-diagonal of other than n - 1 entries,
+    are refused for every input type.  Float ratios are formed from the
+    entries' mantissas and scaled by their exponents last, so no product
+    overflows or underflows; they are the plain formula's wherever its
+    products are normal floats.
     """
     diag, off = np.asarray(diag), np.asarray(off)
+    if diag.ndim != 1 or off.shape != (diag.size - 1,):
+        raise ValueError("the off-diagonal must have one entry fewer than the diagonal")
     if not diag.all():
         raise ValueError("diagonal entries must be nonzero")
     if diag.dtype == object:
         a, b = diag.tolist(), off.tolist()
-        if diag.ndim != 1 or off.shape != (diag.size - 1,) or not all(isinstance(x, Fraction) for x in a + b):
+        if not all(isinstance(x, Fraction) for x in a + b):
             return off * off / (diag[:-1] * diag[1:])
         p, q = [x.numerator for x in a], [x.denominator for x in a]
         ratios = [Fraction(y.numerator**2 * q[j] * q[j + 1], y.denominator**2 * p[j] * p[j + 1]) for j, y in enumerate(b)]

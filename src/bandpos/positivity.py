@@ -23,11 +23,13 @@ odd and even tridiagonal blocks and is bisected as such; dense input whose
 off-diagonal nonzero graph is a disjoint union of paths is a permuted
 tridiagonal matrix and is bisected in its path order.  Any other dense
 input is bisected as the diagonal matrix of its eigenvalues from LAPACK,
-so its minimum has LAPACK's bits.  Each call finds its input's route once,
-as a _Form record (tridiagonal, odd/even split, path order or LAPACK
-spectrum), and builds one scaled form of it (_scaled_form: max-norm, power
-of two, scaled diagonals as Python lists, Gershgorin bounds), which every
-bisection, the threshold and the band minors read.
+so its minimum has LAPACK's bits.  Each call builds one _Form record of
+its input: the route (tridiagonal, odd/even split, path order or LAPACK
+spectrum) and the tridiagonal matrix that route bisects, which no other
+code rebuilds.  The record makes one scaled form of that matrix
+(_scaled_form: max-norm, power of two, scaled diagonals as Python lists,
+Gershgorin bounds), which every bisection, the threshold and the band
+minors read.
 
 Leading principal minors come from the three-term continuant for band input
 (a pentadiagonal matrix with zero first off-diagonal multiplies the
@@ -51,6 +53,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +65,6 @@ __all__ = [
     "PSD_BOUNDARY",
     "INDEFINITE",
     "PositivityVerdict",
-    "sym_tridiag_eigenvalues",
     "sym_eigenvalues",
     "min_eigenvalue",
     "classify_positivity",
@@ -315,62 +317,55 @@ _TRIDIAGONAL, _SPLIT, _PATH, _SPECTRUM = "tridiagonal", "odd/even split", "path 
 
 @dataclass(frozen=True)
 class _Form:
-    """An input's route to the tridiagonal matrix the oracle bisects, and
-    what the route reads; _form builds it once per call.  Band input holds
-    its main diagonal and stored off-diagonal as float arrays, dense input
-    its validated array and, on the path route, its path order (on the
-    LAPACK spectrum route, its eigenvalues are bisected).  route is None
-    for dense input when no route was asked for."""
+    """An input's route and the tridiagonal matrix the oracle bisects, built
+    once per call by _form: diag and off are its diagonal and couplings,
+    None on the LAPACK spectrum route.  Dense input also keeps its validated
+    array, and on the path route its path order, for the minors."""
 
-    route: str | None
+    route: str
     diag: np.ndarray | None = None
     off: np.ndarray | None = None
     dense: np.ndarray | None = None
     order: list[int] | None = None
 
-    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of the tridiagonal matrix the oracle
-        bisects, off the LAPACK spectrum route: the split's blocks joined by
-        an exactly zero coupling, or the path entries in path order."""
-        if self.dense is None:
-            if self.route == _SPLIT:
-                return _direct_sum(*_parity_blocks(self.diag, self.off))
-            return self.diag, self.off
-        order = self.order
-        return self.dense[order, order], self.dense[order[:-1], order[1:]]
-
+    @cached_property
     def scaled(self) -> tuple:
-        """The input's _scaled_form, the one form every bisection reads.  Off
-        the LAPACK spectrum route its max-norm is matrix()'s: on the path
-        route, that of the 2n - 1 path entries, which hold every nonzero.  On
-        it, the max-norm is the input's, of exponent e, and the form holds
-        LAPACK's eigenvalues of 2**-e times the input, so the power of two
-        carries e; their bits may differ across BLAS builds and threads."""
-        if self.route != _SPECTRUM:
-            return _scaled_form(*self.matrix())
+        """The input's _scaled_form, the one form every bisection and the
+        band minors read, made once.  Off the LAPACK spectrum route its
+        max-norm is that of (diag, off): on the path route, that of the
+        2n - 1 path entries, which hold every nonzero.  On it, the max-norm
+        is the input's, of exponent e, and the form holds LAPACK's
+        eigenvalues of 2**-e times the input, so the power of two carries e;
+        their bits may differ across BLAS builds and threads."""
+        if self.diag is not None:
+            return _scaled_form(self.diag, self.off)
         norm = _max_abs(self.dense)
         e = math.frexp(norm)[1]
         eig = np.linalg.eigvalsh(np.ldexp(self.dense, -e))
         return _scaled_form(eig, np.zeros(eig.shape[0] - 1), e, norm)
 
 
-def _form(a, symmetric: bool = True, reorder: bool = True) -> _Form:
-    """The _Form of band or dense input.  A raw dense array gets
-    DenseSymMatrix's checks (bandmat.check_dense), the symmetry check only
-    when symmetric.  Without reorder, dense input gets no route and no path
-    order is looked for."""
+def _form(a, symmetric: bool = True) -> _Form:
+    """The _Form of band or dense input: band input's own diagonals, the
+    direct sum of a pentadiagonal matrix's odd and even blocks, the path
+    entries of dense input in path order, or, for dense input with no path
+    order, none.  A raw dense array gets DenseSymMatrix's checks
+    (bandmat.check_dense), the symmetry check only when symmetric."""
     if isinstance(a, ExactBand):
-        diag, off = _float_array(a.diag), _float_array(a.off)
-        return _Form(_SPLIT if a.offset == 2 else _TRIDIAGONAL, diag, off)
-    if isinstance(a, BandSymMatrix):
-        return _Form(_SPLIT if a.bandwidth == 2 else _TRIDIAGONAL, a.main_diag, a.off)
-    dense = to_dense_array(a)
-    if not isinstance(a, DenseSymMatrix):
-        check_dense(dense, symmetric)
-    if not reorder:
-        return _Form(None, dense=dense)
-    order = _path_order(dense)
-    return _Form(_SPECTRUM if order is None else _PATH, dense=dense, order=order)
+        diag, off, split = _float_array(a.diag), _float_array(a.off), a.offset == 2
+    elif isinstance(a, BandSymMatrix):
+        diag, off, split = a.main_diag, a.off, a.bandwidth == 2
+    else:
+        dense = to_dense_array(a)
+        if not isinstance(a, DenseSymMatrix):
+            check_dense(dense, symmetric)
+        order = _path_order(dense)
+        if order is None:
+            return _Form(_SPECTRUM, dense=dense)
+        return _Form(_PATH, dense[order, order], dense[order[:-1], order[1:]], dense, order)
+    if split:
+        return _Form(_SPLIT, *_direct_sum(*_parity_blocks(diag, off)))
+    return _Form(_TRIDIAGONAL, diag, off)
 
 
 def _checked_tol(tol) -> float:
@@ -378,13 +373,6 @@ def _checked_tol(tol) -> float:
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     return float(tol)
-
-
-def sym_tridiag_eigenvalues(t: BandSymMatrix) -> np.ndarray:
-    """sym_eigenvalues of a tridiagonal BandSymMatrix."""
-    if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
-        raise ValueError("expected a tridiagonal BandSymMatrix")
-    return sym_eigenvalues(t)
 
 
 def sym_eigenvalues(a) -> np.ndarray:
@@ -401,13 +389,12 @@ def sym_eigenvalues(a) -> np.ndarray:
     builds or thread counts; numpy.linalg.LinAlgError is raised when LAPACK
     does not converge.  No verdict reads the full spectrum."""
     form = _form(a)
-    if form.route == _SPECTRUM:
+    if form.diag is None:
         m = form.dense
     else:
-        diag, off = form.matrix()
-        n = diag.shape[0]
-        m = np.diag(diag)
-        m[range(1, n), range(n - 1)] = m[range(n - 1), range(1, n)] = off
+        n = form.diag.shape[0]
+        m = np.diag(form.diag)
+        m[range(1, n), range(n - 1)] = m[range(n - 1), range(1, n)] = form.off
     t = math.frexp(_max_abs(m))[1]
     # m is this call's own array (_form copies dense input): scale it in place
     np.ldexp(m, -t, out=m)
@@ -458,7 +445,7 @@ def _indefinite(form: tuple, tol: float) -> bool:
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue to accuracy tol * max-norm."""
     tol = _checked_tol(tol)
-    return _class(_form(a).scaled(), tol)[0]
+    return _class(_form(a).scaled, tol)[0]
 
 
 def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
@@ -474,9 +461,8 @@ def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     """
     tol = _checked_tol(tol)
     form = _form(a)
-    scaled = form.scaled()
-    lam, cls, thr = _class(scaled, tol)
-    return PositivityVerdict(cls, lam, scaled[0], tuple(_float_minors(form, scaled)), thr)
+    lam, cls, thr = _class(form.scaled, tol)
+    return PositivityVerdict(cls, lam, form.scaled[0], tuple(_float_minors(form)), thr)
 
 
 def _continuant(d: list[float], o: list[float], t: int) -> tuple[list[float], list[int]]:
@@ -507,10 +493,10 @@ def _continuant(d: list[float], o: list[float], t: int) -> tuple[list[float], li
     return ms, es
 
 
-def _band_minors(form: _Form, scaled: tuple | None = None) -> tuple[list[float], list[int]]:
-    """Leading minors of band input, given by its _Form (and _scaled_form,
-    when made), as _continuant gives them, from order 1."""
-    _, t, d, o, _, _ = scaled or form.scaled()
+def _band_minors(form: _Form) -> tuple[list[float], list[int]]:
+    """Leading minors of band input, given by its _Form, as _continuant
+    gives them from its scaled form, from order 1."""
+    _, t, d, o, _, _ = form.scaled
     if form.route == _TRIDIAGONAL:
         ms, es = _continuant(d, o, t)
         return ms[1:], es[1:]
@@ -573,16 +559,16 @@ def _dense_minors(dense: np.ndarray) -> list[float]:
     return minors
 
 
-def _float_minors(form: _Form, scaled: tuple | None = None) -> list[float]:
-    """Leading minors of the input given by its _Form (and _scaled_form):
-    the continuant for band input, _dense_minors on the LAPACK spectrum route.
+def _float_minors(form: _Form) -> list[float]:
+    """Leading minors of the input given by its _Form: the continuant for
+    band input, _dense_minors on the LAPACK spectrum route.
     On the path route, _dense_minors' arithmetic and fallback over the
     diagonal and, for each vertex i of the order and the vertex j after it,
     the pair (a_ij, a_ji), every other entry being zero: the minors are
     _dense_minors', bit for bit.  Eliminating vertex k updates its at most
     two neighbours and links them by the fill: O(n) in all."""
     if form.dense is None:
-        ms, es = _band_minors(form, scaled)
+        ms, es = _band_minors(form)
         try:
             return list(map(math.ldexp, ms, es))
         except OverflowError:
@@ -654,13 +640,13 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * m[0][0]
 
 
-def _exact_minors(rows: list[list[Fraction]]) -> list[Fraction]:
-    """Exact leading minors of rows of Fractions or ints: row i times the
-    lcm q_i of its denominators is an integer row, so the order-k minor is
-    that of those rows' leading k-block over q_1 ... q_k.  One Bareiss pass
-    without exchanges gives every one, its k-th pivot being the order-k
-    minor; from the first zero pivot on, each comes from _int_det of its
-    block."""
+def _exact_minors(rows: list[list]) -> list[Fraction]:
+    """Exact leading minors of rows of Fractions or ints, whose numerators
+    and denominators it reads alike: row i times the lcm q_i of its
+    denominators is an integer row, so the order-k minor is that of those
+    rows' leading k-block over q_1 ... q_k.  One Bareiss pass without
+    exchanges gives every one, its k-th pivot being the order-k minor; from
+    the first zero pivot on, each comes from _int_det of its block."""
     ints, scales, scale = [], [], 1
     for row in rows:
         q = math.lcm(*(x.denominator for x in row))
@@ -678,25 +664,16 @@ def _exact_minors(rows: list[list[Fraction]]) -> list[Fraction]:
     return minors
 
 
-def _exact_rows(a) -> list[list[Fraction]] | None:
-    """Nested Fraction rows when the input carries exact rational entries;
-    an entry that is already a Fraction is kept as it is."""
+def _exact_rows(a) -> list[list] | None:
+    """The input's rows as lists when they form a square of ints (not bools)
+    and Fractions, each entry as given; None otherwise."""
     if isinstance(a, np.ndarray) and a.dtype != object:
         return None
-    rows = list(a)
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            if not isinstance(x, Fraction):
-                if isinstance(x, bool) or not isinstance(x, int):
-                    return None
-                x = Fraction(x)
-            r.append(x)
-        out.append(r)
-    if not out or any(len(r) != len(out) for r in out):
+    rows = [list(row) for row in a]
+    if not rows or any(len(r) != len(rows) for r in rows):
         return None
-    return out
+    exact = all(isinstance(x, (int, Fraction)) and not isinstance(x, bool) for r in rows for x in r)
+    return rows if exact else None
 
 
 def leading_principal_minors(a) -> list:
@@ -726,11 +703,10 @@ def leading_principal_minors(a) -> list:
 def determinant(a) -> float:
     """Determinant of a (band or dense) square matrix; the last continuant
     minor for band input."""
-    form = _form(a, symmetric=False, reorder=False)
-    if form.dense is None:
-        ms, es = _band_minors(form)
+    if isinstance(a, (BandSymMatrix, ExactBand)):
+        ms, es = _band_minors(_form(a))
         return _pair_value(ms[-1], es[-1])
-    return _det_float(form.dense)
+    return _det_float(check_dense(to_dense_array(a), symmetric=False))
 
 
 def shift_to_boundary(a, tol: float = DEFAULT_TOL):

@@ -10,7 +10,7 @@ random probe that searches for falsifying matrices.
 
 The probe and the infinite-divisibility grid classify many Hadamard powers,
 so they build no matrix object per power: they power the two diagonals of
-the tridiagonal matrix the oracle bisects (positivity._Form.matrix).
+the tridiagonal matrix the oracle bisects (positivity._Form's diag and off).
 The probe draws each band sample from its own generator, then sets up a
 batch of samples at once: their couplings, powers, powers of two and
 Gershgorin bounds come from one set of numpy calls over the samples laid
@@ -44,8 +44,7 @@ from .bandmat import (
     to_dense_array,
 )
 from .chainseq import check_pattern_tol, split_at_zero_offdiag
-from .positivity import DEFAULT_TOL, _PATH, _SPECTRUM, _bisect_scaled, _checked_tol, _form
-from .positivity import _indefinite, _scaled_form, _scaled_forms
+from .positivity import DEFAULT_TOL, _bisect_scaled, _checked_tol, _form, _indefinite, _scaled_form, _scaled_forms
 
 __all__ = [
     "PowerSet",
@@ -294,11 +293,12 @@ def probe_preserves(
     """Search for matrices in the family whose Hadamard r-th power is not
     PSD, over seeded random PSD samples.
 
-    family is "tridiagonal", "pentadiagonal", or "graph" (the latter needs
-    the graph argument).  Each sample gets its own generator seeded by
-    (seed, index), so the result is independent of evaluation order.  For
-    the band families with 0 < r < 1 the known counterexample is injected
-    as sample 0, so the probe is guaranteed to falsify there.
+    family is "tridiagonal", "pentadiagonal", or "graph"; the graph argument
+    is required for the last and refused for the others.  Each sample gets
+    its own generator seeded by (seed, index), so the result is independent
+    of evaluation order.  For the band families with 0 < r < 1 the known
+    counterexample is injected as sample 0, so the probe is guaranteed to
+    falsify there.
     min_over_samples >= -tol certifies that no falsification was found.
     samples must be a positive integer and seed a non-negative one; both are
     checked before any draw.
@@ -322,11 +322,13 @@ def probe_preserves(
         raise ValueError("exponent must be finite")
     samples = _checked_int(samples, 1, "samples must be a positive integer")
     seed = _checked_int(seed, 0, "seed must be a non-negative integer")
-    family = family.lower()
-    if family not in ("tridiagonal", "pentadiagonal", "graph"):
+    if not isinstance(family, str) or family.lower() not in ("tridiagonal", "pentadiagonal", "graph"):
         raise ValueError(f"unknown family: {family!r}")
+    family = family.lower()
     if family == "graph" and graph is None:
         raise ValueError("graph family requires a graph")
+    if family != "graph" and graph is not None:
+        raise ValueError(f"the {family} family takes no graph")
     tol = _checked_tol(tol)
     if family != "graph":
         best, worst = _band_minimum(family, r, samples, seed, tol, *_checked_order_range(family, order_range))
@@ -334,7 +336,7 @@ def probe_preserves(
     best, worst = math.inf, None
     for i in range(samples):
         sample = _draw_pattern(np.random.default_rng([seed, i]), graph)
-        norm, t, d, o, lo, hi = _form(_power(sample, r)).scaled()
+        norm, t, d, o, lo, hi = _form(_power(sample, r)).scaled
         # None unless the sample sets a new minimum (the first always does)
         lam = _bisect_scaled(d, [x * x for x in o], tol * norm, lo, hi, t, best)
         if lam is not None:
@@ -382,8 +384,9 @@ def _bisect_batch(batch: list, orders: list, r: float, tol: float, best: float, 
         if isinstance(sample, BandSymMatrix):
             # the counterexample's form: its couplings replace the ones made
             # from its placeholder g below
-            diag, head = _form(sample).matrix()
-            blocks.append((np.zeros_like(diag), diag))
+            form = _form(sample)
+            head = form.off
+            blocks.append((np.zeros_like(form.diag), form.diag))
         else:
             blocks += sample
     g, diag = np.concatenate([g for g, _ in blocks]), np.concatenate([d for _, d in blocks])
@@ -458,7 +461,7 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
                     "not ID: consecutive nonzero entries in the "
                     f"{parity}-position second-diagonal subsequence",
                 )
-    if any(_indefinite(_form(t).scaled(), DEFAULT_TOL) for t in tridiagonals):
+    if any(_indefinite(_form(t).scaled, DEFAULT_TOL) for t in tridiagonals):
         return IdVerdict(False, "not ID: matrix is not PSD")
     blocks = tuple(split_at_zero_offdiag(m, tol)) if m.bandwidth == 1 else ()
     return IdVerdict(True, "PSD with no two consecutive nonzero off-diagonal entries", blocks)
@@ -523,14 +526,12 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError("matrix has a negative entry")
     tol = _checked_tol(tol)
     form = _form(a)
-    lean = form.route != _SPECTRUM
-    if lean:
-        diag, off = form.matrix()
-        n, entries, couplings = diag.shape[0], np.concatenate((diag, off)), np.count_nonzero(off)
+    if form.diag is not None:
+        n, entries, couplings = form.diag.shape[0], np.concatenate((form.diag, form.off)), np.count_nonzero(form.off)
     for r in grid:
-        x = _power(entries, r) if lean else None
-        if x is None or (form.route == _PATH and np.count_nonzero(x[n:]) < couplings):
-            scaled = _form(_power(form.dense, r)).scaled()
+        x = None if form.diag is None else _power(entries, r)
+        if x is None or (form.order is not None and np.count_nonzero(x[n:]) < couplings):
+            scaled = _form(_power(form.dense, r)).scaled
         else:
             scaled = _scaled_form(x[:n], x[n:])
         if _indefinite(scaled, tol):

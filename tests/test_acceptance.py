@@ -39,7 +39,6 @@ from bandpos import (
     shift_to_boundary,
     split_pentadiagonal,
     sym_eigenvalues,
-    sym_tridiag_eigenvalues,
     wall_wetzel_pd,
 )
 
@@ -106,7 +105,7 @@ def test_criterion_05_theorem3_forward_probe_and_split():
         rng = np.random.default_rng([505, i])
         p = random_pd_pentadiagonal(rng, int(rng.integers(5, 9)))
         odd, even = split_pentadiagonal(p)
-        block_eigs = np.sort(np.concatenate([sym_tridiag_eigenvalues(odd), sym_tridiag_eigenvalues(even)]))
+        block_eigs = np.sort(np.concatenate([sym_eigenvalues(odd), sym_eigenvalues(even)]))
         dense_eigs = sym_eigenvalues(p.dense())
         np.testing.assert_allclose(dense_eigs, block_eigs, atol=1e-12)
     _ok(5, "pentadiagonal probe clean for n in 5..8; split eigenvalues match to 1e-12")

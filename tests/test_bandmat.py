@@ -34,6 +34,9 @@ def _band_json(kind, diag, off):
     return matrix_from_json(json.dumps({"kind": kind, "diag": diag, key: off}))
 
 
+NESTED_MAIN = "main diagonal must be a flat list of numbers, got nesting depth 2"
+
+
 class TestConstruction:
     def test_a_eps_dense(self, a01):
         expected = np.array([[1.0, 1.0, 0.0], [1.0, 2.1, 1.0], [0.0, 1.0, 1.0]])
@@ -73,9 +76,11 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "build,args,message",
         [
-            (BandSymMatrix, (1, [[1, 2], [3, 4]], [5]), "main diagonal must have 2 entries"),
-            (_band_json, ("tridiagonal", [[1, 2], [3, 4]], [5]), "main diagonal must have 2 entries"),
-            (_band_json, ("pentadiagonal", [[1, 2], [3, 4], [5, 6]], [1]), "main diagonal must have 3 entries"),
+            # a nested main diagonal is refused for its nesting, before its
+            # length is read
+            (BandSymMatrix, (1, [[1, 2], [3, 4]], [5]), NESTED_MAIN),
+            (_band_json, ("tridiagonal", [[1, 2], [3, 4]], [5]), NESTED_MAIN),
+            (_band_json, ("pentadiagonal", [[1, 2], [3, 4], [5, 6]], [1]), NESTED_MAIN),
             (make_tridiagonal, ([1, 2, 3], [1]), "off-diagonal must have 2 entries, got 1"),
             (_band_json, ("tridiagonal", [1, 2], [1, 1]), "off-diagonal must have 1 entries, got 2"),
             (make_pentadiagonal, ([1, 1, 1], [1, 1]), "second diagonal must have 1 entries, got 2"),
@@ -106,6 +111,9 @@ class TestConstruction:
                 ('{"kind": "dense", "rows": [[1, 2], [3]]}',),
                 "entries must form a rectangular array of numbers",
             ),
+            # one row of main diagonal, nested: no longer read as order 1
+            (_band_json, ("tridiagonal", [[1, 2]], [1]), NESTED_MAIN),
+            (_band_json, ("pentadiagonal", [[1, 2, 3]], [1]), NESTED_MAIN),
         ],
     )
     def test_refusals(self, build, args, message):

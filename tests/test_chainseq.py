@@ -153,6 +153,28 @@ class TestRatioSequence:
             ratio_sequence(a01.main_diag, a01.off), tridiag_ratio_sequence(a01)
         )
 
+    @pytest.mark.parametrize(
+        "diag,off",
+        [
+            ([1.0, 2.0, 3.0], [1.0]),
+            ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
+            ([1.0, 2.0, 3.0], []),
+            ((Fraction(1), Fraction(2), Fraction(3)), (Fraction(1),)),
+            ((1, 2, 3), (1,)),
+            (np.array([Fraction(1), Fraction(2), Fraction(3)], dtype=object), np.array([Fraction(1)], dtype=object)),
+            (np.array([1.0, 2.0]), np.array([[1.0]])),
+        ],
+        ids=["float-short", "float-long", "float-empty", "fraction", "int", "object-array", "nested-off"],
+    )
+    def test_off_diagonal_of_other_than_n_minus_1_entries_refused(self, diag, off):
+        # before, a one-entry off-diagonal was broadcast over every ratio,
+        # and a long one leaked numpy's broadcast error
+        with pytest.raises(ValueError, match="^the off-diagonal must have one entry fewer than the diagonal$"):
+            ratio_sequence(diag, off)
+
+    def test_order_one_has_no_ratios(self):
+        assert ratio_sequence([2.0], []).shape == (0,)
+
     def test_nonpositive_diagonal_rejected(self):
         t = make_tridiagonal([1.0, 0.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):

@@ -228,6 +228,24 @@ class TestExitCodes:
         assert (code, out) == (EXIT_FORMAT, "")
         assert err == f"error: {f}: entries must form a rectangular array of numbers\n"
 
+    @pytest.mark.parametrize("exact", ["0", "1"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "tridiagonal", "diag": [[1, 2]], "offdiag": [1]}',
+            '{"kind": "tridiagonal", "diag": [[1, 2], [3, 4]], "offdiag": [1]}',
+            '{"kind": "pentadiagonal", "diag": [[1, 2, 3]], "second": [1]}',
+        ],
+        ids=["one-row", "two-rows", "pentadiagonal"],
+    )
+    def test_nested_main_diagonal_is_format_error(self, capsys, monkeypatch, tmp_path, text, exact):
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        f = tmp_path / "nested.json"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "check-positivity", str(f))
+        assert (code, out) == (EXIT_FORMAT, "")
+        assert err == f"error: {f}: main diagonal must be a flat list of numbers, got nesting depth 2\n"
+
     def test_integer_beyond_float_range_is_format_error(self, capsys, tmp_path):
         f = tmp_path / "huge.json"
         f.write_text('{"kind": "tridiagonal", "diag": [1, 1%s, 1], "offdiag": [1, 1]}' % ("0" * 400))
@@ -536,6 +554,14 @@ class TestProbeGraphFamily:
     def test_graph_family_requires_graph(self, capsys):
         code, _, err = run_cli(capsys, "probe", "--family", "graph", "-r", "2", "-n", "5")
         assert code == EXIT_USAGE and err
+
+    @pytest.mark.parametrize("family", ["tridiagonal", "pentadiagonal"])
+    def test_band_family_refuses_a_graph(self, capsys, family):
+        code, out, err = run_cli(
+            capsys, "probe", "--family", family, "-r", "2", "-n", "5", "--graph", "data/k5.graph"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: the {family} family takes no graph\n"
 
 
 @pytest.mark.parametrize("graph", ["k5", "c4", "p3"])

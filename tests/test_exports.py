@@ -31,7 +31,6 @@ PUBLIC_NAMES = {
     "PSD_BOUNDARY",
     "INDEFINITE",
     "PositivityVerdict",
-    "sym_tridiag_eigenvalues",
     "sym_eigenvalues",
     "min_eigenvalue",
     "classify_positivity",
@@ -100,4 +99,4 @@ def test_package_exports_its_modules_exports_once():
     exported = ["__version__"] + [n for m in modules for n in getattr(m, "__all__", [])]
     assert len(bandpos.__all__) == len(set(bandpos.__all__)) == len(exported) == len(set(exported))
     assert set(bandpos.__all__) == set(exported) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 60

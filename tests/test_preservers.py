@@ -222,6 +222,18 @@ class TestProbe:
         with pytest.raises(ValueError):
             probe_preserves("graph", 1.5, 10, seed=1)
 
+    @pytest.mark.parametrize("family", ["tridiagonal", "pentadiagonal", "Tridiagonal"])
+    def test_band_family_refuses_a_graph(self, family):
+        # before, the graph was silently ignored
+        with pytest.raises(ValueError, match=f"^the {family.lower()} family takes no graph$"):
+            probe_preserves(family, 1.5, 4, seed=1, graph=path_graph(4))
+
+    @pytest.mark.parametrize("family", [3, None])
+    def test_family_that_is_not_a_string_refused(self, family):
+        # before, family.lower() raised AttributeError
+        with pytest.raises(ValueError, match="^unknown family: "):
+            probe_preserves(family, 1.5, 2, 0)
+
     @pytest.mark.parametrize(
         "family,order_range",
         [

@@ -280,6 +280,6 @@ def test_id_probe_bisects_the_forms_of_the_powers(monkeypatch):
                 continue
             powered = hadamard_power(a, r)
             form = positivity._form(powered)
-            assert seen == [_form_key(form.scaled())], (label, r)
+            assert seen == [_form_key(form.scaled)], (label, r)
             split += label == "tiny permuted" and form.order != positivity._form(a).order
     assert split > 0
