@@ -1,6 +1,8 @@
 """Symmetric band matrices stored by diagonals, and the operations on them:
 entrywise (Hadamard) powers, the odd/even split of pentadiagonal matrices
-into two tridiagonal blocks, and the JSON wire format.
+into two tridiagonal blocks, and the JSON wire format.  The float parse
+reads the text with orjson; json reads what orjson refuses (NaN, Infinity,
+numbers beyond the float range, lone surrogates) and refuses it as before.
 
 The band families are the paper's two: tridiagonal matrices (bandwidth 1)
 and pentadiagonal matrices whose first off-diagonal is zero (bandwidth 2).
@@ -308,12 +310,26 @@ def matrix_to_json_obj(m) -> dict:
     return {"kind": kind, key: to_dense_array(m).tolist()}
 
 
-def matrix_from_json(text: str) -> Matrix:
-    """Parse the matrix JSON wire format; rejects unknown kinds and fields."""
+def _json_loads(text: str, **kwargs):
+    """json.loads(text, **kwargs), refusing text that is not a str or not JSON."""
+    if not isinstance(text, str):
+        raise TypeError(f"matrix JSON must be a str, not {type(text).__name__}")
     try:
-        obj = json.loads(text)
+        return json.loads(text, **kwargs)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+
+
+def matrix_from_json(text: str) -> Matrix:
+    """Parse the matrix JSON wire format; rejects unknown kinds and fields."""
+    # imported here: its import (uuid, zoneinfo, sysconfig) takes milliseconds,
+    # which only a process that reads float JSON pays
+    import orjson
+
+    try:
+        obj = orjson.loads(text) if isinstance(text, str) else _json_loads(text)
+    except orjson.JSONDecodeError:
+        obj = _json_loads(text)
     return matrix_from_json_obj(obj, text)
 
 
@@ -340,12 +356,9 @@ def exact_matrix_from_json(text: str) -> tuple[Matrix, ExactBand | list[list[Fra
     decimal.Decimal, and each entry's Fraction is made from that exact
     value.  The float matrix is validated by matrix_from_json_obj and
     equals matrix_from_json(text) bit for bit, -0.0 included, since
-    float(Decimal(s)) rounds correctly, as float(s) does.
+    float(Decimal(s)) rounds correctly, as orjson and float(s) do.
     """
-    try:
-        obj = json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
+    obj = _json_loads(text, parse_float=Decimal)
     m = matrix_from_json_obj(obj, text)
     bandwidth, key = _KINDS[obj["kind"]]
     if bandwidth is None:

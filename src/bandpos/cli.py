@@ -304,6 +304,8 @@ def _parse_sequence(text: str) -> list:
             values.append(Fraction(tok) if exact or "/" in tok else float(tok))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"cannot parse sequence entry {tok!r}") from exc
+        if isinstance(values[-1], float) and not math.isfinite(values[-1]):
+            raise InputFormatError(f"sequence entry {tok!r} is not finite")
     return values
 
 

@@ -3,8 +3,10 @@ pentadiagonal matrices, and the JSON wire format."""
 
 import json
 import math
+import random
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -378,7 +380,9 @@ class TestJsonFormat:
     @pytest.mark.parametrize(
         "entry",
         ["-0.0", "-0", "1e-320", "2.2250738585072011e-308", "9007199254740993", "0.1", "1e308", "1e400", "NaN",
-         "[1, 2]", "0." + "3" * 5000, "1" + "0" * 5000],
+         "[1, 2]", "0." + "3" * 5000, "1" + "0" * 5000, "2.4703282292062328e-324", "1.7976931348623159e308",
+         "18446744073709551616", "123456789012345678901234567890",
+         "0.1000000000000000055511151231257827021181583404541015625"],
         ids=lambda entry: entry if len(entry) < 30 else f"{len(entry)}-chars-{entry[:2]}",
     )
     @pytest.mark.parametrize("kind", ["tridiagonal", "pentadiagonal", "dense"])
@@ -401,6 +405,58 @@ class TestJsonFormat:
                 arrays = (m.main_diag, m.off) if isinstance(m, BandSymMatrix) else (m.entries,)
                 outcomes.append((type(m), b"".join(a.tobytes() for a in arrays)))
         assert outcomes[0] == outcomes[1]
+
+    def test_both_parses_agree_on_random_number_texts(self):
+        # the float parse reads with orjson, the exact one with json: random
+        # doubles' repr, 25-digit mantissas across the exponent range, near-halfway
+        # decimals of 15-30 digits, long fixed decimals and 19-320-digit
+        # integers, about 2,000 in one dense text and one band text
+        rng = random.Random(31)
+        sign = lambda: rng.choice(("", "-"))
+        digits = lambda k: str(rng.randint(10 ** (k - 1), 10**k - 1))
+        texts = []
+        for _ in range(400):
+            x = math.ldexp(rng.random(), rng.randint(-1074, 1024))
+            mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+            texts += [
+                sign() + repr(x),
+                f"{sign()}{digits(1)}.{digits(24)}e{rng.randint(-330, 310)}",
+                sign() + format(mid, f".{rng.randint(14, 29)}e"),
+                f"{sign()}{rng.randint(0, 10**6)}.{'0' * rng.randint(0, 30)}{digits(rng.randint(20, 60))}",
+                sign() + digits(rng.randint(19, 320)),
+            ]
+        finite = [t for t in texts if math.isfinite(float(t))]
+        # the ones beyond the float range are refused alike, one at a time
+        beyond = ['{"kind": "dense", "rows": [[%s]]}' % t for t in texts if not math.isfinite(float(t))]
+        assert 0 < len(beyond) < 100
+        n = 62
+        rows = [[None] * n for _ in range(n)]
+        for (i, j), t in zip(((i, j) for i in range(n) for j in range(i, n)), finite):
+            rows[i][j] = rows[j][i] = t
+        dense = '{"kind": "dense", "rows": [%s]}' % ", ".join("[%s]" % ", ".join(row) for row in rows)
+        half = (len(finite) + 1) // 2
+        band = '{"kind": "tridiagonal", "diag": [%s], "offdiag": [%s]}' % (
+            ", ".join(finite[:half]), ", ".join(finite[half : 2 * half - 1]))
+        for text in [dense, band, *beyond]:
+            outcomes = []
+            for parse in (matrix_from_json, lambda t: exact_matrix_from_json(t)[0]):
+                try:
+                    m = parse(text)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+                else:
+                    arrays = (m.main_diag, m.off) if isinstance(m, BandSymMatrix) else (m.entries,)
+                    outcomes.append(b"".join(a.tobytes() for a in arrays))
+            assert outcomes[0] == outcomes[1]
+            assert isinstance(outcomes[0], bytes) is (text in (dense, band))
+
+    @pytest.mark.parametrize("parse", [matrix_from_json, exact_matrix_from_json])
+    @pytest.mark.parametrize(
+        "text", [b'{"kind": "tridiagonal", "diag": [1, 2], "offdiag": [0.5]}', bytearray(b"[]")], ids=["bytes", "bytearray"]
+    )
+    def test_text_that_is_not_a_str_rejected(self, parse, text):
+        with pytest.raises(TypeError, match=f"matrix JSON must be a str, not {type(text).__name__}"):
+            parse(text)
 
     def test_exact_parse_keeps_the_sign_of_zero_and_long_decimals(self):
         m, exact = exact_matrix_from_json('{"kind": "tridiagonal", "diag": [-0.0, 1, 2], "offdiag": [0, 0.5]}')

@@ -306,6 +306,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "chain", "1,junk,3")
         assert code == EXIT_FORMAT and err
 
+    @pytest.mark.parametrize("sequence, entry", [("nan", "nan"), ("1/4,inf", "inf"), ("1e400", "1e400")])
+    def test_chain_refuses_non_finite_entry(self, capsys, sequence, entry):
+        code, out, err = run_cli(capsys, "chain", sequence)
+        assert code == EXIT_FORMAT and out == ""
+        assert err == f"error: sequence entry {entry!r} is not finite\n"
+
     def test_negative_entry_noninteger_power(self, capsys, tmp_path):
         f = tmp_path / "neg.json"
         f.write_text('{"kind": "dense", "rows": [[1, -2], [-2, 4]]}')
