@@ -311,12 +311,12 @@ def matrix_to_json_obj(m) -> dict:
 
 
 def _json_loads(text: str, **kwargs):
-    """json.loads(text, **kwargs), refusing text that is not a str or not JSON."""
+    """json.loads(text, **kwargs), refusing text not a str, not JSON or too deep."""
     if not isinstance(text, str):
         raise TypeError(f"matrix JSON must be a str, not {type(text).__name__}")
     try:
         return json.loads(text, **kwargs)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
 
 

@@ -1,21 +1,21 @@
 """Numerical positivity oracle.
 
-Eigenvalues of symmetric tridiagonal matrices are found by Sturm-sequence
-bisection, which certifies how many eigenvalues lie below any pivot.  The
-smallest eigenvalue, the only one a verdict reads, is bisected in a bracket
-of its own, whose Sturm count stops at the first negative pivot; after a
-few plain steps a Newton estimate steers it in the same way, certified by
-at most two counts at its moved ends, the count being monotone in the
-shift: a wrong estimate costs time, never an answer.  A caller that only
-asks whether it lies below a floor (the probe's running minimum, or -thr
-for an INDEFINITE test) stops the bisection once the bracket's lower end
-reaches the floor; a value it does get is the full bisection's.  Every
-route works on its input times the power of two that brings its max-norm
-into [1/2, 1), and every tolerance is relative to the max-norm, so A and
-2**k A get the same verdicts, with numbers 2**k apart.  The full spectrum,
-which no verdict reads, is LAPACK's for the same routed matrix, scaled the
-same way (sym_eigenvalues).  The falsification probe sets up a whole batch
-of samples with the same few numpy calls (powers of two, scaled entries,
+A class asks whether an eigenvalue lies below -thr or below +thr, which a
+Sturm count of a symmetric tridiagonal matrix answers (Sylvester's law of
+inertia): whether some LDL^T pivot of T - xI is negative, stopping at the
+first.  The smallest eigenvalue, which a verdict reports, is bisected by
+the same count; after a few plain steps a Newton estimate steers it,
+certified by at most two counts at its moved ends, the count being
+monotone in the shift: a wrong estimate costs time, never an answer.  The
+class reads the final bracket, or one count at +-thr inside it; an
+INDEFINITE test alone is one count at -thr.  The probe stops bisecting once
+the bracket clears its running minimum.  Every route works on its input
+times the power of two that brings its max-norm into [1/2, 1), and every
+tolerance is relative to the max-norm, so A and 2**k A get the same
+verdicts, with numbers 2**k apart.  The full spectrum, which no verdict
+reads, is LAPACK's for the same routed matrix, scaled the same way
+(sym_eigenvalues).  The falsification probe sets up a whole batch of
+samples with the same few numpy calls (powers of two, scaled entries,
 Gershgorin bounds of a direct sum) and bisects each by the same scalar loop
 as a single matrix.
 A pentadiagonal matrix with zero first off-diagonal is the direct sum of its
@@ -111,7 +111,8 @@ class PositivityVerdict:
     +thr = max(tol, STURM_BACKWARD_C * n * eps) * scale, INDEFINITE
     when it clears -thr, and PSD_BOUNDARY in between; scale is the max-norm
     of the matrix, certificate holds the leading principal minors and
-    threshold is thr.
+    threshold is thr.  min_eigenvalue is bisected to width tol * scale, so
+    it may cross +-thr from its class by that much, but never crosses 0.
     """
 
     classification: str
@@ -244,7 +245,8 @@ def _bisect_scaled(d: list, e2: list, width: float, lo: float, hi: float, t: int
     e2[i] coupling rows i - 1 and i, as _scaled_form and _scaled_forms make
     them; an order-1 S is its entry.
 
-    The bisection stops as soon as its bracket's lower end reaches floor:
+    Only the probe passes a finite floor, its running minimum.  The
+    bisection stops as soon as its bracket's lower end reaches floor:
     every later midpoint lies at or above that end, and the count is
     monotone in the shift, so the full bisection's value could not lie
     below floor either.  A value returned is the full bisection's, bit for
@@ -408,38 +410,32 @@ def _threshold(n: int, scale: float, tol: float) -> float:
     return max(tol, STURM_BACKWARD_C * n * sys.float_info.epsilon) * scale
 
 
-def _unit_min(form: tuple, tol: float, stop: bool = False) -> tuple[float | None, float]:
-    """(v, thr) of the matrix 2**t S whose _scaled_form is given: v is S's
-    smallest eigenvalue, bisected to width tol * s, s = 2**-t norm being
-    S's max-norm, and thr = _threshold(n, s, tol).  With stop, the
-    bisection stops once its bracket's lower end reaches -thr, and v is
-    None unless it lies below.  Read off S, the class is the same for A and
-    2**k A even where tol * norm or 2**t v leaves the normal range."""
+def _class(form: tuple, tol: float) -> tuple[float, str, float]:
+    """(2**t v, class, _threshold(n, norm, tol)) of the matrix 2**t S whose
+    _scaled_form is given, for a tol already checked by _checked_tol: v is
+    S's smallest eigenvalue, bisected to width tol * s, s = 2**-t norm being
+    S's max-norm.  Whether an eigenvalue of S lies below x = -thr or +thr,
+    thr = _threshold(n, s, tol), is v < x when x is farther from v than
+    width + 4 eps |v| (a stop at float resolution), as the bracket's ends
+    are certified by Gershgorin or a count, else a Sturm count at x.  Read
+    off S, the class is the same for A and 2**k A; the zero matrix (thr =
+    0), whose zero pivots count as negative, is PSD_BOUNDARY."""
     norm, t, d, o, lo, hi = form
     s = math.ldexp(norm, -t)
-    thr = _threshold(len(d), s, tol)
-    return _bisect_scaled(d, [x * x for x in o], tol * s, lo, hi, 0, -thr if stop else math.inf), thr
-
-
-def _class(form: tuple, tol: float) -> tuple[float, str, float]:
-    """Smallest eigenvalue, class and threshold of the matrix whose
-    _scaled_form is given, for a tol already checked by _checked_tol: the
-    class compares _unit_min's v against its +-thr, the eigenvalue is
-    2**t v and the threshold _threshold(n, norm, tol)."""
-    v, thr = _unit_min(form, tol)
-    if v > thr:
-        cls = PD
-    elif v < -thr:
-        cls = INDEFINITE
-    else:
-        cls = PSD_BOUNDARY
-    return _pair_value(v, form[1]), cls, _threshold(len(form[2]), form[0], tol)
+    thr, width, e2 = _threshold(len(d), s, tol), tol * s, [x * x for x in o]
+    v = _bisect_scaled(d, e2, width, lo, hi, 0, math.inf)
+    near = width + 4 * sys.float_info.epsilon * abs(v)
+    below = [_negcount(d, e2, x) if abs(v - x) <= near else v < x for x in (-thr, thr)]
+    cls = INDEFINITE if thr > 0 and below[0] else PSD_BOUNDARY if below[1] else PD
+    return _pair_value(v, t), cls, _threshold(len(d), norm, tol)
 
 
 def _indefinite(form: tuple, tol: float) -> bool:
     """Whether _class's class of the matrix whose _scaled_form is given is
-    INDEFINITE; the bisection stops as soon as the answer is certain."""
-    return _unit_min(form, tol, stop=True)[0] is not None
+    INDEFINITE: the same Sturm count at -thr, with no bisection."""
+    norm, t, d, o, _, _ = form
+    thr = _threshold(len(d), math.ldexp(norm, -t), tol)
+    return thr > 0 and _negcount(d, [x * x for x in o], -thr)
 
 
 def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
@@ -451,10 +447,12 @@ def min_eigenvalue(a, tol: float = DEFAULT_TOL) -> float:
 def classify_positivity(a, tol: float = DEFAULT_TOL) -> PositivityVerdict:
     """Classify a symmetric matrix as PD, PSD_BOUNDARY, or INDEFINITE.
 
-    The verdict compares the bisected smallest eigenvalue against +-thr,
-    where thr is max(tol, STURM_BACKWARD_C * n * eps) * max-norm; a tol
-    below the Sturm count's backward error cannot decide a sign.  Both are
-    relative to the max-norm, so A and 2**k A get the same class.  It is
+    INDEFINITE when an eigenvalue lies below -thr, PSD_BOUNDARY when one
+    lies below +thr, by Sturm counts, where thr is max(tol,
+    STURM_BACKWARD_C * n * eps) * max-norm; a tol below the Sturm count's
+    backward error cannot decide a sign.  The bisected min_eigenvalue may
+    lie within tol * max-norm of +-thr on the far side from the class.  Both
+    are relative to the max-norm, so A and 2**k A get the same class.  It is
     deterministic for fixed input and tol, except on the LAPACK spectrum
     route, whose minimum has LAPACK's bits: there the class is fixed only
     outside LAPACK's error of +-thr.

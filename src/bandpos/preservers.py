@@ -15,11 +15,11 @@ The probe draws each band sample from its own generator, then sets up a
 batch of samples at once: their couplings, powers, powers of two and
 Gershgorin bounds come from one set of numpy calls over the samples laid
 out as one tridiagonal direct sum, and only the Sturm counts run sample by
-sample.  Each power's smallest eigenvalue is bisected only as far as the
-caller's question needs: whether it lies below the probe's running minimum,
-or below the INDEFINITE threshold.  Every minimum and class they report is
-that of min_eigenvalue and classify_positivity on hadamard_power's result,
-bit for bit.  Only the probe's worst sample becomes a matrix object.
+sample.  A probe sample is bisected only until it is known whether its
+smallest eigenvalue lies below the running minimum; whether a power is
+INDEFINITE is one Sturm count at -thr.  Every minimum and class they report
+is that of min_eigenvalue and classify_positivity on hadamard_power's
+result, bit for bit.  Only the probe's worst sample becomes a matrix object.
 """
 
 from __future__ import annotations
@@ -440,7 +440,8 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
 
     Pentadiagonal input is decided on its odd and even tridiagonal blocks:
     the pattern test runs on each parity subsequence of the second
-    diagonal, and each block is classified on its own order and scale.
+    diagonal, and each block, on its own order and scale, is PSD unless one
+    Sturm count at -thr finds it INDEFINITE.
     """
     if not isinstance(m, BandSymMatrix):
         raise ValueError("expected a tridiagonal or pentadiagonal-form BandSymMatrix")
@@ -506,8 +507,8 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
     diagonals of that form for each exponent; the path order is found anew
     only for a power in which a coupling underflows to zero.  Other dense
     input gets the LAPACK spectrum of its power for each exponent.  Each
-    exponent asks only whether classify_positivity's class is INDEFINITE,
-    and its bisection stops as soon as the answer is certain.
+    exponent asks only whether classify_positivity's class is INDEFINITE:
+    one Sturm count at -thr of the power's form, with no bisection.
     """
     if r_grid is None:
         r_grid = DEFAULT_ID_GRID

@@ -48,6 +48,9 @@ GOLDEN_CASES = [
     # a full pentadiagonal, stored dense: no path order, so LAPACK spectrum
     ("check_positivity_dense_penta.txt", ["check-positivity", "data/dense_pentadiagonal.json"], {}),
     ("check_positivity_tiny.txt", ["check-positivity", "data/tiny_tridiagonal.json"], {}),
+    # lambda_min 2.05e-10 clears thr 2.00000000021e-10: PD, by a Sturm count
+    # at thr, while the printed minimum keeps the bisection's bits below it
+    ("check_positivity_near_threshold.txt", ["check-positivity", "data/near_threshold.json"], {}),
     ("hadamard_p_r05.txt", ["hadamard", "data/p.json", "-r", "0.5"], {}),
     ("chain_quarters.txt", ["chain", "1/4,1/4,1/4"], {}),
     ("critical_exponent_k5.txt", ["critical-exponent", "data/k5.graph"], {}),
@@ -227,6 +230,21 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "check-positivity", str(f))
         assert (code, out) == (EXIT_FORMAT, "")
         assert err == f"error: {f}: entries must form a rectangular array of numbers\n"
+
+    @pytest.mark.parametrize("exact", ["0", "1"])
+    @pytest.mark.parametrize("depth", [1100, 100_000])
+    def test_deep_nesting_is_format_error(self, capsys, monkeypatch, tmp_path, depth, exact):
+        # the exact parse's json recursion ran out on a row nested 1,100
+        # deep, and the RecursionError escaped as a traceback
+        monkeypatch.setenv("BANDPOS_EXACT", exact)
+        f = tmp_path / "deep.json"
+        f.write_text('{"kind": "dense", "rows": [' + "[" * depth + "1.0" + "]" * depth + "]}")
+        code, out, err = run_cli(capsys, "check-positivity", str(f))
+        assert (code, out) == (EXIT_FORMAT, "")
+        assert err in (
+            f"error: {f}: entries must form a rectangular array of numbers\n",
+            f"error: {f}: invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string\n",
+        )
 
     @pytest.mark.parametrize("exact", ["0", "1"])
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bandpos import (
+    DEFAULT_ID_GRID,
     INDEFINITE,
     PD,
     DenseSymMatrix,
@@ -531,6 +532,51 @@ class TestNumericProbe:
     def test_non_symmetric_array_with_negative_entry_refused_as_negative(self):
         with pytest.raises(ValueError, match="^matrix has a negative entry$"):
             id_numeric_probe(np.array([[1.0, -0.5], [0.25, 1.0]]))
+
+    def test_one_sturm_count_per_exponent_and_block(self, monkeypatch):
+        # INDEFINITE is one Sturm count at -thr: the grid makes one count per
+        # exponent up to its first INDEFINITE power, and id_verdict one per
+        # tridiagonal block, on every route
+        from bandpos import positivity
+
+        cauchy = np.array([[1.0 / (i + j) for j in range(1, 4)] for i in range(1, 4)])
+        permuted = np.array([[2, 0, 0, 1, 0], [0, 1, 0, 0, 1], [0, 0, 3, 0, 0], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1.0]])
+        grid_inputs = [
+            make_tridiagonal([1.0, 1.0, 5.0], [1.0, 0.0]),
+            make_tridiagonal([1.0, 2.0, 1.0], [1.0, 1.0]),
+            make_pentadiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.5, 0.0]),
+            permuted,
+            cauchy,
+            cauchy @ cauchy,
+        ]
+        wants = []
+        for a in grid_inputs:
+            classes = [classify_positivity(hadamard_power(a, r)).classification for r in DEFAULT_ID_GRID]
+            wants.append(classes.index(INDEFINITE) + 1 if INDEFINITE in classes else len(classes))
+        assert wants != [len(DEFAULT_ID_GRID)] * len(wants)
+        calls = 0
+        real = positivity._negcount
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(positivity, "_negcount", counted)
+        for a, want in zip(grid_inputs, wants):
+            calls = 0
+            id_numeric_probe(a)
+            assert calls == want
+        verdict_inputs = [
+            (make_tridiagonal([1.0, 1.0, 5.0], [1.0, 0.0]), 1),
+            (make_tridiagonal([1.0, 0.5, 1.0], [1.0, 0.0]), 1),
+            (make_pentadiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.5, 0.0]), 2),
+            (make_pentadiagonal([1.0, 2.0, 0.5, 4.0, 5.0], [0.0, 2.0, 1.0]), 2),
+        ]
+        for m, want in verdict_inputs:
+            calls = 0
+            id_verdict(m)
+            assert calls == want
 
 
 class TestPolynomialApply:
