@@ -3,6 +3,7 @@ entrywise (Hadamard) powers, the odd/even split of pentadiagonal matrices
 into two tridiagonal blocks, and the JSON wire format.  The float parse
 reads the text with orjson; json reads what orjson refuses (NaN, Infinity,
 numbers beyond the float range, lone surrogates) and refuses it as before.
+Dense rows, of either parse, are packed into the float array row by row.
 
 The band families are the paper's two: tridiagonal matrices (bandwidth 1)
 and pentadiagonal matrices whose first off-diagonal is zero (bandwidth 2).
@@ -15,9 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import starmap
 from typing import Union
 
 import numpy as np
@@ -40,8 +43,15 @@ __all__ = [
 def _float_array(x) -> np.ndarray:
     """x as a float array; an integer or exact rational beyond the float
     range is refused as non-finite, as an inf entry is, and ragged nesting
-    with bandpos's message, not numpy's."""
+    with bandpos's message, not numpy's.  struct packs row lists a row at a
+    time, each entry rounded by float() as by numpy; numpy reads the rest."""
     try:
+        if type(x) is list and x and type(x[0]) is list and set(map(type, x)) == {list}:
+            try:
+                packed = bytearray().join(starmap(struct.Struct(f"{len(x[0])}d").pack, x))
+                return np.frombuffer(packed).reshape(len(x), len(x[0]))
+            except (struct.error, TypeError):
+                pass
         return np.array(x, dtype=float)
     except OverflowError as exc:
         raise ValueError("all entries must be finite") from exc

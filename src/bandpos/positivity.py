@@ -53,7 +53,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -318,11 +317,21 @@ _TRIDIAGONAL, _SPLIT, _PATH, _SPECTRUM = "tridiagonal", "odd/even split", "path 
 
 
 @dataclass(frozen=True)
+class _lazy:
+    """cached_property without its lock (Python 3.10-3.11): the value it stores in __dict__ shadows it."""
+
+    method: object
+
+    def __get__(self, obj, owner=None):
+        return obj.__dict__.setdefault(self.method.__name__, self.method(obj))
+
+
+@dataclass(frozen=True)
 class _Form:
     """An input's route and the tridiagonal matrix the oracle bisects, built
-    once per call by _form: diag and off are its diagonal and couplings,
-    None on the LAPACK spectrum route.  Dense input also keeps its validated
-    array, and on the path route its path order, for the minors."""
+    once per call by _form: diag and off are its diagonal and couplings, None
+    on the LAPACK spectrum route and for the minors alone.  Dense input also
+    keeps its validated array, and on the path route its path order."""
 
     route: str
     diag: np.ndarray | None = None
@@ -330,7 +339,7 @@ class _Form:
     dense: np.ndarray | None = None
     order: list[int] | None = None
 
-    @cached_property
+    @_lazy
     def scaled(self) -> tuple:
         """The input's _scaled_form, the one form every bisection and the
         band minors read, made once.  Off the LAPACK spectrum route its
@@ -347,12 +356,12 @@ class _Form:
         return _scaled_form(eig, np.zeros(eig.shape[0] - 1), e, norm)
 
 
-def _form(a, symmetric: bool = True) -> _Form:
+def _form(a, minors: bool = False) -> _Form:
     """The _Form of band or dense input: band input's own diagonals, the
     direct sum of a pentadiagonal matrix's odd and even blocks, the path
-    entries of dense input in path order, or, for dense input with no path
-    order, none.  A raw dense array gets DenseSymMatrix's checks
-    (bandmat.check_dense), the symmetry check only when symmetric."""
+    entries of dense input in path order (none for the minors alone,
+    minors=True), or, for dense input with no path order, none.  A raw dense
+    array gets DenseSymMatrix's checks (bandmat.check_dense), symmetry's unless minors."""
     if isinstance(a, ExactBand):
         diag, off, split = _float_array(a.diag), _float_array(a.off), a.offset == 2
     elif isinstance(a, BandSymMatrix):
@@ -360,11 +369,12 @@ def _form(a, symmetric: bool = True) -> _Form:
     else:
         dense = to_dense_array(a)
         if not isinstance(a, DenseSymMatrix):
-            check_dense(dense, symmetric)
+            check_dense(dense, symmetric=not minors)
         order = _path_order(dense)
-        if order is None:
-            return _Form(_SPECTRUM, dense=dense)
-        return _Form(_PATH, dense[order, order], dense[order[:-1], order[1:]], dense, order)
+        if minors or order is None:
+            return _Form(_SPECTRUM if order is None else _PATH, dense=dense, order=order)
+        o = np.array(order, dtype=np.intp)
+        return _Form(_PATH, dense[o, o], dense[o[:-1], o[1:]], dense, order)
     if split:
         return _Form(_SPLIT, *_direct_sum(*_parity_blocks(diag, off)))
     return _Form(_TRIDIAGONAL, diag, off)
@@ -576,10 +586,10 @@ def _float_minors(form: _Form) -> list[float]:
         return _dense_minors(dense)
     # a missing neighbour is -1, whose reads and writes meet only the spare
     # last slot of each list
-    n, ahead, behind = len(order), order[1:], order[:-1]
+    n, o = len(order), np.array(order, dtype=np.intp)
     d, fwd, bwd = np.diag(dense).tolist() + [0.0], [0.0] * (n + 1), [0.0] * (n + 1)
     prev, after = [-1] * (n + 1), [-1] * (n + 1)
-    for i, j, x, y in zip(behind, ahead, dense[behind, ahead].tolist(), dense[ahead, behind].tolist()):
+    for i, j, x, y in zip(order[:-1], order[1:], dense[o[:-1], o[1:]].tolist(), dense[o[1:], o[:-1]].tolist()):
         after[i], prev[j], fwd[i], bwd[i] = j, i, x, y
     minors, det = [], 1.0
     for k in range(n):
@@ -695,7 +705,7 @@ def leading_principal_minors(a) -> list:
         rows = None
     if rows is not None:
         return _exact_minors(rows)
-    return _float_minors(_form(a, symmetric=False))
+    return _float_minors(_form(a, minors=True))
 
 
 def determinant(a) -> float:

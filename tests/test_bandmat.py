@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -25,7 +26,7 @@ from bandpos import (
     split_pentadiagonal,
     sym_eigenvalues,
 )
-from bandpos.bandmat import matrix_from_json_obj, matrix_to_json_obj
+from bandpos.bandmat import _float_array, matrix_from_json_obj, matrix_to_json_obj, to_dense_array
 
 from conftest import P_DENSE
 
@@ -483,3 +484,86 @@ class TestJsonFormat:
         for text in ('{"kind": "toeplitz", "diag": [1]}', "{kind: nope}", '{"kind": "dense", "rows": [[1, 2], [3, 4]]}'):
             with pytest.raises(ValueError):
                 exact_matrix_from_json(text)
+
+
+def _numpy_float_array(x):
+    """x as numpy reads it, with bandpos's refusals: the float conversion
+    before lists of row lists were packed by struct."""
+    try:
+        return np.array(x, dtype=float)
+    except OverflowError as exc:
+        raise ValueError("all entries must be finite") from exc
+    except ValueError as exc:
+        raise ValueError("entries must form a rectangular array of numbers") from exc
+
+
+def _conversion(convert, x):
+    """The shape and bytes of convert(x), or the type and message of what it raised."""
+    try:
+        a = convert(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return a.shape, a.tobytes()
+
+
+# 2**1024 - 2**970 is the least integer that float() rounds beyond the
+# largest double, so it overflows and the one below it does not
+FLOAT_EDGE = 2**1024 - 2**970
+ROW_ENTRIES = [
+    0.0, -0.0, 1.5, -2.25, 0.1, 5e-324, -5e-324, 1.5e-310, 1e308, -1e308, sys.float_info.max,
+    0, 1, -7, 2**53 + 1, -(2**53 + 1), 2**64 + 1, FLOAT_EDGE - 1, -(FLOAT_EDGE - 1),
+    Decimal("0.1"), Decimal("-0"), Decimal("1e-400"), Decimal("2.5e-320"), Fraction(1, 3), Fraction(-(2**60), 3),
+    True, False, np.float32(0.1), np.float16(-0.5), np.int64(2**62 + 1), np.uint64(2**64 - 1), np.float64(-0.0),
+]
+# entries struct refuses and numpy reads: as 1.5 and as nan
+NUMPY_ONLY = ["1.5", None]
+
+
+class TestRowConversion:
+    def test_rows_read_bit_for_bit_as_numpy_reads_them(self):
+        rng = random.Random(33)
+        numpy_only = 0
+        for _ in range(400):
+            n, m = rng.randint(1, 6), rng.randint(0, 6)
+            pool = ROW_ENTRIES + NUMPY_ONLY * (rng.random() < 0.3)
+            rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+            numpy_only += any(isinstance(x, (str, type(None))) for row in rows for x in row)
+            want = _numpy_float_array(rows)
+            got = _float_array(rows)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), rows
+            assert got.flags.writeable
+        assert numpy_only > 20
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ([[1.0, 2.0], [3.0]], ValueError, "rectangular"),
+            ([[1.0], [2.0, 3.0]], ValueError, "rectangular"),
+            ([[1.0, 2.0], 3.0], ValueError, "rectangular"),
+            ([[1.0, [2.0]], [3.0, 4.0]], ValueError, "rectangular"),
+            ([[1.0, 2.0], {3: 0, 4: 0}], ValueError, "rectangular"),
+            ([[[1.0]]], None, None),
+            ([[1j]], TypeError, "complex"),
+            ([[1.0, 2 + 0j], [0.0, 1.0]], TypeError, "complex"),
+            ([[FLOAT_EDGE]], ValueError, "finite"),
+            ([[1.0, -(2**1024)]], ValueError, "finite"),
+            ([[Fraction(2**1100, 3)]], ValueError, "finite"),
+        ],
+        ids=[
+            "short-row", "long-row", "scalar-row", "nested-entry", "dict-row", "deeper", "complex",
+            "complex-row", "int-at-float-edge", "negative-int-beyond", "fraction-beyond",
+        ],
+    )
+    def test_refusals_and_nesting_as_numpys(self, rows, error, message):
+        got = _conversion(_float_array, rows)
+        assert got == _conversion(_numpy_float_array, rows)
+        if error is None:
+            assert got[0] == (1, 1, 1)
+        else:
+            assert got[0] is error and message in got[1]
+
+    def test_raw_rows_stay_writable_for_the_spectrum(self):
+        rows = [[2.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 2.0]]
+        a = to_dense_array(rows)
+        assert a.flags.writeable and a.flags.c_contiguous and a.dtype == np.float64
+        assert sym_eigenvalues(rows).tolist() == sym_eigenvalues(np.array(rows)).tolist()

@@ -84,6 +84,9 @@ GOLDEN_CASES = [
     ("check_positivity_block_exact.txt", ["check-positivity", "data/id_block.json"], EXACT),
     # dense Fraction rows: minors by fraction-free elimination on integers
     ("check_positivity_dense_penta_exact.txt", ["check-positivity", "data/dense_pentadiagonal.json"], EXACT),
+    # dense rows of Decimals and ints, packed into the float array row by
+    # row, then bisected in their path order
+    ("check_positivity_permuted_exact.txt", ["check-positivity", "data/permuted_tridiagonal.json"], EXACT),
     # above EXACT_MINOR_LIMIT: leading_minors_exact is the certificate, and
     # the chain line is read off the exact chain report
     ("check_positivity_rational16_exact.txt", ["check-positivity", "data/rational16.json"], EXACT),
@@ -680,7 +683,7 @@ def test_eigenvalue_beyond_the_float_range_is_reported(capsys, monkeypatch, tmp_
 
 
 @pytest.mark.parametrize("exact", ["0", "1"])
-def test_householder_reduction_beyond_the_float_range_gets_a_verdict(capsys, monkeypatch, tmp_path, exact):
+def test_lapack_spectrum_route_beyond_the_float_range_gets_a_verdict(capsys, monkeypatch, tmp_path, exact):
     # dense input of no path pattern whose eigenvalues, scaled back, would
     # hold -inf: they are bisected at their power of two instead
     monkeypatch.setenv("BANDPOS_EXACT", exact)

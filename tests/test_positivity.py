@@ -172,7 +172,7 @@ class TestDenseEigenvalues:
             allowance = spectrum_allowance(n, max(abs(a), abs(b), abs(c)))
             np.testing.assert_allclose(sym_eigenvalues(circulant), want, rtol=0, atol=allowance)
 
-    @pytest.mark.parametrize("route", ["householder", "dense-sym-matrix", "path", "band"])
+    @pytest.mark.parametrize("route", ["lapack-spectrum", "dense-sym-matrix", "path", "band"])
     def test_input_is_left_unchanged(self, route):
         # the spectrum scales its own copy of the matrix in place
         rng = np.random.default_rng(191)
@@ -953,7 +953,7 @@ class TestLargeEntries:
             # they are, since scaled back they would hold -inf
             DenseSymMatrix(1e308 * np.array([[-1.5, 1.5, 1.0], [1.5, -1.5, 1.0], [1.0, 1.0, -1.5]])),
         ],
-        ids=["tridiagonal", "pentadiagonal", "dense", "householder"],
+        ids=["tridiagonal", "pentadiagonal", "dense", "lapack-spectrum"],
     )
     def test_eigenvalue_beyond_the_float_range_is_infinite(self, a):
         # finite entries, smallest eigenvalue -3e308: the bisected value
@@ -1069,7 +1069,7 @@ class TestScaleEquivariance:
         want = [2.0**1000 * (2.5 - math.sqrt(1.25)), 2.0**1000 * (2.5 + math.sqrt(1.25))]
         np.testing.assert_allclose(sym_eigenvalues(a), want, rtol=1e-15)
 
-    def test_householder_route_above_squared_overflow(self):
+    def test_lapack_spectrum_route_above_squared_overflow(self):
         a = np.array([[4.0, 1, 2, 1], [1, 5, 1, 3], [2, 1, 6, 1], [1, 3, 1, 7]])
         assert oracle._path_order(a) is None
         assert min_eigenvalue(2.0**600 * a) == 2.0**600 * min_eigenvalue(a)
@@ -1158,7 +1158,7 @@ class TestPathRoute:
 
     # entries near 1e160 overflow some minors, which numpy reports
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_permuted_bands_reach_neither_householder_nor_dense_minors(self, monkeypatch):
+    def test_permuted_bands_reach_neither_lapack_spectrum_nor_dense_minors(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a permuted band matrix took a dense route")
 
@@ -1228,7 +1228,7 @@ class TestPathRoute:
          np.array([[1.0, 1.0], [0.0, 1.0]])],
         ids=["C3", "C4", "C7", "star", "K3", "K5", "power-0", "cycle-plus-path", "asymmetric"],
     )
-    def test_other_patterns_keep_householder(self, dense):
+    def test_other_patterns_keep_lapack_spectrum(self, dense):
         assert oracle._path_order(dense) is None
         if not np.array_equal(dense, dense.T):
             return

@@ -509,7 +509,7 @@ class TestNumericProbe:
                 with pytest.raises(ValueError, match="^all entries must be finite$"):
                     id_numeric_probe(a)
 
-    def test_householder_route_overflow_refused_without_warning(self):
+    def test_lapack_spectrum_route_overflow_refused_without_warning(self):
         # every entry nonzero: no path order, so each exponent powers the
         # dense matrix and takes its LAPACK spectrum; PD at every exponent up
         # to 1e200**2
