@@ -17,7 +17,6 @@ ones are formed from the entries' mantissas and exponents apart, so A and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -170,24 +169,18 @@ def tridiag_ratio_sequence(t: BandSymMatrix) -> np.ndarray:
     return ratio_sequence(t.main_diag, t.off)
 
 
-def check_pattern_tol(tol) -> None:
-    """Refuse a zero-pattern tolerance that is NaN, infinite or negative."""
-    if not 0 <= tol < math.inf:
-        raise ValueError("pattern tol must be non-negative and finite")
-
-
-def split_at_zero_offdiag(t: BandSymMatrix, tol: float = 0.0) -> list[BandSymMatrix]:
-    """Maximal irreducible tridiagonal blocks, cutting wherever |b_j| <= tol
-    (exact zeros by default).  Concatenating the blocks reconstructs t."""
+def split_at_zero_offdiag(t: BandSymMatrix) -> list[BandSymMatrix]:
+    """Maximal irreducible tridiagonal blocks, cutting wherever b_j is
+    exactly 0.0, however small the other entries.  Concatenating the blocks
+    reconstructs t."""
     if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
         raise ValueError("expected a tridiagonal BandSymMatrix")
-    check_pattern_tol(tol)
     diag = t.main_diag
     off = t.off
     blocks = []
     start = 0
     for j in range(off.shape[0]):
-        if abs(off[j]) <= tol:
+        if off[j] == 0:
             blocks.append(make_tridiagonal(diag[start : j + 1], off[start:j]))
             start = j + 1
     blocks.append(make_tridiagonal(diag[start:], off[start : t.order - 1]))

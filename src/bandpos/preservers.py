@@ -43,7 +43,7 @@ from .bandmat import (
     split_pentadiagonal,
     to_dense_array,
 )
-from .chainseq import check_pattern_tol, split_at_zero_offdiag
+from .chainseq import split_at_zero_offdiag
 from .positivity import DEFAULT_TOL, _bisect_scaled, _checked_tol, _form, _indefinite, _scaled_form, _scaled_forms
 
 __all__ = [
@@ -71,15 +71,7 @@ __all__ = [
 # divisibility.  Small exponents are where non-ID matrices break.
 DEFAULT_ID_GRID = (0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
 
-# Off-diagonal entries at or below this magnitude count as zero in the
-# infinite-divisibility pattern tests (absolute: the pattern is about
-# exact zeros).
-ID_PATTERN_TOL = 1e-12
-
 _PROBE_ORDER_RANGES = {"tridiagonal": (3, 12), "pentadiagonal": (5, 8)}
-
-# Smallest order each band family is defined for.
-_LEAST_ORDER = {"tridiagonal": 1, "pentadiagonal": 3}
 
 
 @dataclass(frozen=True)
@@ -167,11 +159,10 @@ def counterexample_tridiagonal(r: float) -> BandSymMatrix:
     r = float(r)
     if not 0 < r < 1:
         raise ValueError("counterexamples exist only for 0 < r < 1")
-    try:
-        top = 2.0 ** (1.0 / r)
-    except OverflowError:
-        # r below about 1/1024: any 2+eps <= 2**1023 still has (2+eps)**r < 2
-        top = 2.0**1023
+    # r at or below 1/1024: 2**(1/r) overflows (or 1/r does), and any
+    # 2+eps <= 2**1023 still has (2+eps)**r < 2
+    inv = 1.0 / r
+    top = 2.0**inv if inv < 1024 else 2.0**1023
     eps = (top - 2.0) / 2.0
     return make_tridiagonal([1.0, 2.0 + eps, 1.0], [1.0, 1.0])
 
@@ -246,22 +237,6 @@ def random_pd_pattern(rng: np.random.Generator, graph) -> DenseSymMatrix:
     return DenseSymMatrix(_draw_pattern(rng, graph))
 
 
-def _checked_order_range(family: str, order_range) -> tuple[int, int]:
-    """(lo, hi) of the band family's sample orders, the default when
-    order_range is None; refused unless they are integers with
-    least <= lo <= hi, least the family's smallest order."""
-    if order_range is None:
-        return _PROBE_ORDER_RANGES[family]
-    try:
-        lo, hi = map(operator.index, order_range)
-    except (TypeError, ValueError):
-        raise ValueError("order_range must be a pair of integers") from None
-    least = _LEAST_ORDER[family]
-    if not least <= lo <= hi:
-        raise ValueError(f"order_range must satisfy {least} <= lo <= hi for the {family} family")
-    return lo, hi
-
-
 def _checked_int(value, least: int, message: str) -> int:
     """value as an int, refused with message unless it is an integer other
     than a bool and at least least."""
@@ -287,7 +262,6 @@ def probe_preserves(
     samples: int,
     seed: int,
     tol: float = DEFAULT_TOL,
-    order_range: tuple[int, int] | None = None,
     graph=None,
 ) -> ProbeReport:
     """Search for matrices in the family whose Hadamard r-th power is not
@@ -296,7 +270,9 @@ def probe_preserves(
     family is "tridiagonal", "pentadiagonal", or "graph"; the graph argument
     is required for the last and refused for the others.  Each sample gets
     its own generator seeded by (seed, index), so the result is independent
-    of evaluation order.  For the band families with 0 < r < 1 the known
+    of evaluation order.  A band sample's order is drawn from
+    _PROBE_ORDER_RANGES: 3 to 12 for a tridiagonal and 5 to 8 for a
+    pentadiagonal sample.  For the band families with 0 < r < 1 the known
     counterexample is injected as sample 0, so the probe is guaranteed to
     falsify there.
     min_over_samples >= -tol certifies that no falsification was found.
@@ -331,7 +307,7 @@ def probe_preserves(
         raise ValueError(f"the {family} family takes no graph")
     tol = _checked_tol(tol)
     if family != "graph":
-        best, worst = _band_minimum(family, r, samples, seed, tol, *_checked_order_range(family, order_range))
+        best, worst = _band_minimum(family, r, samples, seed, tol)
         return ProbeReport(samples, r, best, worst, seed)
     best, worst = math.inf, None
     for i in range(samples):
@@ -344,11 +320,12 @@ def probe_preserves(
     return ProbeReport(samples, r, best, DenseSymMatrix(worst), seed)
 
 
-def _band_minimum(family: str, r: float, samples: int, seed: int, tol: float, lo: int, hi: int):
+def _band_minimum(family: str, r: float, samples: int, seed: int, tol: float):
     """(min_over_samples, worst_case) of probe_preserves over a band family:
     the samples are drawn one by one, in order, and set up and bisected in
     batches of about _PROBE_BATCH entries.  Only the worst sample is built
     as a matrix, from its unpowered draws."""
+    lo, hi = _PROBE_ORDER_RANGES[family]
     best, worst = math.inf, None
     batch, orders, entries = [], [], 0
     for i in range(samples):
@@ -410,9 +387,9 @@ def _bisect_batch(batch: list, orders: list, r: float, tol: float, best: float, 
     return best, worst
 
 
-def _consecutive_nonzero(off: np.ndarray, tol: float) -> int | None:
-    """Index i (1-based) with |b_i| > tol and |b_{i+1}| > tol, or None."""
-    nz = np.abs(off) > tol
+def _consecutive_nonzero(off: np.ndarray) -> int | None:
+    """Index i (1-based) with b_i != 0 and b_{i+1} != 0, or None."""
+    nz = off != 0
     for i in range(off.shape[0] - 1):
         if nz[i] and nz[i + 1]:
             return i + 1
@@ -432,11 +409,11 @@ class IdVerdict:
     blocks: tuple[BandSymMatrix, ...] = ()
 
 
-def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
+def id_verdict(m: BandSymMatrix) -> IdVerdict:
     """Infinite divisibility of a nonnegative tridiagonal or
     pentadiagonal-form matrix: PSD and no two consecutive nonzero
-    off-diagonal entries (|b_i| > tol counts as nonzero; tol must be finite
-    and at least 0, which counts only exact zeros as zero).
+    off-diagonal entries.  Only an exact 0.0 counts as zero, so A and
+    2**k A get one verdict, however small their entries.
 
     Pentadiagonal input is decided on its odd and even tridiagonal blocks:
     the pattern test runs on each parity subsequence of the second
@@ -447,16 +424,15 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
         raise ValueError("expected a tridiagonal or pentadiagonal-form BandSymMatrix")
     if m.min_entry() < 0:
         raise ValueError("matrix has a negative entry")
-    check_pattern_tol(tol)
     if m.bandwidth == 1:
-        bad = _consecutive_nonzero(m.off, tol)
+        bad = _consecutive_nonzero(m.off)
         if bad is not None:
             return IdVerdict(False, f"not ID: off-diagonal entries {bad} and {bad + 1} are both nonzero")
         tridiagonals = (m,)
     else:
         tridiagonals = split_pentadiagonal(m)
         for parity, block in zip(("odd", "even"), tridiagonals):
-            if _consecutive_nonzero(block.off, tol) is not None:
+            if _consecutive_nonzero(block.off) is not None:
                 return IdVerdict(
                     False,
                     "not ID: consecutive nonzero entries in the "
@@ -464,38 +440,38 @@ def id_verdict(m: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> IdVerdict:
                 )
     if any(_indefinite(_form(t).scaled, DEFAULT_TOL) for t in tridiagonals):
         return IdVerdict(False, "not ID: matrix is not PSD")
-    blocks = tuple(split_at_zero_offdiag(m, tol)) if m.bandwidth == 1 else ()
+    blocks = tuple(split_at_zero_offdiag(m)) if m.bandwidth == 1 else ()
     return IdVerdict(True, "PSD with no two consecutive nonzero off-diagonal entries", blocks)
 
 
-def is_id_tridiagonal(t: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> bool:
+def is_id_tridiagonal(t: BandSymMatrix) -> bool:
     """id_verdict of a tridiagonal matrix, as a bool."""
     if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
         raise ValueError("expected a tridiagonal BandSymMatrix")
-    return id_verdict(t, tol).infinitely_divisible
+    return id_verdict(t).infinitely_divisible
 
 
-def is_id_pentadiagonal(p: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> bool:
+def is_id_pentadiagonal(p: BandSymMatrix) -> bool:
     """id_verdict of a pentadiagonal matrix with zero first off-diagonal:
     both parity subsequences of the second diagonal must avoid consecutive
     nonzeros and both tridiagonal blocks must be PSD."""
     if not isinstance(p, BandSymMatrix) or p.bandwidth != 2:
         raise ValueError("expected a pentadiagonal BandSymMatrix with zero first off-diagonal")
-    return id_verdict(p, tol).infinitely_divisible
+    return id_verdict(p).infinitely_divisible
 
 
-def id_blocks(t: BandSymMatrix, tol: float = ID_PATTERN_TOL) -> list[BandSymMatrix]:
+def id_blocks(t: BandSymMatrix) -> list[BandSymMatrix]:
     """Block-diagonal decomposition of an infinitely divisible tridiagonal
     matrix; every block has order 1 or 2 and is PSD."""
     if not isinstance(t, BandSymMatrix) or t.bandwidth != 1:
         raise ValueError("expected a tridiagonal BandSymMatrix")
-    verdict = id_verdict(t, tol)
+    verdict = id_verdict(t)
     if not verdict.infinitely_divisible:
         raise ValueError("matrix is not infinitely divisible")
     return list(verdict.blocks)
 
 
-def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
+def id_numeric_probe(a, r_grid=None) -> bool:
     """Necessary-condition sampler for infinite divisibility: True iff the
     Hadamard r-th power is never classified INDEFINITE over the grid.
 
@@ -507,8 +483,9 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
     diagonals of that form for each exponent; the path order is found anew
     only for a power in which a coupling underflows to zero.  Other dense
     input gets the LAPACK spectrum of its power for each exponent.  Each
-    exponent asks only whether classify_positivity's class is INDEFINITE:
-    one Sturm count at -thr of the power's form, with no bisection.
+    exponent asks only whether classify_positivity's class at DEFAULT_TOL,
+    the tolerance of id_verdict's PSD check, is INDEFINITE: one Sturm count
+    at -thr of the power's form, with no bisection.
     """
     if r_grid is None:
         r_grid = DEFAULT_ID_GRID
@@ -525,7 +502,6 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
         low = check_dense(to_dense_array(a), symmetric=False).min()
     if low < 0:
         raise ValueError("matrix has a negative entry")
-    tol = _checked_tol(tol)
     form = _form(a)
     if form.diag is not None:
         n, entries, couplings = form.diag.shape[0], np.concatenate((form.diag, form.off)), np.count_nonzero(form.off)
@@ -535,7 +511,7 @@ def id_numeric_probe(a, r_grid=None, tol: float = DEFAULT_TOL) -> bool:
             scaled = _form(_power(form.dense, r)).scaled
         else:
             scaled = _scaled_form(x[:n], x[n:])
-        if _indefinite(scaled, tol):
+        if _indefinite(scaled, DEFAULT_TOL):
             return False
     return True
 

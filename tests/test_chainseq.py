@@ -213,14 +213,6 @@ class TestSplit:
                 at += b.order
             np.testing.assert_array_equal(rebuilt, t.dense())
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
-    def test_pattern_tol_must_be_finite_and_non_negative(self, tol):
-        # a NaN tol cut nothing and an infinite one cut at every entry, where
-        # id_verdict refuses both
-        t = make_tridiagonal([1.0, 2.0, 1.0], [1.0, 0.0])
-        with pytest.raises(ValueError, match="^pattern tol must be non-negative and finite$"):
-            split_at_zero_offdiag(t, tol)
-
 
 class TestWallWetzel:
     def test_a01_pd(self, a01):

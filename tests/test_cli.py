@@ -58,6 +58,8 @@ GOLDEN_CASES = [
     ("critical_exponent_p3.txt", ["critical-exponent", "data/p3.graph"], {}),
     ("id_check_a0.txt", ["id-check", "data/a0.json"], {}),
     ("id_check_block.txt", ["id-check", "data/id_block.json"], {}),
+    # entries of 1e-170: only exact zeros count as zero in the ID pattern
+    ("id_check_tiny.txt", ["id-check", "data/tiny_tridiagonal.json"], {}),
     # dense input: the grid on the LAPACK spectrum route, and on the path route
     # of a permuted direct sum of ID blocks
     ("id_check_dense_penta.txt", ["id-check", "data/dense_pentadiagonal.json"], {}),
@@ -372,18 +374,19 @@ class TestJsonMode:
 
 
 class TestTinyExponentCounterexample:
-    # below r = 1/1024, 2**(1/r) is not a finite float; the window's top is
-    # capped at 2**1023, where (2+eps)**r < 2 still holds
-    @pytest.mark.parametrize("r", [1 / 1023.5, 1 / 1024, 1e-4, 1e-300])
+    # from r = 1/1024 down, 2**(1/r) is not a finite float; the window's top
+    # is capped at 2**1023, where (2+eps)**r < 2 still holds.  Below about
+    # 5.6e-309, 1 / r itself is inf, and 2**inf raises no OverflowError
+    @pytest.mark.parametrize("r", [1 / 1023.5, 1 / 1024, 1e-4, 1e-300, 5e-309, 1e-310, 5e-324])
     def test_counterexample_and_probe(self, capsys, r):
         m = counterexample_tridiagonal(r)
-        assert np.isfinite(m.main_diag).all() and determinant(m) > 0
+        assert np.isfinite(m.main_diag).all() and determinant(m) > 0 and wall_wetzel_pd(m)
         assert classify_positivity(hadamard_power(m, r)).classification == INDEFINITE
         code, out, err = run_cli(capsys, "counterexample", "--family", "tridiagonal", "-r", repr(r))
         assert code == EXIT_OK and err == ""
         assert "powered_classification: INDEFINITE" in out
-        code, _, err = run_cli(capsys, "probe", "--family", "tridiagonal", "-r", repr(r), "-n", "3")
-        assert code == EXIT_OK and err == ""
+        code, out, err = run_cli(capsys, "probe", "--family", "tridiagonal", "-r", repr(r), "-n", "3", "--json")
+        assert code == EXIT_OK and err == "" and json.loads(out)["verdicts"]["falsified"] is True
 
 
 class TestOracleAgreement:

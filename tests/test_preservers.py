@@ -11,6 +11,7 @@ from bandpos import (
     DEFAULT_ID_GRID,
     INDEFINITE,
     PD,
+    BandSymMatrix,
     DenseSymMatrix,
     PowerSet,
     classify_positivity,
@@ -236,33 +237,6 @@ class TestProbe:
             probe_preserves(family, 1.5, 2, 0)
 
     @pytest.mark.parametrize(
-        "family,order_range",
-        [
-            ("tridiagonal", (0, 3)),
-            ("tridiagonal", (-2, 4)),
-            ("tridiagonal", (5, 3)),
-            ("tridiagonal", (2.5, 4)),
-            ("tridiagonal", (3,)),
-            ("pentadiagonal", (1, 4)),
-            ("pentadiagonal", (2, 6)),
-            ("pentadiagonal", (8, 5)),
-        ],
-    )
-    def test_order_range_refused_up_front(self, family, order_range):
-        # before, a bad range failed only on the seeds that drew a bad order,
-        # or leaked numpy's "low >= high"
-        for seed in range(6):
-            with pytest.raises(ValueError, match="^order_range must"):
-                probe_preserves(family, 2.0, 8, seed, order_range=order_range)
-
-    def test_smallest_order_ranges_accepted(self):
-        tri = probe_preserves("tridiagonal", 2.0, 8, 0, order_range=(1, 1))
-        assert tri.worst_case.order == 1
-        penta = probe_preserves("pentadiagonal", 2.0, 8, 0, order_range=(3, 3))
-        assert penta.worst_case.order == 3 and penta.worst_case.bandwidth == 2
-        assert probe_preserves("tridiagonal", 2.0, 8, 0, order_range=(np.int64(3), 4)).samples == 8
-
-    @pytest.mark.parametrize(
         "samples,seed,message",
         [
             (16, -1, "^seed must be a non-negative integer$"),
@@ -454,22 +428,70 @@ class TestIdVerdict:
             with pytest.raises(ValueError):
                 id_verdict(bad)
 
-    def test_pattern_tol_must_be_finite_and_non_negative(self):
-        # a NaN tol counts every coupling as zero, and a negative one counts
-        # exact zeros as nonzero: both gave wrong verdicts and blocks
+    def test_exact_zeros_only_count_as_zero(self):
         t, d = make_tridiagonal([1.0, 2.0, 1.0], [1.0, 1.0]), make_tridiagonal([1.0, 0.0, 1.0], [0.0, 0.0])
-        for tol in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
-            for check in (id_verdict, is_id_tridiagonal, id_blocks):
-                with pytest.raises(ValueError, match="pattern tol must be non-negative and finite"):
-                    check(t, tol)
-            with pytest.raises(ValueError, match="pattern tol"):
-                id_verdict(d, tol)
-            with pytest.raises(ValueError, match="pattern tol"):
-                is_id_pentadiagonal(make_pentadiagonal([1.0, 2.0, 1.0], [1.0]), tol)
-        # tol = 0 counts exact zeros only
-        assert not is_id_tridiagonal(t, 0.0)
-        verdict = id_verdict(d, 0)
+        assert not is_id_tridiagonal(t)
+        verdict = id_verdict(d)
         assert verdict.infinitely_divisible and [b.order for b in verdict.blocks] == [1, 1, 1]
+        # entries of 1e-170 with two nonzero couplings are not ID: their
+        # r = 0.25 power is INDEFINITE
+        tiny = make_tridiagonal([1e-170] * 3, [5e-171] * 2)
+        verdict = id_verdict(tiny)
+        assert (verdict.infinitely_divisible, verdict.reason, verdict.blocks) == (
+            False, "not ID: off-diagonal entries 1 and 2 are both nonzero", ())
+        assert classify_positivity(hadamard_power(tiny, 0.25)).classification == INDEFINITE
+        assert not id_numeric_probe(tiny)
+        # -0.0 and +0.0 are both zero, and cut a block; the smallest
+        # subnormal is neither
+        assert [b.order for b in id_blocks(make_tridiagonal([1.0] * 3, [5e-324, -0.0]))] == [2, 1]
+        assert not id_verdict(make_tridiagonal([1.0] * 3, [0.5, 5e-324])).infinitely_divisible
+
+    @staticmethod
+    def _scale_inputs():
+        """Seeded tridiagonal and pentadiagonal inputs: ID patterns, non-ID
+        patterns, exactly zero couplings and a non-PSD block."""
+        rng = np.random.default_rng(35)
+        inputs = [make_tridiagonal([1.0, 1.0, 1.0], [0.5, 0.5])]
+        for _ in range(6):
+            n = int(rng.integers(3, 10))
+            off = rng.uniform(0.1, 1.0, n - 1)
+            # zero every other coupling for an ID pattern, a random few for
+            # a pattern that may or may not be ID
+            for keep in (np.arange(n - 1) % 2 == 0, rng.uniform(size=n - 1) < 0.6, np.ones(n - 1, bool)):
+                o = np.where(keep, off, 0.0)
+                diag = rng.uniform(0.1, 1.0, n)
+                diag[:-1] += o
+                diag[1:] += o
+                inputs.append(make_tridiagonal(diag, o))
+                inputs.append(make_tridiagonal(diag, 1.5 * o))
+        for _ in range(6):
+            n = int(rng.integers(5, 11))
+            second = np.where(rng.uniform(size=n - 2) < 0.5, rng.uniform(0.1, 1.0, n - 2), 0.0)
+            diag = rng.uniform(0.1, 1.0, n)
+            diag[:-2] += second
+            diag[2:] += second
+            inputs.append(make_pentadiagonal(diag, second))
+        return inputs
+
+    @pytest.mark.parametrize("k", [-1000, -300, -40, 0, 40, 300])
+    def test_verdict_is_the_same_for_a_and_its_power_of_two_multiples(self, k):
+        # the ID pattern reads exact zeros, which scaling by 2**k keeps, and
+        # the PSD check is relative to each block's max-norm
+        reasons = set()
+        for m in self._scale_inputs():
+            want = id_verdict(m)
+            scaled = BandSymMatrix(m.bandwidth, np.ldexp(m.main_diag, k), np.ldexp(m.off, k))
+            assert np.array_equal(np.ldexp(scaled.off, -k), m.off)
+            got = id_verdict(scaled)
+            assert (got.infinitely_divisible, got.reason) == (want.infinitely_divisible, want.reason)
+            assert [b.order for b in got.blocks] == [b.order for b in want.blocks]
+            if got.infinitely_divisible:
+                assert id_numeric_probe(scaled)
+            reasons.add(want.reason)
+        # every kind of verdict is among the inputs
+        assert {"PSD with no two consecutive nonzero off-diagonal entries", "not ID: matrix is not PSD"} <= reasons
+        assert any(x.startswith("not ID: off-diagonal") for x in reasons)
+        assert any(x.endswith("second-diagonal subsequence") for x in reasons)
 
 
 class TestNumericProbe:
