@@ -213,6 +213,13 @@ class TestSplit:
                 at += b.order
             np.testing.assert_array_equal(rebuilt, t.dense())
 
+    @pytest.mark.parametrize("coupling,orders", [(0.0, [2, 1]), (-0.0, [2, 1]), (5e-324, [3]), (1e-170, [3])])
+    def test_cuts_at_exact_zeros_only(self, coupling, orders):
+        # only an exact 0.0 cuts, whatever the scale of the other entries
+        for k in (-1000, -40, 0, 300):
+            t = make_tridiagonal(np.ldexp([1.0, 2.0, 1.0], k), [np.ldexp(0.5, k), coupling])
+            assert [b.order for b in split_at_zero_offdiag(t)] == orders, k
+
 
 class TestWallWetzel:
     def test_a01_pd(self, a01):

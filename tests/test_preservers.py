@@ -214,6 +214,13 @@ class TestProbe:
         report = probe_preserves("graph", 2.0, 30, seed=13, graph=path_graph(6))
         assert report.min_over_samples >= -1e-10
 
+    @pytest.mark.parametrize("family,orders", [("tridiagonal", range(3, 13)), ("pentadiagonal", range(5, 9))])
+    def test_sample_orders_span_the_family_range(self, family, orders):
+        # a one-sample probe at r >= 1 injects nothing, so its worst case is
+        # the drawn sample; every order of the family's range is drawn
+        drawn = {probe_preserves(family, 2.0, 1, seed).worst_case.order for seed in range(150)}
+        assert drawn == set(orders)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             probe_preserves("tridiagonal", 1.5, 0, seed=1)
